@@ -15,21 +15,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frames import (
-    AmalgamSpace,
-    Frame,
-    GridSpace,
-    SequenceSpace,
-    frame_pair,
-)
+from .frames import AmalgamSpace, Frame, GridSpace, SequenceSpace
 from .spaces import (
     AmalgamFunction,
     DualSeq,
     GridFunction,
     SeqVector,
     dyadic_step_coefficients,
-    embed_tilde,
-    translate,
 )
 
 __all__ = [
@@ -124,12 +116,6 @@ def _normalized_haar_coefficients(level: int, n: int) -> np.ndarray:
 
 def canonical_l1_frame() -> Frame:
     """The pair family (e_n, coordinate functional n) on the sequence space."""
-    space = SequenceSpace()
-
-    @lru_cache(maxsize=None)
-    def gen(n: int) -> tuple:
-        return SeqVector.basis(n), DualSeq.unit_functional(n)
-
     def coeff_batch(x: SeqVector, N: int) -> np.ndarray:
         out = np.zeros(N)
         for i, v in x.entries:
@@ -143,37 +129,42 @@ def canonical_l1_frame() -> Frame:
         out[:head] = mu.prefix[:head]
         return out
 
-    def synth_batch(coeffs: np.ndarray) -> SeqVector:
-        return SeqVector.from_dense(coeffs)
+    def dual_synth_batch(coeffs: np.ndarray) -> DualSeq:
+        return DualSeq(tuple(coeffs))
 
     def covering(x: SeqVector) -> int:
         return x.max_index
 
     return Frame(
-        space=space,
-        generator=gen,
+        space=SequenceSpace(),
         label="l1-canonical",
-        covering=covering,
         coeff_batch=coeff_batch,
         eval_batch=eval_batch,
-        synth_batch=synth_batch,
+        synth_batch=SeqVector.from_dense,
+        dual_synth_batch=dual_synth_batch,
+        covering=covering,
     )
 
 
 def zero_sequence_frame() -> Frame:
     """A frame whose every pair is zero; kept constructible so degenerate
     flagging stays testable end to end."""
-    space = SequenceSpace()
 
-    def gen(n: int) -> tuple:
-        if n < 1:
-            raise ValueError(f"frame ranks start at 1, got {n}")
-        return SeqVector(), DualSeq()
+    def zeros(_element, N: int) -> np.ndarray:
+        return np.zeros(N)
 
     def covering(x: SeqVector):
         return 0 if not x.entries else None
 
-    return Frame(space=space, generator=gen, label="zero", covering=covering)
+    return Frame(
+        space=SequenceSpace(),
+        label="zero",
+        coeff_batch=zeros,
+        eval_batch=zeros,
+        synth_batch=lambda coeffs: SeqVector(),
+        dual_synth_batch=lambda coeffs: DualSeq(),
+        covering=covering,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +193,6 @@ def haar_frame(p: float, J: int) -> Frame:
     rows.flags.writeable = False
     label = f"haar:p={p:g}:J={J}"
 
-    @lru_cache(maxsize=None)
-    def gen(n: int) -> tuple:
-        if not 1 <= n <= size:
-            raise ValueError(f"frame {label!r} defines ranks 1..{size}, got {n}")
-        g = GridFunction(J, rows[n - 1])
-        return g, g
-
     def _pair_batch(f: GridFunction, N: int) -> np.ndarray:
         # Integrals of the first N rows against f: block-sum f down to the
         # frame level (exact for piecewise constants), then one matvec.
@@ -226,16 +210,17 @@ def haar_frame(p: float, J: int) -> Frame:
     def covering(f: GridFunction):
         return 2**f.level if f.level <= J else None
 
+    # The normalized Haar family is its own dual family: a_n = b_n.
     return Frame(
         space=space,
-        generator=gen,
         label=label,
-        max_rank=size,
-        full_truncation=size,
-        covering=covering,
         coeff_batch=_pair_batch,
         eval_batch=_pair_batch,
         synth_batch=synth_batch,
+        dual_synth_batch=synth_batch,
+        max_rank=size,
+        full_truncation=size,
+        covering=covering,
     )
 
 
@@ -324,54 +309,29 @@ def amalgam_frame(base: Frame, q: float, window: tuple[int, int]) -> Frame:
     space = AmalgamSpace(p, q, (lo, hi), J)
     base_max = base.max_rank if base.max_rank is not None else 2**J
     label = f"amalgam:p={p:g}:q={q:g}:J={J}:window={lo},{hi}"
-    zero = space.zero()
-
-    def in_range(m: int, n: int) -> bool:
-        return lo <= m <= hi and n <= base_max
-
-    @lru_cache(maxsize=None)
-    def gen(rank: int) -> tuple:
-        idx = enumerate_z_cross_n(rank)
-        if not in_range(idx.m, idx.n):
-            return zero, zero
-        a, b = frame_pair(base, idx.n)
-        return (
-            translate(embed_tilde(a), idx.m),
-            translate(embed_tilde(b), idx.m),
-        )
-
     width = hi - lo + 1
-    has_base_batch = base.coeff_batch is not None and base.synth_batch is not None
 
-    def _gather_batch(base_batch, f: AmalgamFunction, N: int) -> np.ndarray:
+    def _valid(ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
+        return (ms >= lo) & (ms <= hi) & (ns <= base_max)
+
+    def _gather(base_batch, f: AmalgamFunction, N: int) -> np.ndarray:
         ms, ns = _diagonal_index_arrays(N)
         table = np.vstack(
             [base_batch(f.cell(m), base_max) for m in range(lo, hi + 1)]
         )
-        valid = (ms >= lo) & (ms <= hi) & (ns <= base_max)
+        valid = _valid(ms, ns)
         out = np.zeros(N)
         out[valid] = table[ms[valid] - lo, ns[valid] - 1]
         return out
 
-    coeff_batch = eval_batch = synth_batch = None
-    if has_base_batch:
-
-        def coeff_batch(f: AmalgamFunction, N: int) -> np.ndarray:
-            return _gather_batch(base.coeff_batch, f, N)
-
-        def eval_batch(g: AmalgamFunction, N: int) -> np.ndarray:
-            return _gather_batch(base.eval_batch, g, N)
-
-        def synth_batch(coeffs: np.ndarray) -> AmalgamFunction:
-            coeffs = np.asarray(coeffs, dtype=float)
-            ms, ns = _diagonal_index_arrays(coeffs.size)
-            valid = (ms >= lo) & (ms <= hi) & (ns <= base_max)
-            table = np.zeros((width, base_max))
-            table[ms[valid] - lo, ns[valid] - 1] = coeffs[valid]
-            cells = {
-                lo + j: base.synth_batch(table[j]) for j in range(width)
-            }
-            return AmalgamFunction((lo, hi), cells)
+    def _scatter(base_synth, coeffs: np.ndarray) -> AmalgamFunction:
+        coeffs = np.asarray(coeffs, dtype=float)
+        ms, ns = _diagonal_index_arrays(coeffs.size)
+        valid = _valid(ms, ns)
+        table = np.zeros((width, base_max))
+        table[ms[valid] - lo, ns[valid] - 1] = coeffs[valid]
+        cells = {lo + j: base_synth(table[j]) for j in range(width)}
+        return AmalgamFunction((lo, hi), cells)
 
     def covering(f: AmalgamFunction):
         if f.level > J:
@@ -388,13 +348,13 @@ def amalgam_frame(base: Frame, q: float, window: tuple[int, int]) -> Frame:
 
     return Frame(
         space=space,
-        generator=gen,
         label=label,
+        coeff_batch=lambda f, N: _gather(base.coeff_batch, f, N),
+        eval_batch=lambda g, N: _gather(base.eval_batch, g, N),
+        synth_batch=lambda coeffs: _scatter(base.synth_batch, coeffs),
+        dual_synth_batch=lambda coeffs: _scatter(base.dual_synth_batch, coeffs),
         full_truncation=max(rank_of_index(m, base_max) for m in range(lo, hi + 1)),
         covering=covering,
-        coeff_batch=coeff_batch,
-        eval_batch=eval_batch,
-        synth_batch=synth_batch,
     )
 
 
@@ -413,6 +373,12 @@ def _parse_fields(parts: list[str], label: str) -> dict[str, str]:
     return fields
 
 
+# Frames are immutable, so each label is built once per process; the bound
+# keeps a few fine Haar matrices from piling up.
+_FRAME_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_FRAME_CACHE_SIZE)
 def frame_from_label(label: str) -> Frame:
     """Resolve a frame label string to its catalog construction.
 

@@ -17,7 +17,6 @@ from typing import Callable, Optional
 
 from .catalog import frame_from_label
 from .frames import (
-    analysis_coefficient,
     covering_truncation,
     derive_rng,
     estimate_frame_constant,
@@ -128,12 +127,10 @@ def _require_frame(ns, cfg):
         raise CliUsageError(str(exc)) from None
 
 
-def _coefficients(F, x, N: int) -> list[float]:
-    if N == 0:
-        return []
-    if F.coeff_batch is not None:
-        return [float(c) for c in F.coeff_batch(x, N)]
-    return [analysis_coefficient(F, n, x) for n in range(1, N + 1)]
+def _json_text(obj) -> str:
+    # Artifacts are strict JSON: a non-finite number fails here, before any
+    # file is opened.
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_text(path: Optional[str], text: str, default_name: str) -> str:
@@ -190,7 +187,7 @@ def cmd_expand(ns: argparse.Namespace) -> int:
             f"truncation {n} exceeds the frame's representable ranks (max {F.max_rank})"
         )
 
-    coeffs = _coefficients(F, x, n)
+    coeffs = F.coeff_batch(x, n).tolist() if n else []
     partial = synthesis_partial(F, x, n)
     residual = space.norm(x - partial)
 
@@ -203,9 +200,7 @@ def cmd_expand(ns: argparse.Namespace) -> int:
             "partial_sum": space.element_to_json(partial),
             "residual": residual,
         }
-        target = _write_text(
-            ns.out, json.dumps(artifact, indent=2, sort_keys=True) + "\n", "expand.json"
-        )
+        target = _write_text(ns.out, _json_text(artifact), "expand.json")
     elif fmt == "csv":
         rows = [[str(k + 1), repr(c)] for k, c in enumerate(coeffs)]
         target = _write_text(ns.out, _csv_text(["n", "coefficient"], rows), "expand.csv")
@@ -249,11 +244,7 @@ def cmd_constant(ns: argparse.Namespace) -> int:
             "seed": seed,
             "constant": lhat,
         }
-        target = _write_text(
-            ns.out,
-            json.dumps(artifact, indent=2, sort_keys=True) + "\n",
-            "constant.json",
-        )
+        target = _write_text(ns.out, _json_text(artifact), "constant.json")
     elif fmt == "csv":
         rows = [[label, str(n), str(samples), str(seed), repr(lhat)]]
         target = _write_text(
@@ -377,17 +368,12 @@ def cmd_tabulate(ns: argparse.Namespace) -> int:
     if fmt == "csv":
         text = _csv_text(["N", curve], rows)
     elif fmt == "json":
-        text = (
-            json.dumps(
-                {
-                    "frame": label,
-                    "curve": curve,
-                    "rows": [[N, v] for N, v in zip(schedule, values)],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
+        text = _json_text(
+            {
+                "frame": label,
+                "curve": curve,
+                "rows": [[N, v] for N, v in zip(schedule, values)],
+            }
         )
     else:
         raise CliUsageError(f"unknown format {fmt!r} (choose json or csv)")

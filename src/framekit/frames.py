@@ -1,10 +1,11 @@
 """Frames on the represented spaces and every frame-level computation.
 
 A frame is a rank-indexed family of pairs (a_n, b_n): a vector in the space
-and a represented functional on it.  Everything here is built from two
-primitives the space descriptors provide -- a norm on each side and the
-duality pairing -- so the same code runs the sequence-space, dyadic-grid and
-amalgam families.
+and a represented functional on it.  A frame is given by its four coordinate
+operators -- the analysis x -> (b_n(x)), the evaluation x* -> (x*(a_n)) and
+the two syntheses c -> sum c_n a_n and c -> sum c_n b_n -- and everything
+here is built from those and the norms the space descriptors provide, so the
+same code runs the sequence-space, dyadic-grid and amalgam families.
 
 Conventions used throughout:
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -42,9 +43,6 @@ from .spaces import (
     grid_lp_norm,
     linf_norm,
     lp_norm,
-    pairing_phi,
-    pairing_phi_pq,
-    pairing_psi,
     translate,
 )
 
@@ -67,6 +65,7 @@ __all__ = [
     "coefficient_sequence",
     "coefficient_products",
     "besselian_sum",
+    "besselian_sweep",
     "estimate_frame_constant",
     "dual_frame",
     "unconditional_probe",
@@ -77,6 +76,7 @@ __all__ = [
     "reflexivity_probe",
     "covering_truncation",
     "frame_has_zero_elements",
+    "validate_schedule",
 ]
 
 
@@ -90,7 +90,7 @@ class DualRepresentationError(ValueError):
 
 
 def derive_rng(seed: int, *keys) -> np.random.Generator:
-    """Independent generator for one sample, derived from (seed, keys).
+    """Independent random stream for one sample, derived from (seed, keys).
 
     The key material is hashed, so streams for different purposes or sample
     indices never collide and never depend on how many draws other streams
@@ -233,14 +233,17 @@ class SequenceSpace:
     def dual_norm(self, xstar: DualSeq) -> float:
         return linf_norm(xstar)
 
-    def apply_dual(self, xstar: DualSeq, x: SeqVector) -> float:
-        return pairing_psi(xstar, x)
-
     def zero(self) -> SeqVector:
         return SeqVector()
 
-    def dual_zero(self) -> DualSeq:
-        return DualSeq()
+    def coordinates(self, x: SeqVector) -> np.ndarray:
+        out = np.zeros(x.max_index)
+        for i, v in x.entries:
+            out[i - 1] = v
+        return out
+
+    def from_coordinates(self, values: np.ndarray) -> SeqVector:
+        return SeqVector.from_dense(values)
 
     def dual_space(self) -> "DualSequenceSpace":
         return DualSequenceSpace()
@@ -277,9 +280,6 @@ class SequenceSpace:
     def element_from_json(self, obj) -> SeqVector:
         return SeqVector.from_json_obj(obj)
 
-    def dual_element_from_json(self, obj) -> DualSeq:
-        return DualSeq.from_json_obj(obj)
-
 
 @dataclass(frozen=True)
 class DualSequenceSpace:
@@ -305,14 +305,18 @@ class DualSequenceSpace:
     def dual_norm(self, xstar: SeqVector) -> float:
         return lp_norm(xstar, 1.0)
 
-    def apply_dual(self, xstar: SeqVector, x: DualSeq) -> float:
-        return pairing_psi(x, xstar)
-
     def zero(self) -> DualSeq:
         return DualSeq()
 
-    def dual_zero(self) -> SeqVector:
-        return SeqVector()
+    def coordinates(self, x: DualSeq) -> np.ndarray:
+        if x.tail != 0.0:
+            raise DualRepresentationError(
+                "a sequence with a nonzero constant tail has no finite coordinates"
+            )
+        return np.array(x.prefix)
+
+    def from_coordinates(self, values: np.ndarray) -> DualSeq:
+        return DualSeq(tuple(values))
 
     def dual_space(self):
         raise DualRepresentationError(
@@ -349,9 +353,6 @@ class DualSequenceSpace:
     def element_from_json(self, obj) -> DualSeq:
         return DualSeq.from_json_obj(obj)
 
-    def dual_element_from_json(self, obj) -> SeqVector:
-        return SeqVector.from_json_obj(obj)
-
 
 @dataclass(frozen=True)
 class GridSpace:
@@ -382,13 +383,14 @@ class GridSpace:
     def dual_norm(self, xstar: GridFunction) -> float:
         return grid_lp_norm(xstar, conjugate_exponent(self.p))
 
-    def apply_dual(self, xstar: GridFunction, x: GridFunction) -> float:
-        return pairing_phi(xstar, x)
-
     def zero(self) -> GridFunction:
         return GridFunction.zero(self.level)
 
-    dual_zero = zero
+    def coordinates(self, x: GridFunction) -> np.ndarray:
+        return x.refine(self.level).coefficients
+
+    def from_coordinates(self, values: np.ndarray) -> GridFunction:
+        return GridFunction(self.level, values)
 
     def dual_space(self) -> "GridSpace":
         return GridSpace(conjugate_exponent(self.p), self.level)
@@ -422,8 +424,6 @@ class GridSpace:
 
     def element_from_json(self, obj) -> GridFunction:
         return GridFunction.from_json_obj(obj)
-
-    dual_element_from_json = element_from_json
 
 
 @dataclass(frozen=True)
@@ -465,13 +465,22 @@ class AmalgamSpace:
     def dual_norm(self, xstar: AmalgamFunction) -> float:
         return amalgam_norm(xstar, conjugate_exponent(self.p), conjugate_exponent(self.q))
 
-    def apply_dual(self, xstar: AmalgamFunction, x: AmalgamFunction) -> float:
-        return pairing_phi_pq(xstar, x)
-
     def zero(self) -> AmalgamFunction:
         return AmalgamFunction.zero(self.window, self.level)
 
-    dual_zero = zero
+    def coordinates(self, x: AmalgamFunction) -> np.ndarray:
+        lo, hi = self.window
+        return np.concatenate(
+            [x.cell(m).refine(self.level).coefficients for m in range(lo, hi + 1)]
+        )
+
+    def from_coordinates(self, values: np.ndarray) -> AmalgamFunction:
+        cells = np.reshape(values, (-1, 2**self.level))
+        lo = self.window[0]
+        return AmalgamFunction(
+            self.window,
+            {lo + j: GridFunction(self.level, cell) for j, cell in enumerate(cells)},
+        )
 
     def dual_space(self) -> "AmalgamSpace":
         return AmalgamSpace(
@@ -522,48 +531,56 @@ class AmalgamSpace:
     def element_from_json(self, obj) -> AmalgamFunction:
         return AmalgamFunction.from_json_obj(obj)
 
-    dual_element_from_json = element_from_json
-
 
 # ---------------------------------------------------------------------------
 # the frame itself
 # ---------------------------------------------------------------------------
 
 
+def _no_covering(x) -> None:
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """A rank-indexed family of (vector, functional) pairs on one space.
+    """A rank-indexed family of (vector, functional) pairs on one space,
+    given by its four coordinate operators.
 
-    ``generator`` must be deterministic: rank n always yields the same pair.
+    ``coeff_batch(x, N)`` returns the array of b_n(x) and
+    ``eval_batch(xstar, N)`` the array of xstar(a_n), n = 1..N;
+    ``synth_batch(c)`` returns sum c_n a_n and ``dual_synth_batch(c)`` returns
+    sum c_n b_n, n = 1..len(c).  They must be deterministic and linear, so the
+    rank-n pair is the synthesis of the n-th unit coefficient vector.
     ``max_rank`` bounds the representable ranks (None = every rank is valid).
     ``full_truncation`` is the rank horizon after which every representable
     element of the space is reconstructed exactly, when such a horizon exists.
-
-    The three optional ``*_batch`` callables are vectorized equivalents of
-    the generic rank-by-rank paths; they must agree with the generic route to
-    float accuracy and exist purely for speed.
+    ``covering`` maps an element to its smallest exact truncation, or None.
     """
 
     space: object
-    generator: Callable[[int], tuple]
     label: str
+    coeff_batch: Callable  # (x, N) -> ndarray of b_n(x)
+    eval_batch: Callable  # (xstar, N) -> ndarray of xstar(a_n)
+    synth_batch: Callable  # ndarray c -> sum c_n a_n
+    dual_synth_batch: Callable  # ndarray c -> sum c_n b_n
     max_rank: Optional[int] = None
     full_truncation: Optional[int] = None
-    covering: Optional[Callable] = None  # element -> smallest exact truncation
-    coeff_batch: Optional[Callable] = None  # (x, N) -> ndarray of b_n(x)
-    eval_batch: Optional[Callable] = None  # (xstar, N) -> ndarray of xstar(a_n)
-    synth_batch: Optional[Callable] = None  # ndarray of coefficients -> element
+    covering: Callable = _no_covering
 
 
-def frame_pair(F: Frame, n: int) -> tuple:
-    """The rank-n pair (a_n, b_n), with rank validation."""
+def _check_rank(F: Frame, n: int) -> None:
     if n < 1:
         raise ValueError(f"frame ranks start at 1, got {n}")
     if F.max_rank is not None and n > F.max_rank:
-        raise ValueError(
-            f"frame {F.label!r} defines ranks 1..{F.max_rank}, got {n}"
-        )
-    return F.generator(n)
+        raise ValueError(f"frame {F.label!r} defines ranks 1..{F.max_rank}, got {n}")
+
+
+def frame_pair(F: Frame, n: int) -> tuple:
+    """The rank-n pair (a_n, b_n): both syntheses of the n-th unit vector."""
+    _check_rank(F, n)
+    unit = np.zeros(n)
+    unit[-1] = 1.0
+    return F.synth_batch(unit), F.dual_synth_batch(unit)
 
 
 def _require_element(F: Frame, x) -> None:
@@ -582,10 +599,10 @@ def _require_dual(F: Frame, xstar) -> None:
 
 
 def analysis_coefficient(F: Frame, n: int, x) -> float:
-    """The n-th coefficient b_n(x), via the space's exact pairing."""
+    """The n-th coefficient b_n(x)."""
     _require_element(F, x)
-    _a, b = frame_pair(F, n)
-    return float(F.space.apply_dual(b, x))
+    _check_rank(F, n)
+    return float(F.coeff_batch(x, n)[n - 1])
 
 
 def synthesis_partial(F: Frame, x, N: int):
@@ -595,34 +612,15 @@ def synthesis_partial(F: Frame, x, N: int):
         raise ValueError(f"truncation must be >= 0, got {N}")
     if N == 0:
         return F.space.zero()
-    if F.coeff_batch is not None and F.synth_batch is not None:
-        return F.synth_batch(F.coeff_batch(x, N))
-    acc = F.space.zero()
-    for n in range(1, N + 1):
-        a, b = frame_pair(F, n)
-        acc = acc + float(F.space.apply_dual(b, x)) * a
-    return acc
+    return F.synth_batch(F.coeff_batch(x, N))
 
 
 def coefficient_products(F: Frame, x, xstar, N: int) -> np.ndarray:
     """Array of the N products b_n(x) * xstar(a_n), n = 1..N."""
     _require_element(F, x)
     _require_dual(F, xstar)
-    if N < 1:
-        raise ValueError(f"truncation must be >= 1, got {N}")
-    if F.max_rank is not None and N > F.max_rank:
-        raise ValueError(
-            f"frame {F.label!r} defines ranks 1..{F.max_rank}, got truncation {N}"
-        )
-    if F.coeff_batch is not None and F.eval_batch is not None:
-        return np.asarray(F.coeff_batch(x, N)) * np.asarray(F.eval_batch(xstar, N))
-    out = np.empty(N)
-    for n in range(1, N + 1):
-        a, b = frame_pair(F, n)
-        out[n - 1] = float(F.space.apply_dual(b, x)) * float(
-            F.space.apply_dual(xstar, a)
-        )
-    return out
+    _check_rank(F, N)
+    return F.coeff_batch(x, N) * F.eval_batch(xstar, N)
 
 
 def coefficient_sequence(F: Frame, x, xstar, N: int) -> SeqVector:
@@ -656,6 +654,25 @@ def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
         yield x, xstar
 
 
+def besselian_sweep(
+    F: Frame, schedule: tuple[int, ...], samples: int, seed: int
+) -> list[tuple[float, float, tuple[float, ...]]]:
+    """Besselian sums over the unit-ball pair sweep, one pass for a schedule.
+
+    Per swept pair this keeps only (||x||, ||xstar||, the besselian sums at
+    each truncation of the increasing schedule), so memory does not grow
+    with the truncation.  The sums go through ``math.fsum``: exactly rounded
+    sums of nonnegative terms are monotone in N with no rounding caveats.
+    """
+    n_max = schedule[-1]
+    out = []
+    for x, xstar in ball_pair_sweep(F.space, samples, seed):
+        prods = np.abs(coefficient_products(F, x, xstar, n_max))
+        sums = tuple(math.fsum(prods[:N]) for N in schedule)
+        out.append((F.space.norm(x), F.space.dual_norm(xstar), sums))
+    return out
+
+
 def estimate_frame_constant(F: Frame, N: int, samples: int, seed: int) -> float:
     """Max of besselian_sum over the deterministic unit-ball pair sweep.
 
@@ -665,34 +682,26 @@ def estimate_frame_constant(F: Frame, N: int, samples: int, seed: int) -> float:
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
-    best = 0.0
-    for x, xstar in ball_pair_sweep(F.space, samples, seed):
-        best = max(best, besselian_sum(F, x, xstar, N))
-    return best
+    return max(sums[0] for _nx, _nxs, sums in besselian_sweep(F, (N,), samples, seed))
 
 
 def dual_frame(F: Frame) -> Frame:
     """The frame ((b_n, a_n)) on the dual space.
 
-    Vectors and functionals swap roles; on reflexive spaces the bidual
-    element attached to a_n is represented by a_n itself.  Raises
-    DualRepresentationError when the dual space has no finite representation
-    for the functionals this would need.
+    Vectors and functionals swap roles, and so do the operator pairs; on
+    reflexive spaces the bidual element attached to a_n is represented by a_n
+    itself.  Raises DualRepresentationError when the dual space has no finite
+    representation for the functionals this would need.
     """
-    dspace = F.space.dual_space()
-
-    def gen(n: int) -> tuple:
-        a, b = frame_pair(F, n)
-        return b, a
-
     return Frame(
-        space=dspace,
-        generator=gen,
+        space=F.space.dual_space(),
         label=F.label + "*",
-        max_rank=F.max_rank,
-        full_truncation=F.full_truncation,
         coeff_batch=F.eval_batch,
         eval_batch=F.coeff_batch,
+        synth_batch=F.dual_synth_batch,
+        dual_synth_batch=F.synth_batch,
+        max_rank=F.max_rank,
+        full_truncation=F.full_truncation,
     )
 
 
@@ -711,13 +720,11 @@ class UnconditionalResult:
     sign_flip_norm: float  # max over trials of ||sum eps_n b_n(x) a_n||
 
 
-def _ordered_partial(F: Frame, coeffs: list[float], order: Iterable[int]):
-    """Accumulate sum of coeffs[n-1] * a_n in exactly the given rank order."""
-    acc = F.space.zero()
-    for n in order:
-        a, _b = frame_pair(F, n)
-        acc = acc + coeffs[n - 1] * a
-    return acc
+def _atom_rows(F: Frame, N: int) -> np.ndarray:
+    """Coordinate rows of a_1..a_N, read off the syntheses of unit vectors."""
+    rows = [F.space.coordinates(F.synth_batch(unit)) for unit in np.eye(N)]
+    width = max(row.size for row in rows)
+    return np.vstack([np.pad(row, (0, width - row.size)) for row in rows])
 
 
 def unconditional_probe(
@@ -736,20 +743,27 @@ def unconditional_probe(
         raise ValueError(f"truncation must be >= 1, got {N}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    coeffs = [analysis_coefficient(F, n, x) for n in range(1, N + 1)]
-    base = _ordered_partial(F, coeffs, range(1, N + 1))
+    space = F.space
+    coeffs = F.coeff_batch(x, N)
+    rows = _atom_rows(F, N)
+    identity = np.arange(N)
+
+    def ordered(c: np.ndarray, order: np.ndarray) -> np.ndarray:
+        # Reducing over the leading axis adds the scaled rows one after the
+        # other in exactly the given order, coordinate by coordinate.
+        return np.add.reduce(c[order, None] * rows[order], axis=0)
+
+    base = ordered(coeffs, identity)
     deviation = 0.0
     flip_norm = 0.0
     for t in range(trials):
         rng = derive_rng(seed, "unconditional", t)
-        perm = [int(v) + 1 for v in rng.permutation(N)]
-        signs = [int(v) * 2 - 1 for v in rng.integers(0, 2, size=N)]
-        permuted = _ordered_partial(F, coeffs, perm)
-        deviation = max(deviation, F.space.norm(permuted - base))
-        flipped = _ordered_partial(
-            F, [s * c for s, c in zip(signs, coeffs)], range(1, N + 1)
-        )
-        flip_norm = max(flip_norm, F.space.norm(flipped))
+        perm = rng.permutation(N)
+        signs = rng.integers(0, 2, size=N) * 2 - 1
+        permuted = ordered(coeffs, perm)
+        deviation = max(deviation, space.norm(space.from_coordinates(permuted - base)))
+        flipped = ordered(signs * coeffs, identity)
+        flip_norm = max(flip_norm, space.norm(space.from_coordinates(flipped)))
     return UnconditionalResult(
         truncation=N, trials=trials, deviation=deviation, sign_flip_norm=flip_norm
     )
@@ -765,16 +779,22 @@ def unconditional_deviation(F: Frame, x, N: int, trials: int, seed: int) -> floa
 # ---------------------------------------------------------------------------
 
 
+def _tail_only(coeffs: np.ndarray, N: int, M: int) -> np.ndarray:
+    """The coefficients of ranks N+1..M, with ranks 1..N zeroed."""
+    return np.concatenate((np.zeros(N), coeffs[N:M]))
+
+
+def _check_horizon(N: int, M: int) -> None:
+    if not 0 <= N < M:
+        raise ValueError(f"need horizon M > truncation N >= 0, got N={N}, M={M}")
+
+
 def shrinking_tail(F: Frame, xstar, N: int, M: int) -> float:
     """Dual-space norm of sum_{N<n<=M} xstar(a_n) b_n."""
     _require_dual(F, xstar)
-    if not 0 <= N < M:
-        raise ValueError(f"need horizon M > truncation N >= 0, got N={N}, M={M}")
-    acc = F.space.dual_zero()
-    for n in range(N + 1, M + 1):
-        a, b = frame_pair(F, n)
-        acc = acc + float(F.space.apply_dual(xstar, a)) * b
-    return F.space.dual_norm(acc)
+    _check_horizon(N, M)
+    coeffs = _tail_only(F.eval_batch(xstar, M), N, M)
+    return F.space.dual_norm(F.dual_synth_batch(coeffs))
 
 
 def boundedly_complete_tail(F: Frame, xss, N: int, M: int) -> float:
@@ -786,13 +806,9 @@ def boundedly_complete_tail(F: Frame, xss, N: int, M: int) -> float:
             f"bidual elements of {F.space.describe()} have no finite representation"
         )
     _require_element(F, xss)
-    if not 0 <= N < M:
-        raise ValueError(f"need horizon M > truncation N >= 0, got N={N}, M={M}")
-    acc = F.space.zero()
-    for n in range(N + 1, M + 1):
-        a, b = frame_pair(F, n)
-        acc = acc + float(F.space.apply_dual(b, xss)) * a
-    return F.space.norm(acc)
+    _check_horizon(N, M)
+    coeffs = _tail_only(F.coeff_batch(xss, M), N, M)
+    return F.space.norm(F.synth_batch(coeffs))
 
 
 def duality_constant_check(
@@ -941,6 +957,25 @@ VERDICT_NON_BOUNDEDLY_COMPLETE = "non-boundedly-complete witness found"
 VERDICT_INCONCLUSIVE = "inconclusive"
 VERDICT_DEGENERATE = "degenerate"
 
+# Each tail runs from the truncation N to the horizon M = 2N.
+_HORIZON_FACTOR = 2
+# Deterministic extreme points tried ahead of each leg's random candidates.
+_EXTREME_CANDIDATES = 4
+# Zero-pair scans stop at this rank: they synthesize pair after pair, and
+# the catalog's zero pairs show up within the first few ranks.
+_ZERO_SCAN_CAP = 512
+
+
+def validate_schedule(schedule) -> tuple[int, ...]:
+    """The schedule as a tuple of ints; it must be a nonempty, strictly
+    increasing sequence of positive truncations."""
+    sched = tuple(int(n) for n in schedule)
+    if not sched or any(n < 1 for n in sched):
+        raise ValueError(f"schedule must hold positive truncations, got {sched}")
+    if any(a >= b for a, b in zip(sched, sched[1:])):
+        raise ValueError(f"schedule must be strictly increasing, got {sched}")
+    return sched
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -950,52 +985,44 @@ class ProbeConfig:
     samples: int = 8  # random candidates per leg
     seed: int = 42
     tail_tol: float = 1e-6
-    horizon_factor: int = 2
-    extreme_candidates: int = 4
 
     def __post_init__(self) -> None:
-        sched = tuple(int(n) for n in self.schedule)
-        if not sched or any(n < 1 for n in sched):
-            raise ValueError(f"schedule must hold positive truncations, got {sched}")
-        if any(a >= b for a, b in zip(sched, sched[1:])):
-            raise ValueError(f"schedule must be strictly increasing, got {sched}")
-        object.__setattr__(self, "schedule", sched)
+        object.__setattr__(self, "schedule", validate_schedule(self.schedule))
         if self.samples < 0:
             raise ValueError(f"samples must be >= 0, got {self.samples}")
         if self.tail_tol <= 0:
             raise ValueError(f"tail tolerance must be positive, got {self.tail_tol}")
-        if self.horizon_factor < 2:
-            raise ValueError(
-                f"horizon factor must be >= 2, got {self.horizon_factor}"
-            )
 
 
 def covering_truncation(F: Frame, x) -> Optional[int]:
     """Smallest truncation after which the expansion of x is exact, if the
     frame knows one for this element; None when no finite horizon applies."""
     _require_element(F, x)
-    if F.covering is None:
-        return None
     return F.covering(x)
 
 
+def _zero_pair_scan(F: Frame, upto: int) -> tuple[bool, bool]:
+    """(some pair has a zero vector or functional, every pair is zero in both
+    slots) over the ranks up to min(upto, max_rank, _ZERO_SCAN_CAP)."""
+    horizon = min(upto, _ZERO_SCAN_CAP)
+    if F.max_rank is not None:
+        horizon = min(horizon, F.max_rank)
+    some, every = False, horizon >= 1
+    for n in range(1, horizon + 1):
+        a, b = frame_pair(F, n)
+        zero_a = F.space.norm(a) == 0.0
+        zero_b = F.space.dual_norm(b) == 0.0
+        some = some or zero_a or zero_b
+        every = every and zero_a and zero_b
+        if some and not every:
+            break
+    return some, every
+
+
 def frame_has_zero_elements(F: Frame, upto: int) -> bool:
-    """True when some pair at rank <= upto has a zero vector or functional."""
-    horizon = upto if F.max_rank is None else min(upto, F.max_rank)
-    for n in range(1, horizon + 1):
-        a, b = frame_pair(F, n)
-        if F.space.norm(a) == 0.0 or F.space.dual_norm(b) == 0.0:
-            return True
-    return False
-
-
-def _frame_all_zero(F: Frame, upto: int) -> bool:
-    horizon = upto if F.max_rank is None else min(upto, F.max_rank)
-    for n in range(1, horizon + 1):
-        a, b = frame_pair(F, n)
-        if F.space.norm(a) != 0.0 or F.space.dual_norm(b) != 0.0:
-            return False
-    return horizon >= 1
+    """True when some pair at rank <= upto has a zero vector or functional;
+    at most the first 512 ranks are scanned."""
+    return _zero_pair_scan(F, upto)[0]
 
 
 def _clamped_tail(tail_fn, F: Frame, candidate, N: int, M: int) -> float:
@@ -1010,15 +1037,6 @@ def _clamped_tail(tail_fn, F: Frame, candidate, N: int, M: int) -> float:
     return tail_fn(F, candidate, N, M)
 
 
-def _leg_state(values: list[float], tol: float) -> str:
-    first, last = values[0], values[-1]
-    if last <= tol:
-        return "ok"
-    if last >= 0.5 * first:
-        return "witness"  # the tail stalled instead of decaying
-    return "undecided"
-
-
 def reflexivity_probe(
     F: Frame, config: ProbeConfig = ProbeConfig(), suite: str = "reflexivity"
 ) -> FrameReport:
@@ -1026,61 +1044,68 @@ def reflexivity_probe(
 
     For each scheduled truncation N the probe measures the worst tail norm
     over a fixed candidate family (deterministic extreme points first, then
-    seeded random draws) with horizon M = horizon_factor * N.  Verdicts are
-    evidence, never proofs: tails that decay below the tolerance are
-    "consistent with reflexive"; a tail that stalls is a witness; anything
-    in between is inconclusive.  Frames that are identically zero up to the
-    probe horizon are flagged degenerate.
+    seeded random draws) with horizon M = 2N.  Verdicts are evidence, never
+    proofs: tails that decay below the tolerance are "consistent with
+    reflexive"; a tail that stalls is a witness once the schedule reaches the
+    frame's full truncation (before it, the tail may still vanish, and the
+    leg stays undecided with a note); anything in between is inconclusive.
+    Frames that are identically zero up to the probe horizon are flagged
+    degenerate.
     """
     cfg = config
     schedule = cfg.schedule
-    horizon = cfg.horizon_factor * schedule[-1]
     space = F.space
 
     probes: list[ProbeResult] = []
     notes: list[str] = []
     flags: list[str] = []
 
-    scan = min(horizon, 512)
-    if frame_has_zero_elements(F, scan):
+    any_zero, degenerate = _zero_pair_scan(F, _HORIZON_FACTOR * schedule[-1])
+    if any_zero:
         flags.append("zero-elements")
-    degenerate = _frame_all_zero(F, scan)
+    settled = F.full_truncation is None or schedule[-1] >= F.full_truncation
 
-    dual_candidates = list(space.extreme_dual_ball_points()[: cfg.extreme_candidates])
+    def run_leg(name: str, tail_fn, candidates: list) -> tuple[str, float]:
+        values = []
+        for N in schedule:
+            worst = max(
+                _clamped_tail(tail_fn, F, c, N, _HORIZON_FACTOR * N) for c in candidates
+            )
+            values.append(worst)
+            probes.append(ProbeResult(f"{name}-tail", N, worst))
+        first, last = values[0], values[-1]
+        if last <= cfg.tail_tol:
+            return "ok", last
+        if last < 0.5 * first:
+            return "undecided", last
+        if settled:
+            return "witness", last  # the tail stalled instead of decaying
+        notes.append(
+            f"{name} tail stalls at {last:.6g}, but the schedule ends before the "
+            f"full truncation {F.full_truncation}, where it may still vanish"
+        )
+        return "undecided", last
+
+    dual_candidates = list(space.extreme_dual_ball_points()[:_EXTREME_CANDIDATES])
     for k in range(cfg.samples):
         dual_candidates.append(
             space.random_dual_ball_point(
                 derive_rng(cfg.seed, "probe-dual", *space.dual_ball_key, k)
             )
         )
-
-    shrink_values = []
-    for N in schedule:
-        worst = max(
-            _clamped_tail(shrinking_tail, F, c, N, cfg.horizon_factor * N)
-            for c in dual_candidates
-        )
-        shrink_values.append(worst)
-        probes.append(ProbeResult("shrinking-tail", N, worst))
-    shrink_state = _leg_state(shrink_values, cfg.tail_tol)
+    shrink_state, shrink_last = run_leg("shrinking", shrinking_tail, dual_candidates)
 
     if space.bidual_representable:
-        bidual_candidates = list(space.extreme_ball_points()[: cfg.extreme_candidates])
+        bidual_candidates = list(space.extreme_ball_points()[:_EXTREME_CANDIDATES])
         for k in range(cfg.samples):
             bidual_candidates.append(
                 space.random_ball_point(
                     derive_rng(cfg.seed, "probe-bidual", *space.ball_key, k)
                 )
             )
-        bc_values = []
-        for N in schedule:
-            worst = max(
-                _clamped_tail(boundedly_complete_tail, F, c, N, cfg.horizon_factor * N)
-                for c in bidual_candidates
-            )
-            bc_values.append(worst)
-            probes.append(ProbeResult("boundedly-complete-tail", N, worst))
-        bc_state = _leg_state(bc_values, cfg.tail_tol)
+        bc_state, bc_last = run_leg(
+            "boundedly-complete", boundedly_complete_tail, bidual_candidates
+        )
     else:
         bc_state = "not representable"
         notes.append(
@@ -1093,12 +1118,12 @@ def reflexivity_probe(
     elif shrink_state == "witness":
         verdict = VERDICT_NON_SHRINKING
         notes.append(
-            f"shrinking tail stalls at {shrink_values[-1]:.6g} "
+            f"shrinking tail stalls at {shrink_last:.6g} "
             f"(first candidate is the constant all-ones pattern)"
         )
     elif bc_state == "witness":
         verdict = VERDICT_NON_BOUNDEDLY_COMPLETE
-        notes.append(f"boundedly-complete tail stalls at {bc_values[-1]:.6g}")
+        notes.append(f"boundedly-complete tail stalls at {bc_last:.6g}")
     elif shrink_state == "ok" and bc_state == "ok":
         verdict = VERDICT_CONSISTENT
     else:

@@ -66,8 +66,9 @@ class SeqVector:
     """Finitely supported real sequence, indexed from 1.
 
     ``entries`` holds ``(index, value)`` pairs with strictly increasing
-    positive indices; zero values are dropped on construction, so the
-    representation is canonical and equality is structural.
+    positive indices and finite values; zero values are dropped on
+    construction, so the representation is canonical and equality is
+    structural.
     """
 
     entries: tuple[tuple[int, float], ...] = ()
@@ -84,6 +85,8 @@ class SeqVector:
                     f"integers, got index {idx} after {last}"
                 )
             last = idx
+            if not math.isfinite(val):
+                raise ValueError(f"SeqVector value at index {idx} is {val}")
             if val != 0.0:
                 cleaned.append((idx, val))
         object.__setattr__(self, "entries", tuple(cleaned))
@@ -149,16 +152,20 @@ class DualSeq:
     """Bounded real sequence with an explicit prefix and a constant tail.
 
     Represents mu = (mu_n) with mu_n = prefix[n-1] for n <= len(prefix) and
-    mu_n = tail afterwards.  The sup-norm is therefore exact, not sampled,
-    which is what the non-shrinking counterexample needs.
+    mu_n = tail afterwards, all finite.  The sup-norm is therefore exact, not
+    sampled, which is what the non-shrinking counterexample needs.
     """
 
     prefix: tuple[float, ...] = ()
     tail: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prefix", tuple(float(v) for v in self.prefix))
-        object.__setattr__(self, "tail", float(self.tail))
+        prefix = tuple(float(v) for v in self.prefix)
+        tail = float(self.tail)
+        if not all(map(math.isfinite, prefix + (tail,))):
+            raise ValueError("DualSeq values must be finite")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail", tail)
 
     @classmethod
     def all_ones(cls) -> "DualSeq":
@@ -240,8 +247,8 @@ def pairing_psi(mu: DualSeq, lam: SeqVector) -> float:
 class GridFunction:
     """Piecewise constant function on the level-J dyadic grid of [0, 1).
 
-    ``coefficients[k]`` is the value on [k 2^-J, (k+1) 2^-J).  Refining to a
-    higher level repeats coefficients and changes no norm or pairing.
+    ``coefficients[k]`` is the finite value on [k 2^-J, (k+1) 2^-J).  Refining
+    to a higher level repeats coefficients and changes no norm or pairing.
     Equality is mathematical: both sides are refined to a common level first.
     """
 
@@ -258,6 +265,8 @@ class GridFunction:
                 f"level-{level} grid needs exactly {2 ** level} coefficients, "
                 f"got shape {coeffs.shape}"
             )
+        if not np.isfinite(coeffs).all():
+            raise ValueError("grid function values must be finite")
         coeffs = coeffs.copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "level", level)

@@ -17,13 +17,10 @@ import csv
 import io
 import json
 import logging
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
-
-import numpy as np
 
 from . import __version__
 from .catalog import frame_from_label
@@ -32,14 +29,14 @@ from .frames import (
     FrameReport,
     ProbeConfig,
     ProbeResult,
-    ball_pair_sweep,
-    coefficient_products,
+    besselian_sweep,
     covering_truncation,
     derive_rng,
     dual_frame,
     frame_has_zero_elements,
     reflexivity_probe,
     unconditional_probe,
+    validate_schedule,
 )
 
 __all__ = [
@@ -67,7 +64,7 @@ DEFAULT_FRAME_LABELS = (
 
 _DEFAULT_SCHEDULE = (4, 16, 64, 256)
 # Appending a frame's exact-reconstruction horizon to the schedule is only
-# worth it while the tail of rank-by-rank work stays interactive.
+# worth it while the suites stay interactive.
 _FULL_TRUNCATION_CAP = 1024
 
 
@@ -88,12 +85,7 @@ class ExperimentSpec:
     tail_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        sched = tuple(int(n) for n in self.schedule)
-        if not sched or any(n < 1 for n in sched):
-            raise ValueError(f"schedule must hold positive truncations, got {sched}")
-        if any(a >= b for a, b in zip(sched, sched[1:])):
-            raise ValueError(f"schedule must be strictly increasing, got {sched}")
-        object.__setattr__(self, "schedule", sched)
+        object.__setattr__(self, "schedule", validate_schedule(self.schedule))
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.trials < 1:
@@ -171,34 +163,13 @@ def default_specs() -> tuple[ExperimentSpec, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _prefix_sum(values: np.ndarray, N: int) -> float:
-    # fsum is exactly rounded, so prefix sums of nonnegative terms are
-    # monotone in N with no rounding caveats.
-    return float(math.fsum(values[:N]))
+def _constants(sweep) -> list[float]:
+    """Constant estimate per scheduled truncation: the max over swept pairs."""
+    return [max(column) for column in zip(*(sums for _nx, _nxs, sums in sweep))]
 
 
-def _sweep_data(F: Frame, samples: int, seed: int, n_max: int):
-    """(primal norm, dual norm, |coefficient products| up to n_max) per pair."""
-    data = []
-    for x, xstar in ball_pair_sweep(F.space, samples, seed):
-        prods = np.abs(coefficient_products(F, x, xstar, n_max))
-        data.append((F.space.norm(x), F.space.dual_norm(xstar), prods))
-    return data
-
-
-def _constants_by_truncation(data, schedule) -> list[float]:
-    return [
-        max(_prefix_sum(prods, N) for _nx, _nxs, prods in data) for N in schedule
-    ]
-
-
-def _zero_pair_flags(F: Frame, horizon: int) -> tuple[list[str], bool]:
-    scan = horizon if F.max_rank is None else min(horizon, F.max_rank)
-    scan = min(scan, 512)
-    flags = []
-    if frame_has_zero_elements(F, scan):
-        flags.append("zero-elements")
-    return flags, bool(flags)
+def _zero_pair_flags(F: Frame, horizon: int) -> list[str]:
+    return ["zero-elements"] if frame_has_zero_elements(F, horizon) else []
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +186,13 @@ def run_besselian_suite(spec: ExperimentSpec) -> FrameReport:
     """
     F = frame_from_label(spec.label)
     n_max = spec.schedule[-1]
-    data = _sweep_data(F, spec.samples, spec.seed, n_max)
-    flags, any_zero = _zero_pair_flags(F, n_max)
+    sweep = besselian_sweep(F, spec.schedule, spec.samples, spec.seed)
+    flags = _zero_pair_flags(F, n_max)
 
     probes: list[ProbeResult] = []
-    constants = []
-    for N in spec.schedule:
-        sums = [_prefix_sum(prods, N) for _nx, _nxs, prods in data]
-        lhat = max(sums)
-        constants.append(lhat)
-        margin = max(
-            s - lhat * nx * nxs for s, (nx, nxs, _p) in zip(sums, data)
-        )
+    constants = _constants(sweep)
+    for i, (N, lhat) in enumerate(zip(spec.schedule, constants)):
+        margin = max(sums[i] - lhat * nx * nxs for nx, nxs, sums in sweep)
         probes.append(ProbeResult("constant", N, lhat))
         probes.append(
             ProbeResult(
@@ -246,7 +212,7 @@ def run_besselian_suite(spec: ExperimentSpec) -> FrameReport:
             passed=monotone,
         )
     )
-    if any_zero and constants[-1] == 0.0:
+    if flags and constants[-1] == 0.0:
         flags.append("degenerate")
     return FrameReport(
         label=spec.label,
@@ -270,13 +236,9 @@ def run_duality_suite(spec: ExperimentSpec) -> FrameReport:
     F = frame_from_label(spec.label)
     Fdual = dual_frame(F)
     n_max = spec.schedule[-1]
-    primal = _constants_by_truncation(
-        _sweep_data(F, spec.samples, spec.seed, n_max), spec.schedule
-    )
-    dual = _constants_by_truncation(
-        _sweep_data(Fdual, spec.samples, spec.seed, n_max), spec.schedule
-    )
-    flags, _ = _zero_pair_flags(F, n_max)
+    primal = _constants(besselian_sweep(F, spec.schedule, spec.samples, spec.seed))
+    dual = _constants(besselian_sweep(Fdual, spec.schedule, spec.samples, spec.seed))
+    flags = _zero_pair_flags(F, n_max)
 
     probes: list[ProbeResult] = []
     for N, lf, ld in zip(spec.schedule, primal, dual):
@@ -342,7 +304,7 @@ def run_unconditionality_suite(spec: ExperimentSpec) -> FrameReport:
     if all(c is not None for c in coverings):
         cover_all = max(coverings) if coverings else None
 
-    flags, _ = _zero_pair_flags(F, spec.schedule[-1])
+    flags = _zero_pair_flags(F, spec.schedule[-1])
     probes: list[ProbeResult] = []
     notes: list[str] = []
     if cover_all is None:
@@ -411,7 +373,10 @@ class ReportBundle:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        return (
+            json.dumps(self.to_json_obj(), indent=2, sort_keys=True, allow_nan=False)
+            + "\n"
+        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -71,6 +71,12 @@ def haar_columns(J: int) -> np.ndarray:
     )
 
 
+def normalized_haar_rows(J: int) -> np.ndarray:
+    """Matrix whose row n-1 holds h_n / ||h_n||_2 at level-J cell midpoints."""
+    cols = haar_columns(J)
+    return (cols / np.sqrt(np.mean(cols * cols, axis=0))).T
+
+
 def solve_reconstruction(J: int, values: np.ndarray) -> tuple[np.ndarray, float]:
     """Expand a level-J step function over {h_1 .. h_2^J} by linear solve.
 

@@ -38,6 +38,7 @@ from framekit.spaces import (
     linf_norm,
     lp_norm,
     pairing_phi,
+    pairing_phi_pq,
     translate,
 )
 
@@ -209,12 +210,18 @@ def test_haar_pairings_match_quadrature_oracle():
 
 
 def test_haar_batch_routes_agree_with_per_rank_route():
+    # rank by rank, from the pointwise oracle: h_n / ||h_n||_2 at midpoints
     F = haar_frame(3.0, 3)
     rng = np.random.default_rng(7)
     f = GridFunction(3, rng.standard_normal(8))
-    batch = F.coeff_batch(f, 8)
-    slow = [analysis_coefficient(F, n, f) for n in range(1, 9)]
-    assert np.allclose(batch, slow, atol=1e-13, rtol=0.0)
+    rows = oracles.normalized_haar_rows(3)
+    slow = [oracles.quadrature_integral(rows[n] * f.coefficients) for n in range(8)]
+    assert np.allclose(F.coeff_batch(f, 8), slow, atol=1e-13, rtol=0.0)
+    assert np.allclose(F.eval_batch(f, 8), slow, atol=1e-13, rtol=0.0)
+    for n in range(1, 9):
+        a, b = frame_pair(F, n)
+        assert np.allclose(a.coefficients, rows[n - 1], atol=1e-13, rtol=0.0)
+        assert a == b
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +337,12 @@ def test_amalgam_batch_routes_agree_with_per_rank_route():
         (-1, 1), {m: GridFunction(3, rng.standard_normal(8)) for m in (-1, 0, 1)}
     )
     N = 40
-    batch = F.coeff_batch(f, N)
-    slow = [analysis_coefficient(F, n, f) for n in range(1, N + 1)]
-    assert np.allclose(batch, slow, atol=1e-13, rtol=0.0)
+    # rank by rank: the space's pairing against each synthesized pair
+    pairs = [frame_pair(F, n) for n in range(1, N + 1)]
+    slow_coeffs = [pairing_phi_pq(b, f) for _a, b in pairs]
+    slow_evals = [pairing_phi_pq(f, a) for a, _b in pairs]
+    assert np.allclose(F.coeff_batch(f, N), slow_coeffs, atol=1e-13, rtol=0.0)
+    assert np.allclose(F.eval_batch(f, N), slow_evals, atol=1e-13, rtol=0.0)
 
 
 def test_amalgam_covering_truncation_bounds_support():
@@ -361,6 +371,11 @@ def test_labels_round_trip():
         "amalgam:p=1.5:q=3:J=3:window=-2,2",
     ):
         assert frame_from_label(label).label == label
+
+
+def test_labels_build_each_frame_once():
+    for label in ("l1-canonical", "haar:p=2:J=3", "amalgam:p=2:q=2:J=2:window=-1,1"):
+        assert frame_from_label(label) is frame_from_label(label)
 
 
 def test_label_errors_are_informative():

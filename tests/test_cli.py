@@ -99,6 +99,14 @@ def test_expand_usage_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_expand_rejects_non_finite_input(tmp_path, capsys):
+    elem = tmp_path / "nan.json"
+    elem.write_text('{"level": 1, "coefficients": [NaN, 1]}', encoding="utf-8")
+    assert main(["expand", "--frame", "haar:p=2:J=2", "--input", str(elem)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "expand.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # constant
 # ---------------------------------------------------------------------------

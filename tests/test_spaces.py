@@ -311,6 +311,26 @@ def test_amalgam_function_json_round_trip(f):
     assert AmalgamFunction.from_json_obj(json.loads(json.dumps(f.to_json_obj()))) == f
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_are_rejected(bad):
+    with pytest.raises(ValueError):
+        SeqVector(((1, 1.0), (2, bad)))
+    with pytest.raises(ValueError):
+        SeqVector.from_json_obj([[3, bad]])
+    with pytest.raises(ValueError):
+        DualSeq((0.5, bad), 0.0)
+    with pytest.raises(ValueError):
+        DualSeq((0.5,), bad)
+    with pytest.raises(ValueError):
+        GridFunction(1, (bad, 1.0))
+    with pytest.raises(ValueError):
+        GridFunction.from_json_obj({"level": 1, "coefficients": [bad, 1.0]})
+    with pytest.raises(ValueError):
+        AmalgamFunction.from_json_obj(
+            {"window": [0, 1], "level": 0, "cells": {"1": [bad]}}
+        )
+
+
 def test_conjugate_exponent_pairs():
     assert conjugate_exponent(2.0) == 2.0
     assert conjugate_exponent(1.5) == 3.0
