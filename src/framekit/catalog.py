@@ -40,6 +40,13 @@ __all__ = [
 ]
 
 
+# Size caps, checked before anything is allocated: the Haar matrix takes
+# 8 * 4^J bytes (128 MiB at J = 12), and amalgam elements, points and rank
+# tables grow with the window width times 2^J.
+_MAX_LEVEL = 12
+_MAX_WINDOW_CELLS = 256
+
+
 # ---------------------------------------------------------------------------
 # Haar indexing and evaluation
 # ---------------------------------------------------------------------------
@@ -176,14 +183,14 @@ def haar_frame(p: float, J: int) -> Frame:
     """The normalized Haar family (h_n/||h_n||_2 in both roles) on L_p.
 
     Ranks run 1..2^J; higher ranks are not representable on the level-J grid
-    and are rejected rather than silently refined.
+    and are rejected rather than silently refined.  J is capped at 12.
     """
     p = float(p)
     if not 1.0 < p < math.inf:
         raise ValueError(f"Haar frame requires p in (1, inf), got {p}")
     J = int(J)
-    if J < 1:
-        raise ValueError(f"Haar frame requires level J >= 1, got {J}")
+    if not 1 <= J <= _MAX_LEVEL:
+        raise ValueError(f"Haar frame requires level 1 <= J <= {_MAX_LEVEL}, got {J}")
 
     space = GridSpace(p, J)
     size = 2**J
@@ -263,17 +270,33 @@ def rank_of_index(m: int, n: int) -> int:
     return (s - 1) ** 2 + (m + s - 1) + 1
 
 
-def _diagonal_index_arrays(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m, n) for ranks 1..count as arrays, block by block."""
-    ms: list[int] = []
-    ns: list[int] = []
-    s = 1
-    while len(ms) < count:
-        block = list(range(-(s - 1), s))
-        ms.extend(block)
-        ns.extend(s - abs(mm) for mm in block)
-        s += 1
-    return np.array(ms[:count]), np.array(ns[:count])
+def _check_window_width(lo: int, hi: int) -> None:
+    if hi - lo + 1 > _MAX_WINDOW_CELLS:
+        raise ValueError(
+            f"amalgam windows hold at most {_MAX_WINDOW_CELLS} cells, got {hi - lo + 1}"
+        )
+
+
+def _window_rank_tables(
+    window: tuple[int, int], base_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ranks, cell offsets m - lo, base offsets n - 1) of every pair with a
+    translation in the window and a base rank <= base_max, in rank order.
+
+    These are the amalgam's only nonzero pairs; the ranks ``<= N`` are a
+    prefix of the tables, so a truncation slices them instead of walking the
+    enumeration.
+    """
+    lo, hi = window
+    ms, ns = np.meshgrid(
+        np.arange(lo, hi + 1, dtype=np.int64),
+        np.arange(1, base_max + 1, dtype=np.int64),
+        indexing="ij",
+    )
+    s = np.abs(ms) + ns
+    ranks = ((s - 1) ** 2 + (ms + s - 1) + 1).ravel()
+    order = np.argsort(ranks, kind="stable")
+    return ranks[order], (ms - lo).ravel()[order], (ns - 1).ravel()[order]
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +326,7 @@ def amalgam_frame(base: Frame, q: float, window: tuple[int, int]) -> Frame:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"window must be bounded, got {window}")
     lo, hi = int(lo), int(hi)
+    _check_window_width(lo, hi)
 
     p = base.space.p
     J = base.space.level
@@ -311,25 +335,28 @@ def amalgam_frame(base: Frame, q: float, window: tuple[int, int]) -> Frame:
     label = f"amalgam:p={p:g}:q={q:g}:J={J}:window={lo},{hi}"
     width = hi - lo + 1
 
-    def _valid(ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
-        return (ms >= lo) & (ms <= hi) & (ns <= base_max)
+    ranks, cell_rows, base_cols = _window_rank_tables((lo, hi), base_max)
+    for table in (ranks, cell_rows, base_cols):
+        table.flags.writeable = False
+
+    def _upto(N: int) -> int:
+        # Number of valid ranks <= N: a prefix of the rank-ordered tables.
+        return int(np.searchsorted(ranks, N, side="right"))
 
     def _gather(base_batch, f: AmalgamFunction, N: int) -> np.ndarray:
-        ms, ns = _diagonal_index_arrays(N)
         table = np.vstack(
             [base_batch(f.cell(m), base_max) for m in range(lo, hi + 1)]
         )
-        valid = _valid(ms, ns)
+        k = _upto(N)
         out = np.zeros(N)
-        out[valid] = table[ms[valid] - lo, ns[valid] - 1]
+        out[ranks[:k] - 1] = table[cell_rows[:k], base_cols[:k]]
         return out
 
     def _scatter(base_synth, coeffs: np.ndarray) -> AmalgamFunction:
         coeffs = np.asarray(coeffs, dtype=float)
-        ms, ns = _diagonal_index_arrays(coeffs.size)
-        valid = _valid(ms, ns)
+        k = _upto(coeffs.size)
         table = np.zeros((width, base_max))
-        table[ms[valid] - lo, ns[valid] - 1] = coeffs[valid]
+        table[cell_rows[:k], base_cols[:k]] = coeffs[ranks[:k] - 1]
         cells = {lo + j: base_synth(table[j]) for j in range(width)}
         return AmalgamFunction((lo, hi), cells)
 
@@ -353,7 +380,7 @@ def amalgam_frame(base: Frame, q: float, window: tuple[int, int]) -> Frame:
         eval_batch=lambda g, N: _gather(base.eval_batch, g, N),
         synth_batch=lambda coeffs: _scatter(base.synth_batch, coeffs),
         dual_synth_batch=lambda coeffs: _scatter(base.dual_synth_batch, coeffs),
-        full_truncation=max(rank_of_index(m, base_max) for m in range(lo, hi + 1)),
+        full_truncation=int(ranks[-1]),
         covering=covering,
     )
 
@@ -383,7 +410,8 @@ def frame_from_label(label: str) -> Frame:
     """Resolve a frame label string to its catalog construction.
 
     Known forms: "l1-canonical", "zero", "haar:p=<val>:J=<val>",
-    "amalgam:p=<val>:q=<val>:J=<val>:window=<lo>,<hi>".
+    "amalgam:p=<val>:q=<val>:J=<val>:window=<lo>,<hi>".  Sizes are checked
+    before anything is built: J <= 12 and at most 256 window cells.
     """
     if label == "l1-canonical":
         return canonical_l1_frame()
@@ -396,9 +424,10 @@ def frame_from_label(label: str) -> Frame:
             return haar_frame(float(fields["p"]), int(fields["J"]))
         if kind == "amalgam":
             fields = _parse_fields(rest.split(":"), label)
-            lo, hi = fields["window"].split(",")
+            lo, hi = (int(v) for v in fields["window"].split(","))
+            _check_window_width(lo, hi)
             base = haar_frame(float(fields["p"]), int(fields["J"]))
-            return amalgam_frame(base, float(fields["q"]), (int(lo), int(hi)))
+            return amalgam_frame(base, float(fields["q"]), (lo, hi))
     except KeyError as missing:
         raise ValueError(f"frame label {label!r} is missing field {missing}") from None
     except ValueError as bad:

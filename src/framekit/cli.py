@@ -17,10 +17,12 @@ from typing import Callable, Optional
 
 from .catalog import frame_from_label
 from .frames import (
+    besselian_sweep,
     covering_truncation,
     derive_rng,
     estimate_frame_constant,
     shrinking_tail,
+    sweep_constants,
     synthesis_partial,
 )
 from .verify import (
@@ -354,7 +356,17 @@ def cmd_tabulate(ns: argparse.Namespace) -> int:
             )
         values = [space.norm(x - synthesis_partial(F, x, N)) for N in schedule]
     elif curve == "constant":
-        values = [estimate_frame_constant(F, N, samples, seed) for N in schedule]
+        # One sweep over the sorted truncations; rows keep the given order.
+        if samples < 1:
+            raise CliUsageError(f"samples must be >= 1, got {samples}")
+        truncations = tuple(sorted(set(schedule)))
+        constants = (
+            sweep_constants(besselian_sweep(F, truncations, samples, seed))
+            if truncations
+            else []
+        )
+        by_n = dict(zip(truncations, constants))
+        values = [by_n[N] for N in schedule]
     else:  # shrinking-tail
         xstar = space.extreme_dual_ball_points()[0]
         for N in schedule:

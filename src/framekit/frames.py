@@ -66,9 +66,12 @@ __all__ = [
     "coefficient_products",
     "besselian_sum",
     "besselian_sweep",
+    "duality_sweep",
+    "sweep_constants",
     "estimate_frame_constant",
     "dual_frame",
     "unconditional_probe",
+    "unconditional_sweep",
     "unconditional_deviation",
     "shrinking_tail",
     "boundedly_complete_tail",
@@ -633,6 +636,21 @@ def besselian_sum(F: Frame, x, xstar, N: int) -> float:
     return lp_norm(coefficient_sequence(F, x, xstar, N), 1.0)
 
 
+def _ball_samples(space, samples: int, seed: int) -> Iterator[tuple]:
+    """The seeded random pairs of the sweep, keyed by the balls' identities."""
+    if samples < 0:
+        raise ValueError(f"sample count must be >= 0, got {samples}")
+    return (
+        (
+            space.random_ball_point(derive_rng(seed, "ball", *space.ball_key, k)),
+            space.random_dual_ball_point(
+                derive_rng(seed, "ball", *space.dual_ball_key, k)
+            ),
+        )
+        for k in range(samples)
+    )
+
+
 def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
     """Deterministic sweep of unit-ball pairs: extreme points, then samples.
 
@@ -641,17 +659,66 @@ def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
     the checked pairs.  Random draws are keyed by the ball's identity, which
     mirrors the streams between a frame and its dual frame.
     """
-    if samples < 0:
-        raise ValueError(f"sample count must be >= 0, got {samples}")
+    draws = _ball_samples(space, samples, seed)
+    xstars = space.extreme_dual_ball_points()
     for x in space.extreme_ball_points():
-        for xstar in space.extreme_dual_ball_points():
+        for xstar in xstars:
             yield x, xstar
-    for k in range(samples):
-        x = space.random_ball_point(derive_rng(seed, "ball", *space.ball_key, k))
-        xstar = space.random_dual_ball_point(
-            derive_rng(seed, "ball", *space.dual_ball_key, k)
+    yield from draws
+
+
+def _prefix_fsums(terms: np.ndarray, schedule: tuple[int, ...]) -> tuple[float, ...]:
+    """math.fsum of the first N terms, for each N of the schedule."""
+    values = terms.tolist()
+    return tuple(math.fsum(values[:N]) for N in schedule)
+
+
+def _extreme_rows(G: Frame, xs, xstars, schedule: tuple[int, ...]) -> list:
+    """Sweep rows of the extreme pairs xs x xstars, x-major: one analysis per
+    x and one evaluation per xstar, then the products of every combination."""
+    N = schedule[-1]
+    _check_rank(G, N)
+    for x in xs:
+        _require_element(G, x)
+    for xstar in xstars:
+        _require_dual(G, xstar)
+    evals = np.array([G.eval_batch(xstar, N) for xstar in xstars])
+    dual_norms = [G.space.dual_norm(xstar) for xstar in xstars]
+    rows = []
+    for x in xs:
+        nx = G.space.norm(x)
+        prods = np.abs(G.coeff_batch(x, N) * evals)
+        rows.extend(
+            (nx, nxs, _prefix_fsums(terms, schedule))
+            for terms, nxs in zip(prods, dual_norms)
         )
-        yield x, xstar
+    return rows
+
+
+def _sample_row(G: Frame, x, xstar, schedule: tuple[int, ...]) -> tuple:
+    prods = np.abs(coefficient_products(G, x, xstar, schedule[-1]))
+    return G.space.norm(x), G.space.dual_norm(xstar), _prefix_fsums(prods, schedule)
+
+
+def _sweep(F: Frame, schedule: tuple[int, ...], samples: int, seed: int, dual: bool):
+    """(rows of F's sweep, rows of dual_frame(F)'s sweep or None).
+
+    Each sample pair is drawn once; the dual frame sees it mirrored,
+    (xstar, x), which is the pair its own sweep would draw, and evaluates it
+    through its own operators.
+    """
+    space = F.space
+    draws = _ball_samples(space, samples, seed)
+    balls, duals = space.extreme_ball_points(), space.extreme_dual_ball_points()
+    primal = _extreme_rows(F, balls, duals, schedule)
+    if dual:
+        Fd = dual_frame(F)
+        mirror = _extreme_rows(Fd, duals, balls, schedule)
+    for x, xstar in draws:
+        primal.append(_sample_row(F, x, xstar, schedule))
+        if dual:
+            mirror.append(_sample_row(Fd, xstar, x, schedule))
+    return primal, (mirror if dual else None)
 
 
 def besselian_sweep(
@@ -660,17 +727,27 @@ def besselian_sweep(
     """Besselian sums over the unit-ball pair sweep, one pass for a schedule.
 
     Per swept pair this keeps only (||x||, ||xstar||, the besselian sums at
-    each truncation of the increasing schedule), so memory does not grow
-    with the truncation.  The sums go through ``math.fsum``: exactly rounded
-    sums of nonnegative terms are monotone in N with no rounding caveats.
+    each truncation of the increasing schedule), in ball_pair_sweep's order,
+    so memory does not grow with the truncation.  Each distinct extreme point
+    goes through its operator once.  The sums go through ``math.fsum``:
+    exactly rounded sums of nonnegative terms are monotone in N with no
+    rounding caveats.
     """
-    n_max = schedule[-1]
-    out = []
-    for x, xstar in ball_pair_sweep(F.space, samples, seed):
-        prods = np.abs(coefficient_products(F, x, xstar, n_max))
-        sums = tuple(math.fsum(prods[:N]) for N in schedule)
-        out.append((F.space.norm(x), F.space.dual_norm(xstar), sums))
-    return out
+    return _sweep(F, schedule, samples, seed, dual=False)[0]
+
+
+def duality_sweep(F: Frame, schedule: tuple[int, ...], samples: int, seed: int):
+    """(besselian_sweep of F, besselian_sweep of dual_frame(F)) from one pass.
+
+    The two sides share every draw: the dual frame's pairs are F's pairs
+    mirrored, evaluated through the dual frame's own operators.
+    """
+    return _sweep(F, schedule, samples, seed, dual=True)
+
+
+def sweep_constants(sweep) -> list[float]:
+    """Constant estimate per scheduled truncation: the max over swept pairs."""
+    return [max(column) for column in zip(*(sums for _nx, _nxs, sums in sweep))]
 
 
 def estimate_frame_constant(F: Frame, N: int, samples: int, seed: int) -> float:
@@ -682,7 +759,7 @@ def estimate_frame_constant(F: Frame, N: int, samples: int, seed: int) -> float:
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
-    return max(sums[0] for _nx, _nxs, sums in besselian_sweep(F, (N,), samples, seed))
+    return sweep_constants(besselian_sweep(F, (N,), samples, seed))[0]
 
 
 def dual_frame(F: Frame) -> Frame:
@@ -727,25 +804,36 @@ def _atom_rows(F: Frame, N: int) -> np.ndarray:
     return np.vstack([np.pad(row, (0, width - row.size)) for row in rows])
 
 
-def unconditional_probe(
-    F: Frame, x, N: int, trials: int, seed: int
-) -> UnconditionalResult:
-    """Rearrangement sensitivity of the N-term expansion of x.
+def unconditional_sweep(
+    F: Frame, elements, schedule: tuple[int, ...], trials: int, seed: int
+) -> list[list[UnconditionalResult]]:
+    """unconditional_probe for every element at every truncation of the
+    schedule: one list of results per truncation, in the elements' order.
 
-    Each trial draws a permutation of {1..N} and a sign pattern.  The
-    deviation compares the permuted accumulation against the identity-order
-    accumulation computed the same way, so it isolates the effect of the
-    ordering alone.  The sign-flipped partial-sum norm is recorded as the
-    companion boundedness figure.
+    The atoms' coordinate rows are synthesized once, at the largest
+    truncation, and sliced for the smaller ones.
     """
-    _require_element(F, x)
-    if N < 1:
-        raise ValueError(f"truncation must be >= 1, got {N}")
+    for x in elements:
+        _require_element(F, x)
+    for N in schedule:
+        if N < 1:
+            raise ValueError(f"truncation must be >= 1, got {N}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not schedule:
+        return []
+    rows = _atom_rows(F, max(schedule))
+    return [
+        [_ordering_probe(F, x, N, trials, seed, rows[:N]) for x in elements]
+        for N in schedule
+    ]
+
+
+def _ordering_probe(
+    F: Frame, x, N: int, trials: int, seed: int, rows: np.ndarray
+) -> UnconditionalResult:
     space = F.space
     coeffs = F.coeff_batch(x, N)
-    rows = _atom_rows(F, N)
     identity = np.arange(N)
 
     def ordered(c: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -767,6 +855,20 @@ def unconditional_probe(
     return UnconditionalResult(
         truncation=N, trials=trials, deviation=deviation, sign_flip_norm=flip_norm
     )
+
+
+def unconditional_probe(
+    F: Frame, x, N: int, trials: int, seed: int
+) -> UnconditionalResult:
+    """Rearrangement sensitivity of the N-term expansion of x.
+
+    Each trial draws a permutation of {1..N} and a sign pattern.  The
+    deviation compares the permuted accumulation against the identity-order
+    accumulation computed the same way, so it isolates the effect of the
+    ordering alone.  The sign-flipped partial-sum norm is recorded as the
+    companion boundedness figure.
+    """
+    return unconditional_sweep(F, (x,), (N,), trials, seed)[0][0]
 
 
 def unconditional_deviation(F: Frame, x, N: int, trials: int, seed: int) -> float:
@@ -817,13 +919,13 @@ def duality_constant_check(
     """(constant estimate of F, constant estimate of the dual frame).
 
     Both sides use the same truncation, the same budget and mirrored
-    seed-derived sample streams, so the comparison is like for like.
+    sample streams (one draw pass, see duality_sweep), so the comparison is
+    like for like.
     """
-    Fdual = dual_frame(F)
-    return (
-        estimate_frame_constant(F, N, samples, seed),
-        estimate_frame_constant(Fdual, N, samples, seed),
-    )
+    if samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {samples}")
+    primal, dual = duality_sweep(F, (N,), samples, seed)
+    return sweep_constants(primal)[0], sweep_constants(dual)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,15 @@ logged, never serialized.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import io
 import json
 import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import __version__
@@ -32,10 +34,11 @@ from .frames import (
     besselian_sweep,
     covering_truncation,
     derive_rng,
-    dual_frame,
+    duality_sweep,
     frame_has_zero_elements,
     reflexivity_probe,
-    unconditional_probe,
+    sweep_constants,
+    unconditional_sweep,
     validate_schedule,
 )
 
@@ -159,17 +162,83 @@ def default_specs() -> tuple[ExperimentSpec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# shared sweep machinery
+# results that several suites of one spec share
 # ---------------------------------------------------------------------------
 
 
-def _constants(sweep) -> list[float]:
-    """Constant estimate per scheduled truncation: the max over swept pairs."""
-    return [max(column) for column in zip(*(sums for _nx, _nxs, sums in sweep))]
+@dataclass(frozen=True)
+class _SweepSummary:
+    """What the besselian and duality suites read off a spec's sweep."""
+
+    constants: list[float]  # per scheduled truncation
+    margins: list[float]  # max of besselian_sum - L-hat ||x|| ||x*|| over pairs
+    dual_constants: Optional[list[float]]  # of dual_frame(F), when swept
 
 
-def _zero_pair_flags(F: Frame, horizon: int) -> list[str]:
-    return ["zero-elements"] if frame_has_zero_elements(F, horizon) else []
+class _RunShare:
+    """One run_all's shared per-spec results, each computed once.
+
+    The first suite that asks for an entry computes it under the entry's
+    lock; a suite that asks meanwhile, on another worker, waits for it
+    instead of computing it again.  ``dual`` says whether the spec sweeps
+    should cover the dual frame too (the duality suite is selected).
+    """
+
+    def __init__(self, dual: bool) -> None:
+        self.dual = dual
+        self._lock = threading.Lock()
+        self._entries: dict[tuple, tuple[threading.Lock, list]] = {}
+
+    def get(self, key: tuple, compute: Callable[[], object]):
+        with self._lock:
+            lock, slot = self._entries.setdefault(key, (threading.Lock(), []))
+        with lock:
+            if not slot:
+                slot.append(compute())
+        return slot[0]
+
+
+# The share of the run_all call in progress.  A context variable rather than
+# a module global: it is set only inside run_all (and the contexts its
+# workers copy), so a direct suite call, or another run_all, computes its own.
+_RUN_SHARE: contextvars.ContextVar[Optional[_RunShare]] = contextvars.ContextVar(
+    "framekit_run_share", default=None
+)
+
+
+def _shared(key: tuple, compute: Callable[[], object]):
+    share = _RUN_SHARE.get()
+    return compute() if share is None else share.get(key, compute)
+
+
+def _summarize_sweep(spec: ExperimentSpec, F: Frame, dual: bool) -> _SweepSummary:
+    args = (F, spec.schedule, spec.samples, spec.seed)
+    rows, dual_rows = duality_sweep(*args) if dual else (besselian_sweep(*args), None)
+    constants = sweep_constants(rows)
+    margins = [
+        max(sums[i] - lhat * nx * nxs for nx, nxs, sums in rows)
+        for i, lhat in enumerate(constants)
+    ]
+    return _SweepSummary(
+        constants, margins, None if dual_rows is None else sweep_constants(dual_rows)
+    )
+
+
+def _sweep_summary(spec: ExperimentSpec, F: Frame, dual: bool) -> _SweepSummary:
+    """The spec's sweep, summarized.  Inside run_all it is computed once per
+    spec, and covers the dual frame whenever the duality suite runs."""
+    share = _RUN_SHARE.get()
+    if share is None:
+        return _summarize_sweep(spec, F, dual)
+    return share.get(("sweep", spec), lambda: _summarize_sweep(spec, F, share.dual))
+
+
+def _zero_pair_flags(spec: ExperimentSpec, F: Frame) -> list[str]:
+    """["zero-elements"] when a pair up to the spec's last truncation is zero."""
+    any_zero = _shared(
+        ("zero-pairs", spec), lambda: frame_has_zero_elements(F, spec.schedule[-1])
+    )
+    return ["zero-elements"] if any_zero else []
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +255,12 @@ def run_besselian_suite(spec: ExperimentSpec) -> FrameReport:
     """
     F = frame_from_label(spec.label)
     n_max = spec.schedule[-1]
-    sweep = besselian_sweep(F, spec.schedule, spec.samples, spec.seed)
-    flags = _zero_pair_flags(F, n_max)
+    summary = _sweep_summary(spec, F, dual=False)
+    flags = _zero_pair_flags(spec, F)
 
     probes: list[ProbeResult] = []
-    constants = _constants(sweep)
-    for i, (N, lhat) in enumerate(zip(spec.schedule, constants)):
-        margin = max(sums[i] - lhat * nx * nxs for nx, nxs, sums in sweep)
+    constants = summary.constants
+    for N, lhat, margin in zip(spec.schedule, constants, summary.margins):
         probes.append(ProbeResult("constant", N, lhat))
         probes.append(
             ProbeResult(
@@ -229,16 +297,15 @@ def run_besselian_suite(spec: ExperimentSpec) -> FrameReport:
 def run_duality_suite(spec: ExperimentSpec) -> FrameReport:
     """Constant estimates for a frame and its dual frame at matched budgets.
 
-    Both sides see the same truncations, the same sample count and mirrored
-    seed-derived streams (ball-identity keying), so the relative gap row is
-    a like-for-like comparison.
+    Both sides see the same truncations, the same sample count and the same
+    draws, mirrored for the dual frame (see frames.duality_sweep), so the
+    relative gap row is a like-for-like comparison.
     """
     F = frame_from_label(spec.label)
-    Fdual = dual_frame(F)
     n_max = spec.schedule[-1]
-    primal = _constants(besselian_sweep(F, spec.schedule, spec.samples, spec.seed))
-    dual = _constants(besselian_sweep(Fdual, spec.schedule, spec.samples, spec.seed))
-    flags = _zero_pair_flags(F, n_max)
+    summary = _sweep_summary(spec, F, dual=True)
+    primal, dual = summary.constants, summary.dual_constants
+    flags = _zero_pair_flags(spec, F)
 
     probes: list[ProbeResult] = []
     for N, lf, ld in zip(spec.schedule, primal, dual):
@@ -304,19 +371,18 @@ def run_unconditionality_suite(spec: ExperimentSpec) -> FrameReport:
     if all(c is not None for c in coverings):
         cover_all = max(coverings) if coverings else None
 
-    flags = _zero_pair_flags(F, spec.schedule[-1])
+    flags = _zero_pair_flags(spec, F)
     probes: list[ProbeResult] = []
     notes: list[str] = []
     if cover_all is None:
         notes.append(
             "no finite covering truncation for the sampled elements; all rows informational"
         )
-    for N in spec.schedule:
-        if F.max_rank is not None and N > F.max_rank:
-            continue
-        results = [
-            unconditional_probe(F, x, N, spec.trials, spec.seed) for x in elements
-        ]
+    schedule = tuple(
+        N for N in spec.schedule if F.max_rank is None or N <= F.max_rank
+    )
+    per_truncation = unconditional_sweep(F, elements, schedule, spec.trials, spec.seed)
+    for N, results in zip(schedule, per_truncation):
         deviation = max(r.deviation for r in results)
         flip = max(r.sign_flip_norm for r in results)
         checkable = cover_all is not None and N >= cover_all
@@ -404,7 +470,10 @@ def run_all(
     Suite runs are independent; with workers > 1 they execute on a thread
     pool.  Reports are sorted afterwards, and every random draw is keyed by
     (seed, purpose, index), so the bundle is byte-identical whatever the
-    degree of parallelism.
+    degree of parallelism.  Within the call, each spec's unit-ball sweep
+    (covering F and, with the duality suite selected, its dual frame) and
+    its zero-pair scan are computed once and shared by the suites that need
+    them; they are dropped when the call returns.
     """
     specs = tuple(specs)
     names = tuple(sorted(suites)) if suites is not None else tuple(sorted(SUITES))
@@ -425,11 +494,19 @@ def run_all(
         )
         return report
 
-    if workers <= 1:
-        reports = [run_one(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_one, tasks))
+    token = _RUN_SHARE.set(_RunShare(dual="duality" in names))
+    try:
+        if workers <= 1:
+            reports = [run_one(t) for t in tasks]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [
+                    pool.submit(contextvars.copy_context().run, run_one, t)
+                    for t in tasks
+                ]
+                reports = [f.result() for f in futures]
+    finally:
+        _RUN_SHARE.reset(token)
 
     manifest = {
         "version": __version__,

@@ -1,6 +1,7 @@
 """The three concrete frames and their index machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +346,32 @@ def test_amalgam_batch_routes_agree_with_per_rank_route():
     assert np.allclose(F.eval_batch(f, N), slow_evals, atol=1e-13, rtol=0.0)
 
 
+def test_amalgam_operators_match_enumeration_on_asymmetric_window():
+    # the per-frame rank tables against the rank -> (m, n) enumeration, rank
+    # by rank, past the full truncation (where every pair is zero)
+    base = haar_frame(2.0, 3)
+    F = amalgam_frame(base, 2.0, (-3, 1))
+    N = F.full_truncation + 12
+    rng = np.random.default_rng(29)
+    f = AmalgamFunction(
+        (-3, 1), {m: GridFunction(3, rng.standard_normal(8)) for m in range(-3, 2)}
+    )
+    coeffs, evals = F.coeff_batch(f, N), F.eval_batch(f, N)
+    for rank in range(1, N + 1):
+        idx = enumerate_z_cross_n(rank)
+        inside = -3 <= idx.m <= 1 and idx.n <= 8
+        want_coeff = base.coeff_batch(f.cell(idx.m), 8)[idx.n - 1] if inside else 0.0
+        want_eval = base.eval_batch(f.cell(idx.m), 8)[idx.n - 1] if inside else 0.0
+        assert coeffs[rank - 1] == want_coeff
+        assert evals[rank - 1] == want_eval
+        a, b = frame_pair(F, rank)
+        want = np.zeros((5, 8))
+        if inside:
+            want[idx.m + 3] = frame_pair(base, idx.n)[0].coefficients
+        assert np.array_equal(F.space.coordinates(a), want.ravel())
+        assert np.array_equal(F.space.coordinates(b), want.ravel())
+
+
 def test_amalgam_covering_truncation_bounds_support():
     F = make_amalgam()
     f = translate(embed_tilde(GridFunction(3, np.ones(8))), 1)
@@ -387,6 +414,24 @@ def test_label_errors_are_informative():
         frame_from_label("fourier:p=2")
     with pytest.raises(ValueError, match="malformed"):
         frame_from_label("haar:p:J=4")
+
+
+def test_label_sizes_are_bounded_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="J <= 12"):
+            frame_from_label("haar:p=2:J=20")  # 8 TiB of Haar matrix
+        with pytest.raises(ValueError, match="J <= 12"):
+            frame_from_label("amalgam:p=2:q=2:J=13:window=0,0")
+        with pytest.raises(ValueError, match="at most 256 cells"):
+            frame_from_label("amalgam:p=2:q=2:J=12:window=-1000000,1000000")
+        with pytest.raises(ValueError, match="at most 256 cells"):
+            amalgam_frame(haar_frame(2.0, 1), 2.0, (0, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert amalgam_frame(haar_frame(2.0, 1), 2.0, (0, 255)).full_truncation > 0
 
 
 def test_zero_frame_is_degenerate_but_constructible():

@@ -6,8 +6,9 @@ import json
 import pytest
 
 import framekit.verify as verify
+from framekit.catalog import frame_from_label
 from framekit.cli import main
-from framekit.frames import FrameReport, ProbeResult
+from framekit.frames import FrameReport, ProbeResult, estimate_frame_constant
 from framekit.spaces import GridFunction, SeqVector, grid_lp_norm
 
 
@@ -266,6 +267,28 @@ def test_tabulate_constant_curve_to_file(tmp_path):
     ]) == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows == [["N", "constant"], ["2", "1"], ["4", "1"]]
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["haar:p=2:J=8", "haar:p=3:J=6", "amalgam:p=2:q=2:J=4:window=-1,1", "l1-canonical"],
+)
+def test_tabulate_constant_curve_matches_per_truncation_estimates(tmp_path, label):
+    # one sweep over the sorted schedule gives each truncation's estimate
+    # bit for bit, in the order the schedule was given
+    out = tmp_path / "curve.json"
+    assert main([
+        "tabulate", "--frame", label, "--curve", "constant", "--schedule", "64,4,16,4",
+        "--samples", "30", "--format", "json", "--out", str(out),
+    ]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    F = frame_from_label(label)
+    assert rows == [[N, estimate_frame_constant(F, N, 30, 42)] for N in (64, 4, 16, 4)]
+
+
+def test_oversized_label_exits_one(capsys):
+    assert main(["constant", "--frame", "haar:p=2:J=20"]) == 1
+    assert "J <= 12" in capsys.readouterr().err
 
 
 def test_tabulate_residual_from_input_file(tmp_path, capsys):

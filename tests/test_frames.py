@@ -26,6 +26,7 @@ from framekit.frames import (
     analysis_coefficient,
     ball_pair_sweep,
     besselian_sum,
+    besselian_sweep,
     boundedly_complete_tail,
     coefficient_products,
     coefficient_sequence,
@@ -33,6 +34,7 @@ from framekit.frames import (
     derive_rng,
     dual_frame,
     duality_constant_check,
+    duality_sweep,
     estimate_frame_constant,
     frame_has_zero_elements,
     frame_pair,
@@ -41,6 +43,7 @@ from framekit.frames import (
     synthesis_partial,
     unconditional_deviation,
     unconditional_probe,
+    unconditional_sweep,
 )
 from framekit.spaces import (
     AmalgamFunction,
@@ -300,6 +303,17 @@ def test_duality_check_examples():
     assert abs(ld - 1.0) <= 1e-9
 
 
+def test_duality_sweep_matches_separate_sweeps():
+    # one draw pass, mirrored for the dual frame, gives the rows that
+    # sweeping F and dual_frame(F) separately gives
+    for label in ("l1-canonical", "haar:p=1.5:J=3", "amalgam:p=2:q=2:J=3:window=-1,1"):
+        F = frame_from_label(label)
+        primal, dual = duality_sweep(F, (4, 8), 20, 42)
+        assert primal == besselian_sweep(F, (4, 8), 20, 42)
+        assert dual == besselian_sweep(dual_frame(F), (4, 8), 20, 42)
+        assert len(primal) == len(list(ball_pair_sweep(F.space, 20, 42)))
+
+
 def test_duality_estimates_mirror_exactly_on_catalog_frames():
     # the sampler keys random draws by ball identity, not by frame role, so
     # the dual frame consumes mirrored streams and the two sides agree
@@ -313,6 +327,21 @@ def test_duality_estimates_mirror_exactly_on_catalog_frames():
 # ---------------------------------------------------------------------------
 # unconditionality
 # ---------------------------------------------------------------------------
+
+
+def test_unconditional_sweep_matches_per_truncation_probes():
+    # atom rows built once at the largest truncation and sliced give every
+    # truncation's probe bit for bit
+    amalgam = frame_from_label("amalgam:p=2:q=2:J=2:window=-1,1")
+    for F in (L1, HAAR4, amalgam):
+        elements = [
+            F.space.random_ball_point(derive_rng(3, "elements", k)) for k in range(2)
+        ]
+        schedule = (2, 5, 16)
+        results = unconditional_sweep(F, elements, schedule, 4, 42)
+        assert results == [
+            [unconditional_probe(F, x, N, 4, 42) for x in elements] for N in schedule
+        ]
 
 
 def test_unconditional_deviation_vanishes_at_covering():

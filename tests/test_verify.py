@@ -1,9 +1,13 @@
 """Experiment suites, report bundles, and their determinism contract."""
 
 import json
+import sys
 
 import pytest
 
+import framekit.verify as verify
+from framekit.catalog import frame_from_label
+from framekit.frames import dual_frame, estimate_frame_constant
 from framekit.verify import (
     DEFAULT_FRAME_LABELS,
     SUITES,
@@ -187,6 +191,75 @@ def test_bundle_byte_identical_across_runs_and_workers():
     parallel = run_all(specs, workers=8)
     assert one.to_json() == again.to_json() == parallel.to_json()
     assert one.to_csv() == again.to_csv() == parallel.to_csv()
+
+
+def test_shared_sweep_rows_match_per_frame_estimates():
+    specs = [spec_for_label(label, samples=50) for label in DEFAULT_FRAME_LABELS]
+    bundle = run_all(specs, suites=("besselian", "duality"))
+    for spec in specs:
+        F = frame_from_label(spec.label)
+        Fd = dual_frame(F)
+        rows = {
+            (r.suite, p.name, p.truncation): p.value
+            for r in bundle.reports
+            if r.label == spec.label
+            for p in r.probes
+        }
+        for N in spec.schedule:
+            lhat = estimate_frame_constant(F, N, spec.samples, spec.seed)
+            assert rows[("besselian", "constant", N)] == lhat
+            assert rows[("duality", "constant-primal", N)] == lhat
+            ld = estimate_frame_constant(Fd, N, spec.samples, spec.seed)
+            assert rows[("duality", "constant-dual", N)] == ld
+
+
+def test_run_all_sweeps_each_spec_once(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append((name, args[0].label))
+            return fn(*args)
+
+        monkeypatch.setattr(verify, name, wrapped)
+
+    for name in ("besselian_sweep", "duality_sweep", "frame_has_zero_elements"):
+        spy(name, getattr(verify, name))
+    specs = [
+        mini_spec("l1-canonical"),
+        mini_spec("haar:p=2:J=3"),
+        mini_spec("amalgam:p=2:q=2:J=2:window=-1,1"),
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+    try:
+        first = run_all(specs, workers=4)
+        sweeps = [c for c in calls if c[0].endswith("_sweep")]
+        assert sorted(sweeps) == sorted(("duality_sweep", s.label) for s in specs)
+        assert len(calls) == 2 * len(specs)  # plus one zero-pair scan per spec
+        # nothing outlives the call: a second run computes everything again
+        second = run_all(specs, workers=4)
+        assert len(calls) == 4 * len(specs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert first.to_json() == second.to_json() == run_all(specs).to_json()
+    # without the duality suite the shared sweep covers F alone
+    calls.clear()
+    run_all(specs, suites=("besselian", "unconditionality"))
+    assert sorted(calls) == sorted(
+        [("besselian_sweep", s.label) for s in specs]
+        + [("frame_has_zero_elements", s.label) for s in specs]
+    )
+    # a suite called directly computes its own
+    calls.clear()
+    run_besselian_suite(specs[0])
+    run_duality_suite(specs[0])
+    assert [c[0] for c in calls] == [
+        "besselian_sweep",
+        "frame_has_zero_elements",
+        "duality_sweep",
+        "frame_has_zero_elements",
+    ]
 
 
 def test_bundle_json_round_trip():
