@@ -21,6 +21,7 @@ from .spaces import (
     DualSeq,
     GridFunction,
     SeqVector,
+    check_window_width,
     dyadic_step_coefficients,
 )
 
@@ -40,11 +41,10 @@ __all__ = [
 ]
 
 
-# Size caps, checked before anything is allocated: the Haar matrix takes
-# 8 * 4^J bytes (128 MiB at J = 12), and amalgam elements, points and rank
-# tables grow with the window width times 2^J.
+# Size cap, checked before anything is allocated: the Haar matrix takes
+# 8 * 4^J bytes (128 MiB at J = 12).  Windows are capped by
+# spaces.check_window_width.
 _MAX_LEVEL = 12
-_MAX_WINDOW_CELLS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +270,6 @@ def rank_of_index(m: int, n: int) -> int:
     return (s - 1) ** 2 + (m + s - 1) + 1
 
 
-def _check_window_width(lo: int, hi: int) -> None:
-    if hi - lo + 1 > _MAX_WINDOW_CELLS:
-        raise ValueError(
-            f"amalgam windows hold at most {_MAX_WINDOW_CELLS} cells, got {hi - lo + 1}"
-        )
-
-
 def _window_rank_tables(
     window: tuple[int, int], base_max: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,7 +319,7 @@ def amalgam_frame(base: Frame, q: float, window: tuple[int, int]) -> Frame:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"window must be bounded, got {window}")
     lo, hi = int(lo), int(hi)
-    _check_window_width(lo, hi)
+    check_window_width(lo, hi)
 
     p = base.space.p
     J = base.space.level
@@ -425,7 +418,7 @@ def frame_from_label(label: str) -> Frame:
         if kind == "amalgam":
             fields = _parse_fields(rest.split(":"), label)
             lo, hi = (int(v) for v in fields["window"].split(","))
-            _check_window_width(lo, hi)
+            check_window_width(lo, hi)
             base = haar_frame(float(fields["p"]), int(fields["J"]))
             return amalgam_frame(base, float(fields["q"]), (lo, hi))
     except KeyError as missing:

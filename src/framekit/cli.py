@@ -18,9 +18,10 @@ from typing import Callable, Optional
 from .catalog import frame_from_label
 from .frames import (
     besselian_sweep,
+    clamped_tail,
     covering_truncation,
-    derive_rng,
     estimate_frame_constant,
+    seeded_ball_point,
     shrinking_tail,
     sweep_constants,
     synthesis_partial,
@@ -121,12 +122,30 @@ def _require_frame(ns, cfg):
     label = _resolve(ns, cfg, "frame", str)
     if not label:
         raise CliUsageError("a frame label is required (--frame LABEL)")
+    return label, frame_from_label(label)  # bad labels raise ValueError: exit 1
+
+
+def _load_element(space, path: str):
+    """The element stored in path, in the space's JSON form."""
     try:
-        return label, frame_from_label(label)
-    except KeyError as exc:
-        raise CliUsageError(str(exc.args[0] if exc.args else exc)) from None
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from None
+        with open(path, encoding="utf-8") as fh:
+            return space.element_from_json(json.load(fh))
+    except OSError as exc:
+        raise CliUsageError(f"cannot read element file: {exc}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliUsageError(f"malformed element in {path}: {exc}") from None
+
+
+def _check_truncation(F, n: int, low: int, names=("truncation", "truncation")) -> None:
+    """Usage error unless low <= n <= the frame's largest rank; ``names`` are
+    the plural and singular nouns the messages use for n."""
+    many, one = names
+    if n < low:
+        raise CliUsageError(f"{many} must be >= {low}, got {n}")
+    if F.max_rank is not None and n > F.max_rank:
+        raise CliUsageError(
+            f"{one} {n} exceeds the frame's representable ranks (max {F.max_rank})"
+        )
 
 
 def _json_text(obj) -> str:
@@ -153,6 +172,16 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+def _artifact_text(ns, cfg, default_fmt: str, obj, header, rows) -> tuple[str, str]:
+    """(text, format) of an artifact: obj as JSON, or header and rows as CSV."""
+    fmt = _resolve(ns, cfg, "format", str, default=default_fmt)
+    if fmt == "json":
+        return _json_text(obj), fmt
+    if fmt == "csv":
+        return _csv_text(header, rows), fmt
+    raise CliUsageError(f"unknown format {fmt!r} (choose json or csv)")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -167,13 +196,7 @@ def cmd_expand(ns: argparse.Namespace) -> int:
         raise CliUsageError(
             "expand needs --input FILE holding an element in the space's JSON form"
         )
-    try:
-        with open(input_path, encoding="utf-8") as fh:
-            x = space.element_from_json(json.load(fh))
-    except OSError as exc:
-        raise CliUsageError(f"cannot read element file: {exc}") from None
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliUsageError(f"malformed element in {input_path}: {exc}") from None
+    x = _load_element(space, input_path)
 
     n = _resolve(ns, cfg, "n", _to_int)
     if n is None:
@@ -182,32 +205,22 @@ def cmd_expand(ns: argparse.Namespace) -> int:
             raise CliUsageError(
                 "this element has no finite covering truncation; pass --n"
             )
-    if n < 0:
-        raise CliUsageError(f"truncation must be >= 0, got {n}")
-    if F.max_rank is not None and n > F.max_rank:
-        raise CliUsageError(
-            f"truncation {n} exceeds the frame's representable ranks (max {F.max_rank})"
-        )
+    _check_truncation(F, n, 0)
 
     coeffs = F.coeff_batch(x, n).tolist() if n else []
     partial = synthesis_partial(F, x, n)
     residual = space.norm(x - partial)
 
-    fmt = _resolve(ns, cfg, "format", str, default="json")
-    if fmt == "json":
-        artifact = {
-            "frame": label,
-            "truncation": n,
-            "coefficients": coeffs,
-            "partial_sum": space.element_to_json(partial),
-            "residual": residual,
-        }
-        target = _write_text(ns.out, _json_text(artifact), "expand.json")
-    elif fmt == "csv":
-        rows = [[str(k + 1), repr(c)] for k, c in enumerate(coeffs)]
-        target = _write_text(ns.out, _csv_text(["n", "coefficient"], rows), "expand.csv")
-    else:
-        raise CliUsageError(f"unknown format {fmt!r} (choose json or csv)")
+    artifact = {
+        "frame": label,
+        "truncation": n,
+        "coefficients": coeffs,
+        "partial_sum": space.element_to_json(partial),
+        "residual": residual,
+    }
+    rows = [[str(k + 1), repr(c)] for k, c in enumerate(coeffs)]
+    text, fmt = _artifact_text(ns, cfg, "json", artifact, ["n", "coefficient"], rows)
+    target = _write_text(ns.out, text, f"expand.{fmt}")
 
     print(f"frame: {label}")
     print(f"truncation: {n}")
@@ -224,12 +237,7 @@ def cmd_constant(ns: argparse.Namespace) -> int:
         n = F.full_truncation if F.full_truncation is not None else _DEFAULT_CONSTANT_N
         if F.max_rank is not None:
             n = min(n, F.max_rank)
-    if n < 1:
-        raise CliUsageError(f"truncation must be >= 1, got {n}")
-    if F.max_rank is not None and n > F.max_rank:
-        raise CliUsageError(
-            f"truncation {n} exceeds the frame's representable ranks (max {F.max_rank})"
-        )
+    _check_truncation(F, n, 1)
     samples = _resolve(ns, cfg, "samples", _to_int, default=_DEFAULT_SAMPLES)
     if samples < 1:
         raise CliUsageError(f"samples must be >= 1, got {samples}")
@@ -237,25 +245,17 @@ def cmd_constant(ns: argparse.Namespace) -> int:
 
     lhat = estimate_frame_constant(F, n, samples, seed)
 
-    fmt = _resolve(ns, cfg, "format", str, default="json")
-    if fmt == "json":
-        artifact = {
-            "frame": label,
-            "truncation": n,
-            "samples": samples,
-            "seed": seed,
-            "constant": lhat,
-        }
-        target = _write_text(ns.out, _json_text(artifact), "constant.json")
-    elif fmt == "csv":
-        rows = [[label, str(n), str(samples), str(seed), repr(lhat)]]
-        target = _write_text(
-            ns.out,
-            _csv_text(["frame", "N", "samples", "seed", "constant"], rows),
-            "constant.csv",
-        )
-    else:
-        raise CliUsageError(f"unknown format {fmt!r} (choose json or csv)")
+    artifact = {
+        "frame": label,
+        "truncation": n,
+        "samples": samples,
+        "seed": seed,
+        "constant": lhat,
+    }
+    header = ["frame", "N", "samples", "seed", "constant"]
+    rows = [[label, str(n), str(samples), str(seed), repr(lhat)]]
+    text, fmt = _artifact_text(ns, cfg, "json", artifact, header, rows)
+    target = _write_text(ns.out, text, f"constant.{fmt}")
 
     print(f"frame: {label}")
     print(f"truncation: {n}")
@@ -283,12 +283,7 @@ def cmd_suite(ns: argparse.Namespace) -> int:
         if not schedule:
             raise CliUsageError("suite runs need a non-empty schedule")
         overrides["schedule"] = schedule
-    try:
-        specs = [spec_for_label(lbl, **overrides) for lbl in labels]
-    except KeyError as exc:
-        raise CliUsageError(str(exc.args[0] if exc.args else exc)) from None
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from None
+    specs = [spec_for_label(lbl, **overrides) for lbl in labels]
 
     workers = _resolve(ns, cfg, "workers", _to_int, default=1)
     if workers < 1:
@@ -329,31 +324,14 @@ def cmd_tabulate(ns: argparse.Namespace) -> int:
     if schedule is None:
         schedule = spec_for_label(label).schedule
     for N in schedule:
-        if N < 1:
-            raise CliUsageError(f"schedule entries must be >= 1, got {N}")
-        if F.max_rank is not None and N > F.max_rank:
-            raise CliUsageError(
-                f"schedule entry {N} exceeds the frame's representable ranks"
-                f" (max {F.max_rank})"
-            )
+        _check_truncation(F, N, 1, ("schedule entries", "schedule entry"))
 
-    values: list[float] = []
     if curve == "residual":
         input_path = _resolve(ns, cfg, "input", str)
         if input_path:
-            try:
-                with open(input_path, encoding="utf-8") as fh:
-                    x = space.element_from_json(json.load(fh))
-            except OSError as exc:
-                raise CliUsageError(f"cannot read element file: {exc}") from None
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CliUsageError(
-                    f"malformed element in {input_path}: {exc}"
-                ) from None
+            x = _load_element(space, input_path)
         else:
-            x = space.random_ball_point(
-                derive_rng(seed, "tabulate", *space.ball_key, 0)
-            )
+            x = seeded_ball_point(space, seed, "tabulate", 0)
         values = [space.norm(x - synthesis_partial(F, x, N)) for N in schedule]
     elif curve == "constant":
         # One sweep over the sorted truncations; rows keep the given order.
@@ -368,27 +346,16 @@ def cmd_tabulate(ns: argparse.Namespace) -> int:
         by_n = dict(zip(truncations, constants))
         values = [by_n[N] for N in schedule]
     else:  # shrinking-tail
-        xstar = space.extreme_dual_ball_points()[0]
-        for N in schedule:
-            M = 2 * N
-            if F.max_rank is not None:
-                M = min(M, F.max_rank)
-            values.append(shrinking_tail(F, xstar, N, M) if M > N else 0.0)
+        xstar = space.dual.extreme_ball_points()[0]
+        values = [clamped_tail(shrinking_tail, F, xstar, N, 2 * N) for N in schedule]
 
+    curve_obj = {
+        "frame": label,
+        "curve": curve,
+        "rows": [[N, v] for N, v in zip(schedule, values)],
+    }
     rows = [[str(N), _fmt(v)] for N, v in zip(schedule, values)]
-    fmt = _resolve(ns, cfg, "format", str, default="csv")
-    if fmt == "csv":
-        text = _csv_text(["N", curve], rows)
-    elif fmt == "json":
-        text = _json_text(
-            {
-                "frame": label,
-                "curve": curve,
-                "rows": [[N, v] for N, v in zip(schedule, values)],
-            }
-        )
-    else:
-        raise CliUsageError(f"unknown format {fmt!r} (choose json or csv)")
+    text = _artifact_text(ns, cfg, "csv", curve_obj, ["N", curve], rows)[0]
 
     if ns.out:
         target = _write_text(ns.out, text, "tabulate.csv")

@@ -26,8 +26,9 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, ClassVar, Iterator, Optional
 
 import numpy as np
 
@@ -58,6 +59,7 @@ __all__ = [
     "ProbeConfig",
     "UnconditionalResult",
     "derive_rng",
+    "seeded_ball_point",
     "ball_pair_sweep",
     "frame_pair",
     "analysis_coefficient",
@@ -75,6 +77,7 @@ __all__ = [
     "unconditional_deviation",
     "shrinking_tail",
     "boundedly_complete_tail",
+    "clamped_tail",
     "duality_constant_check",
     "reflexivity_probe",
     "covering_truncation",
@@ -111,7 +114,7 @@ def derive_rng(seed: int, *keys) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# unit-ball samplers (shared between the spaces and their duals)
+# space descriptors
 # ---------------------------------------------------------------------------
 
 _SEQ_SAMPLE_MAX_INDEX = 24
@@ -125,116 +128,51 @@ _AMALGAM_EXTREME_ATOMS_PER_CELL = 8
 _SUP_BALL_RADIUS = 0.99
 
 
-def _random_l1_point(rng: np.random.Generator) -> SeqVector:
-    size = int(rng.integers(1, _SEQ_SAMPLE_MAX_SUPPORT + 1))
-    idx = rng.choice(_SEQ_SAMPLE_MAX_INDEX, size=size, replace=False) + 1
-    vals = rng.standard_normal(size)
-    total = math.fsum(abs(float(v)) for v in vals)
-    if total == 0.0:
-        return SeqVector()
-    return SeqVector(
-        tuple(sorted((int(i), float(v) / total) for i, v in zip(idx, vals)))
-    )
+class _Space:
+    """What every space descriptor shares.
 
+    A descriptor describes one normed space and its unit ball.  ``element``
+    is the type of its elements, and ``dual`` is the descriptor of the
+    functionals the space represents, built once per descriptor.
+    ``dual_is_whole`` says whether those functionals are the whole dual
+    space or only part of it.
+    """
 
-def _random_linf_point(rng: np.random.Generator) -> DualSeq:
-    width = int(rng.integers(1, _SEQ_SAMPLE_MAX_INDEX + 1))
-    vals = rng.uniform(-1.0, 1.0, size=width)
-    tail = float(rng.uniform(-1.0, 1.0))
-    peak = max(float(np.max(np.abs(vals))), abs(tail))
-    if peak == 0.0:
-        return DualSeq()
-    scale = _SUP_BALL_RADIUS / peak
-    return DualSeq(tuple(scale * float(v) for v in vals), scale * tail)
+    element: ClassVar[type]
+    dual_is_whole: ClassVar[bool] = True
 
+    def contains(self, x) -> bool:
+        return isinstance(x, self.element)
 
-def _random_grid_point(rng: np.random.Generator, level: int, p: float) -> GridFunction:
-    f = GridFunction(level, rng.standard_normal(2**level))
-    nrm = grid_lp_norm(f, p)
-    if nrm == 0.0:
-        return GridFunction.zero(level)
-    return (1.0 / nrm) * f
+    def element_to_json(self, x):
+        return x.to_json_obj()
 
+    def element_from_json(self, obj):
+        return self.element.from_json_obj(obj)
 
-def _random_amalgam_point(
-    rng: np.random.Generator, window: tuple[int, int], level: int, p: float, q: float
-) -> AmalgamFunction:
-    lo, hi = window
-    cells = {
-        m: GridFunction(level, rng.standard_normal(2**level))
-        for m in range(lo, hi + 1)
-    }
-    f = AmalgamFunction(window, cells)
-    nrm = amalgam_norm(f, p, q)
-    if nrm == 0.0:
-        return AmalgamFunction.zero(window, level)
-    return (1.0 / nrm) * f
+    def _unit(self, x):
+        """x scaled onto the unit sphere (the zero element stays zero)."""
+        nrm = self.norm(x)
+        return self.zero() if nrm == 0.0 else (1.0 / nrm) * x
 
-
-def _l1_extreme_points() -> tuple[SeqVector, ...]:
-    out = []
-    for k in range(1, _SEQ_EXTREME_INDICES + 1):
-        out.append(SeqVector.basis(k))
-        out.append(-SeqVector.basis(k))
-    return tuple(out)
-
-
-def _linf_extreme_points() -> tuple[DualSeq, ...]:
-    # The constant-tail all-ones pattern goes first: it is the canonical
-    # witness the shrinking probe wants to see checked before anything else.
-    out = [DualSeq.all_ones()]
-    for tail in (1.0, -1.0):
-        for bits in range(2**_SEQ_SIGN_PREFIX):
-            prefix = tuple(
-                1.0 if bits & (1 << j) else -1.0 for j in range(_SEQ_SIGN_PREFIX)
-            )
-            out.append(DualSeq(prefix, tail))
-    return tuple(out)
-
-
-def _grid_extreme_points(level: int, p: float) -> tuple[GridFunction, ...]:
-    out = []
-    for n in range(1, min(2**level, _GRID_EXTREME_ATOMS) + 1):
-        f = GridFunction(level, dyadic_step_coefficients(level, n))
-        out.append((1.0 / grid_lp_norm(f, p)) * f)
-    return tuple(out)
-
-
-def _amalgam_extreme_points(
-    window: tuple[int, int], level: int, p: float
-) -> tuple[AmalgamFunction, ...]:
-    lo, hi = window
-    out = []
-    for m in range(lo, hi + 1):
-        for n in range(1, min(2**level, _AMALGAM_EXTREME_ATOMS_PER_CELL) + 1):
-            f = GridFunction(level, dyadic_step_coefficients(level, n))
-            out.append(translate(embed_tilde((1.0 / grid_lp_norm(f, p)) * f), m))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# space descriptors
-# ---------------------------------------------------------------------------
+    @property
+    def bidual_representable(self) -> bool:
+        """Whether biduals are represented by the space's own elements: the
+        links X -> X* and X* -> X** both reach the whole dual."""
+        return self.dual_is_whole and self.dual.dual_is_whole
 
 
 @dataclass(frozen=True)
-class SequenceSpace:
+class SequenceSpace(_Space):
     """The summable-sequence space: SeqVector elements, DualSeq functionals."""
+
+    element = SeqVector
 
     def describe(self) -> str:
         return "l1 sequence space"
 
-    def contains(self, x) -> bool:
-        return isinstance(x, SeqVector)
-
-    def dual_contains(self, xstar) -> bool:
-        return isinstance(xstar, DualSeq)
-
     def norm(self, x: SeqVector) -> float:
         return lp_norm(x, 1.0)
-
-    def dual_norm(self, xstar: DualSeq) -> float:
-        return linf_norm(xstar)
 
     def zero(self) -> SeqVector:
         return SeqVector()
@@ -248,65 +186,51 @@ class SequenceSpace:
     def from_coordinates(self, values: np.ndarray) -> SeqVector:
         return SeqVector.from_dense(values)
 
-    def dual_space(self) -> "DualSequenceSpace":
+    @cached_property
+    def dual(self) -> "DualSequenceSpace":
         return DualSequenceSpace()
-
-    @property
-    def bidual_representable(self) -> bool:
-        # The bidual of l1 is the dual of l-infinity, which has no finite
-        # representation here; see DualSequenceSpace.dual_space.
-        return False
 
     @property
     def ball_key(self) -> tuple:
         return ("seq-l1",)
 
-    @property
-    def dual_ball_key(self) -> tuple:
-        return ("seq-linf",)
-
     def random_ball_point(self, rng) -> SeqVector:
-        return _random_l1_point(rng)
-
-    def random_dual_ball_point(self, rng) -> DualSeq:
-        return _random_linf_point(rng)
+        size = int(rng.integers(1, _SEQ_SAMPLE_MAX_SUPPORT + 1))
+        idx = rng.choice(_SEQ_SAMPLE_MAX_INDEX, size=size, replace=False) + 1
+        vals = rng.standard_normal(size)
+        total = math.fsum(abs(float(v)) for v in vals)
+        if total == 0.0:
+            return SeqVector()
+        return SeqVector(
+            tuple(sorted((int(i), float(v) / total) for i, v in zip(idx, vals)))
+        )
 
     def extreme_ball_points(self) -> tuple[SeqVector, ...]:
-        return _l1_extreme_points()
-
-    def extreme_dual_ball_points(self) -> tuple[DualSeq, ...]:
-        return _linf_extreme_points()
-
-    def element_to_json(self, x: SeqVector):
-        return x.to_json_obj()
-
-    def element_from_json(self, obj) -> SeqVector:
-        return SeqVector.from_json_obj(obj)
+        out = []
+        for k in range(1, _SEQ_EXTREME_INDICES + 1):
+            out.append(SeqVector.basis(k))
+            out.append(-SeqVector.basis(k))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
-class DualSequenceSpace:
+class DualSequenceSpace(_Space):
     """Bounded sequences with sup norm; functionals represented by SeqVector.
 
     This is where the dual of the canonical sequence frame lives.  Only the
     summable part of its dual is representable, which is all the dual frame
-    needs; the full dual has no finite description, so ``dual_space`` refuses.
+    needs; the full dual has no finite description, so ``dual`` is only part
+    of it and ``dual_frame`` refuses frames on this space.
     """
+
+    element = DualSeq
+    dual_is_whole = False
 
     def describe(self) -> str:
         return "bounded sequence space (sup norm)"
 
-    def contains(self, x) -> bool:
-        return isinstance(x, DualSeq)
-
-    def dual_contains(self, xstar) -> bool:
-        return isinstance(xstar, SeqVector)
-
     def norm(self, x: DualSeq) -> float:
         return linf_norm(x)
-
-    def dual_norm(self, xstar: SeqVector) -> float:
-        return lp_norm(xstar, 1.0)
 
     def zero(self) -> DualSeq:
         return DualSeq()
@@ -321,49 +245,45 @@ class DualSequenceSpace:
     def from_coordinates(self, values: np.ndarray) -> DualSeq:
         return DualSeq(tuple(values))
 
-    def dual_space(self):
-        raise DualRepresentationError(
-            "the dual of the bounded-sequence space has no finite representation"
-        )
-
-    @property
-    def bidual_representable(self) -> bool:
-        return False
+    @cached_property
+    def dual(self) -> SequenceSpace:
+        return SequenceSpace()
 
     @property
     def ball_key(self) -> tuple:
         return ("seq-linf",)
 
-    @property
-    def dual_ball_key(self) -> tuple:
-        return ("seq-l1",)
-
     def random_ball_point(self, rng) -> DualSeq:
-        return _random_linf_point(rng)
-
-    def random_dual_ball_point(self, rng) -> SeqVector:
-        return _random_l1_point(rng)
+        width = int(rng.integers(1, _SEQ_SAMPLE_MAX_INDEX + 1))
+        vals = rng.uniform(-1.0, 1.0, size=width)
+        tail = float(rng.uniform(-1.0, 1.0))
+        peak = max(float(np.max(np.abs(vals))), abs(tail))
+        if peak == 0.0:
+            return DualSeq()
+        scale = _SUP_BALL_RADIUS / peak
+        return DualSeq(tuple(scale * float(v) for v in vals), scale * tail)
 
     def extreme_ball_points(self) -> tuple[DualSeq, ...]:
-        return _linf_extreme_points()
-
-    def extreme_dual_ball_points(self) -> tuple[SeqVector, ...]:
-        return _l1_extreme_points()
-
-    def element_to_json(self, x: DualSeq):
-        return x.to_json_obj()
-
-    def element_from_json(self, obj) -> DualSeq:
-        return DualSeq.from_json_obj(obj)
+        # The constant-tail all-ones pattern goes first: it is the canonical
+        # witness the shrinking probe wants to see checked before anything else.
+        out = [DualSeq.all_ones()]
+        for tail in (1.0, -1.0):
+            for bits in range(2**_SEQ_SIGN_PREFIX):
+                prefix = tuple(
+                    1.0 if bits & (1 << j) else -1.0 for j in range(_SEQ_SIGN_PREFIX)
+                )
+                out.append(DualSeq(prefix, tail))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
-class GridSpace:
+class GridSpace(_Space):
     """L_p[0,1] modeled on the level-J dyadic grid; dual elements act by
     integration and carry the conjugate exponent's norm."""
 
     p: float
     level: int
+    element = GridFunction
 
     def __post_init__(self) -> None:
         if not 1.0 < self.p < math.inf:
@@ -374,17 +294,8 @@ class GridSpace:
     def describe(self) -> str:
         return f"L_p[0,1] on the level-{self.level} dyadic grid (p={self.p:g})"
 
-    def contains(self, x) -> bool:
-        return isinstance(x, GridFunction)
-
-    def dual_contains(self, xstar) -> bool:
-        return isinstance(xstar, GridFunction)
-
     def norm(self, x: GridFunction) -> float:
         return grid_lp_norm(x, self.p)
-
-    def dual_norm(self, xstar: GridFunction) -> float:
-        return grid_lp_norm(xstar, conjugate_exponent(self.p))
 
     def zero(self) -> GridFunction:
         return GridFunction.zero(self.level)
@@ -395,48 +306,34 @@ class GridSpace:
     def from_coordinates(self, values: np.ndarray) -> GridFunction:
         return GridFunction(self.level, values)
 
-    def dual_space(self) -> "GridSpace":
+    @cached_property
+    def dual(self) -> "GridSpace":
         return GridSpace(conjugate_exponent(self.p), self.level)
-
-    @property
-    def bidual_representable(self) -> bool:
-        return True  # reflexive: biduals are represented by primal elements
 
     @property
     def ball_key(self) -> tuple:
         return ("grid", self.level, self.p)
 
-    @property
-    def dual_ball_key(self) -> tuple:
-        return ("grid", self.level, conjugate_exponent(self.p))
-
     def random_ball_point(self, rng) -> GridFunction:
-        return _random_grid_point(rng, self.level, self.p)
-
-    def random_dual_ball_point(self, rng) -> GridFunction:
-        return _random_grid_point(rng, self.level, conjugate_exponent(self.p))
+        return self._unit(GridFunction(self.level, rng.standard_normal(2**self.level)))
 
     def extreme_ball_points(self) -> tuple[GridFunction, ...]:
-        return _grid_extreme_points(self.level, self.p)
-
-    def extreme_dual_ball_points(self) -> tuple[GridFunction, ...]:
-        return _grid_extreme_points(self.level, conjugate_exponent(self.p))
-
-    def element_to_json(self, x: GridFunction):
-        return x.to_json_obj()
-
-    def element_from_json(self, obj) -> GridFunction:
-        return GridFunction.from_json_obj(obj)
+        # The normalised dyadic step directions, coarsest first.
+        return tuple(
+            self._unit(GridFunction(self.level, dyadic_step_coefficients(self.level, n)))
+            for n in range(1, min(2**self.level, _GRID_EXTREME_ATOMS) + 1)
+        )
 
 
 @dataclass(frozen=True)
-class AmalgamSpace:
+class AmalgamSpace(_Space):
     """The amalgam space on a finite window of unit cells at a fixed level."""
 
     p: float
     q: float
     window: tuple[int, int]
     level: int
+    element = AmalgamFunction
 
     def __post_init__(self) -> None:
         for name, v in (("p", self.p), ("q", self.q)):
@@ -456,17 +353,8 @@ class AmalgamSpace:
             f"(p={self.p:g}, q={self.q:g})"
         )
 
-    def contains(self, x) -> bool:
-        return isinstance(x, AmalgamFunction)
-
-    def dual_contains(self, xstar) -> bool:
-        return isinstance(xstar, AmalgamFunction)
-
     def norm(self, x: AmalgamFunction) -> float:
         return amalgam_norm(x, self.p, self.q)
-
-    def dual_norm(self, xstar: AmalgamFunction) -> float:
-        return amalgam_norm(xstar, conjugate_exponent(self.p), conjugate_exponent(self.q))
 
     def zero(self) -> AmalgamFunction:
         return AmalgamFunction.zero(self.window, self.level)
@@ -485,54 +373,43 @@ class AmalgamSpace:
             {lo + j: GridFunction(self.level, cell) for j, cell in enumerate(cells)},
         )
 
-    def dual_space(self) -> "AmalgamSpace":
+    @cached_property
+    def dual(self) -> "AmalgamSpace":
         return AmalgamSpace(
             conjugate_exponent(self.p), conjugate_exponent(self.q), self.window, self.level
         )
 
     @property
-    def bidual_representable(self) -> bool:
-        return True
-
-    @property
     def ball_key(self) -> tuple:
         return ("amalgam", self.level, self.window, self.p, self.q)
 
-    @property
-    def dual_ball_key(self) -> tuple:
-        return (
-            "amalgam",
-            self.level,
-            self.window,
-            conjugate_exponent(self.p),
-            conjugate_exponent(self.q),
-        )
-
     def random_ball_point(self, rng) -> AmalgamFunction:
-        return _random_amalgam_point(rng, self.window, self.level, self.p, self.q)
-
-    def random_dual_ball_point(self, rng) -> AmalgamFunction:
-        return _random_amalgam_point(
-            rng,
-            self.window,
-            self.level,
-            conjugate_exponent(self.p),
-            conjugate_exponent(self.q),
-        )
+        lo, hi = self.window
+        cells = {
+            m: GridFunction(self.level, rng.standard_normal(2**self.level))
+            for m in range(lo, hi + 1)
+        }
+        return self._unit(AmalgamFunction(self.window, cells))
 
     def extreme_ball_points(self) -> tuple[AmalgamFunction, ...]:
-        return _amalgam_extreme_points(self.window, self.level, self.p)
-
-    def extreme_dual_ball_points(self) -> tuple[AmalgamFunction, ...]:
-        return _amalgam_extreme_points(
-            self.window, self.level, conjugate_exponent(self.p)
+        # Each cell's first grid extreme points, translated into the cell.
+        lo, hi = self.window
+        steps = GridSpace(self.p, self.level).extreme_ball_points()
+        return tuple(
+            translate(embed_tilde(f), m)
+            for m in range(lo, hi + 1)
+            for f in steps[:_AMALGAM_EXTREME_ATOMS_PER_CELL]
         )
 
-    def element_to_json(self, x: AmalgamFunction):
-        return x.to_json_obj()
 
-    def element_from_json(self, obj) -> AmalgamFunction:
-        return AmalgamFunction.from_json_obj(obj)
+def seeded_ball_point(space, seed: int, purpose: str, k: int):
+    """The k-th seeded random point of space's unit ball for one purpose.
+
+    The stream is keyed by (seed, purpose, the ball's identity, k), not by
+    the role the point plays, so a frame and its dual frame draw mirrored
+    points, and no draw depends on how many other draws were made.
+    """
+    return space.random_ball_point(derive_rng(seed, purpose, *space.ball_key, k))
 
 
 # ---------------------------------------------------------------------------
@@ -586,31 +463,23 @@ def frame_pair(F: Frame, n: int) -> tuple:
     return F.synth_batch(unit), F.dual_synth_batch(unit)
 
 
-def _require_element(F: Frame, x) -> None:
-    if not F.space.contains(x):
-        raise ValueError(
-            f"{type(x).__name__} is not an element of {F.space.describe()}"
-        )
-
-
-def _require_dual(F: Frame, xstar) -> None:
-    if not F.space.dual_contains(xstar):
-        raise ValueError(
-            f"{type(xstar).__name__} does not represent a functional on "
-            f"{F.space.describe()}"
-        )
+def _require(space, x) -> None:
+    """ValueError unless x is an element of space; a functional on F's space
+    is checked against ``F.space.dual``."""
+    if not space.contains(x):
+        raise ValueError(f"{type(x).__name__} is not an element of {space.describe()}")
 
 
 def analysis_coefficient(F: Frame, n: int, x) -> float:
     """The n-th coefficient b_n(x)."""
-    _require_element(F, x)
+    _require(F.space, x)
     _check_rank(F, n)
     return float(F.coeff_batch(x, n)[n - 1])
 
 
 def synthesis_partial(F: Frame, x, N: int):
     """The partial expansion S_N x = sum_{n<=N} b_n(x) a_n."""
-    _require_element(F, x)
+    _require(F.space, x)
     if N < 0:
         raise ValueError(f"truncation must be >= 0, got {N}")
     if N == 0:
@@ -620,8 +489,8 @@ def synthesis_partial(F: Frame, x, N: int):
 
 def coefficient_products(F: Frame, x, xstar, N: int) -> np.ndarray:
     """Array of the N products b_n(x) * xstar(a_n), n = 1..N."""
-    _require_element(F, x)
-    _require_dual(F, xstar)
+    _require(F.space, x)
+    _require(F.space.dual, xstar)
     _check_rank(F, N)
     return F.coeff_batch(x, N) * F.eval_batch(xstar, N)
 
@@ -642,10 +511,8 @@ def _ball_samples(space, samples: int, seed: int) -> Iterator[tuple]:
         raise ValueError(f"sample count must be >= 0, got {samples}")
     return (
         (
-            space.random_ball_point(derive_rng(seed, "ball", *space.ball_key, k)),
-            space.random_dual_ball_point(
-                derive_rng(seed, "ball", *space.dual_ball_key, k)
-            ),
+            seeded_ball_point(space, seed, "ball", k),
+            seeded_ball_point(space.dual, seed, "ball", k),
         )
         for k in range(samples)
     )
@@ -660,7 +527,7 @@ def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
     mirrors the streams between a frame and its dual frame.
     """
     draws = _ball_samples(space, samples, seed)
-    xstars = space.extreme_dual_ball_points()
+    xstars = space.dual.extreme_ball_points()
     for x in space.extreme_ball_points():
         for xstar in xstars:
             yield x, xstar
@@ -679,25 +546,25 @@ def _extreme_rows(G: Frame, xs, xstars, schedule: tuple[int, ...]) -> list:
     N = schedule[-1]
     _check_rank(G, N)
     for x in xs:
-        _require_element(G, x)
+        _require(G.space, x)
     for xstar in xstars:
-        _require_dual(G, xstar)
+        _require(G.space.dual, xstar)
     evals = np.array([G.eval_batch(xstar, N) for xstar in xstars])
-    dual_norms = [G.space.dual_norm(xstar) for xstar in xstars]
+    xstar_norms = [G.space.dual.norm(xstar) for xstar in xstars]
     rows = []
     for x in xs:
         nx = G.space.norm(x)
         prods = np.abs(G.coeff_batch(x, N) * evals)
         rows.extend(
             (nx, nxs, _prefix_fsums(terms, schedule))
-            for terms, nxs in zip(prods, dual_norms)
+            for terms, nxs in zip(prods, xstar_norms)
         )
     return rows
 
 
 def _sample_row(G: Frame, x, xstar, schedule: tuple[int, ...]) -> tuple:
     prods = np.abs(coefficient_products(G, x, xstar, schedule[-1]))
-    return G.space.norm(x), G.space.dual_norm(xstar), _prefix_fsums(prods, schedule)
+    return G.space.norm(x), G.space.dual.norm(xstar), _prefix_fsums(prods, schedule)
 
 
 def _sweep(F: Frame, schedule: tuple[int, ...], samples: int, seed: int, dual: bool):
@@ -709,7 +576,7 @@ def _sweep(F: Frame, schedule: tuple[int, ...], samples: int, seed: int, dual: b
     """
     space = F.space
     draws = _ball_samples(space, samples, seed)
-    balls, duals = space.extreme_ball_points(), space.extreme_dual_ball_points()
+    balls, duals = space.extreme_ball_points(), space.dual.extreme_ball_points()
     primal = _extreme_rows(F, balls, duals, schedule)
     if dual:
         Fd = dual_frame(F)
@@ -767,11 +634,16 @@ def dual_frame(F: Frame) -> Frame:
 
     Vectors and functionals swap roles, and so do the operator pairs; on
     reflexive spaces the bidual element attached to a_n is represented by a_n
-    itself.  Raises DualRepresentationError when the dual space has no finite
-    representation for the functionals this would need.
+    itself.  Raises DualRepresentationError when the functionals the space
+    represents are only part of its dual: the dual frame would then need a
+    space with no finite representation.
     """
+    if not F.space.dual_is_whole:
+        raise DualRepresentationError(
+            f"the dual of the {F.space.describe()} has no finite representation"
+        )
     return Frame(
-        space=F.space.dual_space(),
+        space=F.space.dual,
         label=F.label + "*",
         coeff_batch=F.eval_batch,
         eval_batch=F.coeff_batch,
@@ -814,7 +686,7 @@ def unconditional_sweep(
     truncation, and sliced for the smaller ones.
     """
     for x in elements:
-        _require_element(F, x)
+        _require(F.space, x)
     for N in schedule:
         if N < 1:
             raise ValueError(f"truncation must be >= 1, got {N}")
@@ -893,10 +765,10 @@ def _check_horizon(N: int, M: int) -> None:
 
 def shrinking_tail(F: Frame, xstar, N: int, M: int) -> float:
     """Dual-space norm of sum_{N<n<=M} xstar(a_n) b_n."""
-    _require_dual(F, xstar)
+    _require(F.space.dual, xstar)
     _check_horizon(N, M)
     coeffs = _tail_only(F.eval_batch(xstar, M), N, M)
-    return F.space.dual_norm(F.dual_synth_batch(coeffs))
+    return F.space.dual.norm(F.dual_synth_batch(coeffs))
 
 
 def boundedly_complete_tail(F: Frame, xss, N: int, M: int) -> float:
@@ -907,7 +779,7 @@ def boundedly_complete_tail(F: Frame, xss, N: int, M: int) -> float:
         raise DualRepresentationError(
             f"bidual elements of {F.space.describe()} have no finite representation"
         )
-    _require_element(F, xss)
+    _require(F.space, xss)
     _check_horizon(N, M)
     coeffs = _tail_only(F.coeff_batch(xss, M), N, M)
     return F.space.norm(F.synth_batch(coeffs))
@@ -1099,7 +971,7 @@ class ProbeConfig:
 def covering_truncation(F: Frame, x) -> Optional[int]:
     """Smallest truncation after which the expansion of x is exact, if the
     frame knows one for this element; None when no finite horizon applies."""
-    _require_element(F, x)
+    _require(F.space, x)
     return F.covering(x)
 
 
@@ -1113,7 +985,7 @@ def _zero_pair_scan(F: Frame, upto: int) -> tuple[bool, bool]:
     for n in range(1, horizon + 1):
         a, b = frame_pair(F, n)
         zero_a = F.space.norm(a) == 0.0
-        zero_b = F.space.dual_norm(b) == 0.0
+        zero_b = F.space.dual.norm(b) == 0.0
         some = some or zero_a or zero_b
         every = every and zero_a and zero_b
         if some and not every:
@@ -1127,11 +999,15 @@ def frame_has_zero_elements(F: Frame, upto: int) -> bool:
     return _zero_pair_scan(F, upto)[0]
 
 
-def _clamped_tail(tail_fn, F: Frame, candidate, N: int, M: int) -> float:
-    # Ranks past the frame's representable range pair every representable
-    # input to a zero coefficient (finer oscillations integrate level-bounded
-    # data to nothing), so clamping the horizon there is exact, not an
-    # approximation.
+def clamped_tail(tail_fn, F: Frame, candidate, N: int, M: int) -> float:
+    """tail_fn(F, candidate, N, M) with M clamped to F's max rank; 0.0 when
+    no rank is left past N.
+
+    Ranks past the frame's representable range pair every representable
+    input to a zero coefficient (finer oscillations integrate level-bounded
+    data to nothing), so clamping the horizon there is exact, not an
+    approximation.
+    """
     if F.max_rank is not None:
         M = min(M, F.max_rank)
     if M <= N:
@@ -1171,7 +1047,7 @@ def reflexivity_probe(
         values = []
         for N in schedule:
             worst = max(
-                _clamped_tail(tail_fn, F, c, N, _HORIZON_FACTOR * N) for c in candidates
+                clamped_tail(tail_fn, F, c, N, _HORIZON_FACTOR * N) for c in candidates
             )
             values.append(worst)
             probes.append(ProbeResult(f"{name}-tail", N, worst))
@@ -1188,25 +1064,21 @@ def reflexivity_probe(
         )
         return "undecided", last
 
-    dual_candidates = list(space.extreme_dual_ball_points()[:_EXTREME_CANDIDATES])
-    for k in range(cfg.samples):
-        dual_candidates.append(
-            space.random_dual_ball_point(
-                derive_rng(cfg.seed, "probe-dual", *space.dual_ball_key, k)
-            )
-        )
-    shrink_state, shrink_last = run_leg("shrinking", shrinking_tail, dual_candidates)
+    def candidates(ball, purpose: str) -> list:
+        # Deterministic extreme points first, then seeded random draws.
+        return list(ball.extreme_ball_points()[:_EXTREME_CANDIDATES]) + [
+            seeded_ball_point(ball, cfg.seed, purpose, k) for k in range(cfg.samples)
+        ]
+
+    shrink_state, shrink_last = run_leg(
+        "shrinking", shrinking_tail, candidates(space.dual, "probe-dual")
+    )
 
     if space.bidual_representable:
-        bidual_candidates = list(space.extreme_ball_points()[:_EXTREME_CANDIDATES])
-        for k in range(cfg.samples):
-            bidual_candidates.append(
-                space.random_ball_point(
-                    derive_rng(cfg.seed, "probe-bidual", *space.ball_key, k)
-                )
-            )
         bc_state, bc_last = run_leg(
-            "boundedly-complete", boundedly_complete_tail, bidual_candidates
+            "boundedly-complete",
+            boundedly_complete_tail,
+            candidates(space, "probe-bidual"),
         )
     else:
         bc_state = "not representable"

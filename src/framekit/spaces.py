@@ -36,6 +36,7 @@ __all__ = [
     "translate",
     "embed_tilde",
     "conjugate_exponent",
+    "check_window_width",
 ]
 
 
@@ -260,9 +261,12 @@ class GridFunction:
         if level < 0:
             raise ValueError(f"grid level must be >= 0, got {level}")
         coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.shape != (2**level,):
+        # Compared through the bit length, so a huge level costs nothing
+        # before it is rejected.
+        size = coeffs.size if coeffs.ndim == 1 else 0
+        if size & (size - 1) or size.bit_length() != level + 1:
             raise ValueError(
-                f"level-{level} grid needs exactly {2 ** level} coefficients, "
+                f"level-{level} grid needs exactly 2^{level} coefficients, "
                 f"got shape {coeffs.shape}"
             )
         if not np.isfinite(coeffs).all():
@@ -364,6 +368,18 @@ def pairing_phi(fdual: GridFunction, g: GridFunction) -> float:
 # amalgam functions on the line
 # ---------------------------------------------------------------------------
 
+# Amalgam elements, sample points and rank tables grow with the window width,
+# so windows are capped; the check runs before any cell is built.
+MAX_WINDOW_CELLS = 256
+
+
+def check_window_width(lo: int, hi: int) -> None:
+    """ValueError when the window (lo, hi) holds more than MAX_WINDOW_CELLS."""
+    if hi - lo + 1 > MAX_WINDOW_CELLS:
+        raise ValueError(
+            f"amalgam windows hold at most {MAX_WINDOW_CELLS} cells, got {hi - lo + 1}"
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class AmalgamFunction:
@@ -449,12 +465,14 @@ class AmalgamFunction:
 
     @classmethod
     def from_json_obj(cls, obj) -> "AmalgamFunction":
+        lo, hi = int(obj["window"][0]), int(obj["window"][1])
+        check_window_width(lo, hi)
         level = int(obj["level"])
         cells = {
             int(m): GridFunction(level, np.asarray(vals, dtype=float))
             for m, vals in obj["cells"].items()
         }
-        return cls((int(obj["window"][0]), int(obj["window"][1])), cells)
+        return cls((lo, hi), cells)
 
 
 def amalgam_norm(f: AmalgamFunction, p: float, q: float) -> float:

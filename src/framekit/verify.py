@@ -33,10 +33,10 @@ from .frames import (
     ProbeResult,
     besselian_sweep,
     covering_truncation,
-    derive_rng,
     duality_sweep,
     frame_has_zero_elements,
     reflexivity_probe,
+    seeded_ball_point,
     sweep_constants,
     unconditional_sweep,
     validate_schedule,
@@ -228,9 +228,8 @@ def _sweep_summary(spec: ExperimentSpec, F: Frame, dual: bool) -> _SweepSummary:
     """The spec's sweep, summarized.  Inside run_all it is computed once per
     spec, and covers the dual frame whenever the duality suite runs."""
     share = _RUN_SHARE.get()
-    if share is None:
-        return _summarize_sweep(spec, F, dual)
-    return share.get(("sweep", spec), lambda: _summarize_sweep(spec, F, share.dual))
+    dual = dual if share is None else share.dual
+    return _shared(("sweep", spec), lambda: _summarize_sweep(spec, F, dual))
 
 
 def _zero_pair_flags(spec: ExperimentSpec, F: Frame) -> list[str]:
@@ -359,11 +358,8 @@ def run_unconditionality_suite(spec: ExperimentSpec) -> FrameReport:
     there); shorter truncations are reported as information.
     """
     F = frame_from_label(spec.label)
-    space = F.space
     elements = [
-        space.random_ball_point(
-            derive_rng(spec.seed, "uncond-element", *space.ball_key, k)
-        )
+        seeded_ball_point(F.space, spec.seed, "uncond-element", k)
         for k in range(spec.uncond_elements)
     ]
     coverings = [covering_truncation(F, x) for x in elements]

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -289,6 +291,32 @@ def test_tabulate_constant_curve_matches_per_truncation_estimates(tmp_path, labe
 def test_oversized_label_exits_one(capsys):
     assert main(["constant", "--frame", "haar:p=2:J=20"]) == 1
     assert "J <= 12" in capsys.readouterr().err
+
+
+def test_oversized_element_files_exit_one_before_allocation(tmp_path, capsys):
+    grid = write_element(
+        tmp_path / "grid.json", {"level": 100_000_000, "coefficients": [1.0]}
+    )
+    wide = write_element(
+        tmp_path / "wide.json",
+        {"window": [-100_000_000, 100_000_000], "level": 0, "cells": {}},
+    )
+    haar, amalgam = "haar:p=2:J=2", "amalgam:p=2:q=2:J=2:window=-1,1"
+    frame_from_label(haar), frame_from_label(amalgam)  # built outside the trace
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert main(["expand", "--frame", haar, "--input", grid]) == 1
+        assert main(["expand", "--frame", amalgam, "--input", wide]) == 1
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert elapsed < 5.0
+    err = capsys.readouterr().err
+    assert "2^100000000 coefficients" in err
+    assert "at most 256 cells" in err
 
 
 def test_tabulate_residual_from_input_file(tmp_path, capsys):

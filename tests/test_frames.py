@@ -20,6 +20,7 @@ from framekit.catalog import (
 from framekit.frames import (
     DualRepresentationError,
     Frame,
+    GridSpace,
     FrameReport,
     ProbeConfig,
     ProbeResult,
@@ -54,6 +55,8 @@ from framekit.spaces import (
     linf_norm,
     lp_norm,
 )
+
+from framekit.verify import DEFAULT_FRAME_LABELS
 
 import oracles
 
@@ -235,19 +238,39 @@ def test_besselian_bound_against_superset_budget():
         lhat = estimate_frame_constant(F, N, 60, 42)
         for x, xstar in ball_pair_sweep(F.space, 60, 42):
             bs = besselian_sum(F, x, xstar, N)
-            bound = lhat * F.space.norm(x) * F.space.dual_norm(xstar)
+            bound = lhat * F.space.norm(x) * F.space.dual.norm(xstar)
             assert bs <= bound + 1e-9
 
 
 def test_ball_sweep_is_deterministic_and_inside_balls():
-    for F in (L1, HAAR4):
+    amalgam = frame_from_label("amalgam:p=3:q=1.5:J=2:window=-1,1")
+    linf = dual_frame(L1)  # the bounded-sequence side, with l1 functionals
+    for F in (L1, HAAR4, amalgam, linf):
         pairs1 = list(ball_pair_sweep(F.space, 10, 42))
         pairs2 = list(ball_pair_sweep(F.space, 10, 42))
         assert len(pairs1) == len(pairs2) > 10
         for (x1, s1), (x2, s2) in zip(pairs1, pairs2):
             assert x1 == x2 and s1 == s2
             assert F.space.norm(x1) <= 1.0 + 1e-12
-            assert F.space.dual_norm(s1) <= 1.0 + 1e-12
+            assert F.space.dual.norm(s1) <= 1.0 + 1e-12
+
+
+def test_dual_descriptors_keep_the_stream_keys():
+    # The dual ball's key enters every dual-side random stream, so these
+    # literals (compared by repr: 2 and 2.0 key different streams) pin the
+    # draws behind the default reports.
+    expected = {
+        "l1-canonical": ("seq-linf",),
+        "haar:p=2:J=8": ("grid", 8, 2.0),
+        "amalgam:p=2:q=2:J=4:window=-1,1": ("amalgam", 4, (-1, 1), 2.0, 2.0),
+    }
+    assert set(expected) == set(DEFAULT_FRAME_LABELS)
+    for label, key in expected.items():
+        F = frame_from_label(label)
+        assert repr(F.space.dual.ball_key) == repr(key)
+        assert F.space.dual is F.space.dual  # built once per descriptor
+        assert dual_frame(F).space == F.space.dual
+    assert repr(GridSpace(3.0, 4).dual.ball_key) == repr(("grid", 4, 1.5))
 
 
 def test_dual_frame_swaps_roles():
