@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_shared_flags(p_suite)
     p_suite.add_argument("--schedule", help="comma-separated truncations, e.g. 4,16,64")
-    p_suite.add_argument("--workers", help="thread count for independent suite runs")
+    p_suite.add_argument("--workers", help="thread count for the per-spec suite tasks")
     p_suite.set_defaults(func=cmd_suite)
 
     p_tab = sub.add_parser("tabulate", help="emit a plot-ready (N, metric) curve")

@@ -16,8 +16,8 @@ Conventions used throughout:
   order or on how many workers ran the loop.
 * Unit-ball sample streams are keyed by the *ball* they live in, not by the
   role (primal/dual) they play.  A frame and its dual frame therefore consume
-  mirrored streams, which makes the matched-budget duality comparison an
-  honest like-for-like check.
+  mirrored streams, and since the besselian sum is symmetric under that
+  mirror, one sweep gives both sides' constants (see duality_constant_check).
 * Sums of nonnegative terms go through ``math.fsum`` (exactly rounded), so
   monotonicity in N and in sample count holds as stated, not just up to
   rounding luck.
@@ -68,7 +68,6 @@ __all__ = [
     "coefficient_products",
     "besselian_sum",
     "besselian_sweep",
-    "duality_sweep",
     "sweep_constants",
     "estimate_frame_constant",
     "dual_frame",
@@ -540,54 +539,6 @@ def _prefix_fsums(terms: np.ndarray, schedule: tuple[int, ...]) -> tuple[float, 
     return tuple(math.fsum(values[:N]) for N in schedule)
 
 
-def _extreme_rows(G: Frame, xs, xstars, schedule: tuple[int, ...]) -> list:
-    """Sweep rows of the extreme pairs xs x xstars, x-major: one analysis per
-    x and one evaluation per xstar, then the products of every combination."""
-    N = schedule[-1]
-    _check_rank(G, N)
-    for x in xs:
-        _require(G.space, x)
-    for xstar in xstars:
-        _require(G.space.dual, xstar)
-    evals = np.array([G.eval_batch(xstar, N) for xstar in xstars])
-    xstar_norms = [G.space.dual.norm(xstar) for xstar in xstars]
-    rows = []
-    for x in xs:
-        nx = G.space.norm(x)
-        prods = np.abs(G.coeff_batch(x, N) * evals)
-        rows.extend(
-            (nx, nxs, _prefix_fsums(terms, schedule))
-            for terms, nxs in zip(prods, xstar_norms)
-        )
-    return rows
-
-
-def _sample_row(G: Frame, x, xstar, schedule: tuple[int, ...]) -> tuple:
-    prods = np.abs(coefficient_products(G, x, xstar, schedule[-1]))
-    return G.space.norm(x), G.space.dual.norm(xstar), _prefix_fsums(prods, schedule)
-
-
-def _sweep(F: Frame, schedule: tuple[int, ...], samples: int, seed: int, dual: bool):
-    """(rows of F's sweep, rows of dual_frame(F)'s sweep or None).
-
-    Each sample pair is drawn once; the dual frame sees it mirrored,
-    (xstar, x), which is the pair its own sweep would draw, and evaluates it
-    through its own operators.
-    """
-    space = F.space
-    draws = _ball_samples(space, samples, seed)
-    balls, duals = space.extreme_ball_points(), space.dual.extreme_ball_points()
-    primal = _extreme_rows(F, balls, duals, schedule)
-    if dual:
-        Fd = dual_frame(F)
-        mirror = _extreme_rows(Fd, duals, balls, schedule)
-    for x, xstar in draws:
-        primal.append(_sample_row(F, x, xstar, schedule))
-        if dual:
-            mirror.append(_sample_row(Fd, xstar, x, schedule))
-    return primal, (mirror if dual else None)
-
-
 def besselian_sweep(
     F: Frame, schedule: tuple[int, ...], samples: int, seed: int
 ) -> list[tuple[float, float, tuple[float, ...]]]:
@@ -600,16 +551,25 @@ def besselian_sweep(
     exactly rounded sums of nonnegative terms are monotone in N with no
     rounding caveats.
     """
-    return _sweep(F, schedule, samples, seed, dual=False)[0]
-
-
-def duality_sweep(F: Frame, schedule: tuple[int, ...], samples: int, seed: int):
-    """(besselian_sweep of F, besselian_sweep of dual_frame(F)) from one pass.
-
-    The two sides share every draw: the dual frame's pairs are F's pairs
-    mirrored, evaluated through the dual frame's own operators.
-    """
-    return _sweep(F, schedule, samples, seed, dual=True)
+    draws = _ball_samples(F.space, samples, seed)
+    N = schedule[-1]
+    _check_rank(F, N)
+    space, dual = F.space, F.space.dual
+    xstars = dual.extreme_ball_points()
+    evals = np.array([F.eval_batch(xstar, N) for xstar in xstars])
+    xstar_norms = [dual.norm(xstar) for xstar in xstars]
+    rows = []
+    for x in space.extreme_ball_points():
+        nx = space.norm(x)
+        prods = np.abs(F.coeff_batch(x, N) * evals)
+        rows.extend(
+            (nx, nxs, _prefix_fsums(terms, schedule))
+            for terms, nxs in zip(prods, xstar_norms)
+        )
+    for x, xstar in draws:
+        prods = np.abs(coefficient_products(F, x, xstar, N))
+        rows.append((space.norm(x), dual.norm(xstar), _prefix_fsums(prods, schedule)))
+    return rows
 
 
 def sweep_constants(sweep) -> list[float]:
@@ -790,14 +750,19 @@ def duality_constant_check(
 ) -> tuple[float, float]:
     """(constant estimate of F, constant estimate of the dual frame).
 
-    Both sides use the same truncation, the same budget and mirrored
-    sample streams (one draw pass, see duality_sweep), so the comparison is
-    like for like.
+    The besselian sum is symmetric under the mirror: swapping every pair
+    (a_n, b_n) and the pair (x, xstar) leaves sum |b_n(x)| |xstar(a_n)|
+    unchanged, term by term.  So the dual frame's sums over F's sweep
+    mirrored are F's sums, and one sweep gives both sides' constants at the
+    same truncation and budget.  (The dual frame's own sweep draws those
+    mirrored pairs, since draws are keyed by ball identity, whenever its
+    second ball is F's first exactly.)  dual_frame(F) is still built, so a
+    frame whose dual has no finite representation raises
+    DualRepresentationError.
     """
-    if samples < 1:
-        raise ValueError(f"sample count must be >= 1, got {samples}")
-    primal, dual = duality_sweep(F, (N,), samples, seed)
-    return sweep_constants(primal)[0], sweep_constants(dual)[0]
+    dual_frame(F)
+    lhat = estimate_frame_constant(F, N, samples, seed)
+    return lhat, lhat
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,11 @@ class SeqVector:
 
     @classmethod
     def from_json_obj(cls, obj) -> "SeqVector":
-        return cls.from_pairs((int(i), float(v)) for i, v in obj)
+        pairs = [(int(i), float(v)) for i, v in obj]
+        top = max((i for i, _ in pairs), default=0)
+        if top > MAX_SEQ_INDEX:
+            raise ValueError(f"sequence indices are at most {MAX_SEQ_INDEX}, got {top}")
+        return cls.from_pairs(pairs)
 
 
 @dataclass(frozen=True)
@@ -371,6 +375,9 @@ def pairing_phi(fdual: GridFunction, g: GridFunction) -> float:
 # Amalgam elements, sample points and rank tables grow with the window width,
 # so windows are capped; the check runs before any cell is built.
 MAX_WINDOW_CELLS = 256
+# Every frame operator is dense up to a sequence's largest index, so indices
+# read from files are capped; the check runs before the sequence is built.
+MAX_SEQ_INDEX = 2**16
 
 
 def check_window_width(lo: int, hi: int) -> None:

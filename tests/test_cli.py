@@ -301,13 +301,16 @@ def test_oversized_element_files_exit_one_before_allocation(tmp_path, capsys):
         tmp_path / "wide.json",
         {"window": [-100_000_000, 100_000_000], "level": 0, "cells": {}},
     )
+    far = write_element(tmp_path / "far.json", [[1_000_000, 1.0]])
     haar, amalgam = "haar:p=2:J=2", "amalgam:p=2:q=2:J=2:window=-1,1"
-    frame_from_label(haar), frame_from_label(amalgam)  # built outside the trace
+    for label in (haar, amalgam, "l1-canonical"):
+        frame_from_label(label)  # built outside the trace
     tracemalloc.start()
     try:
         start = time.perf_counter()
         assert main(["expand", "--frame", haar, "--input", grid]) == 1
         assert main(["expand", "--frame", amalgam, "--input", wide]) == 1
+        assert main(["expand", "--frame", "l1-canonical", "--input", far]) == 1
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -317,6 +320,7 @@ def test_oversized_element_files_exit_one_before_allocation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "2^100000000 coefficients" in err
     assert "at most 256 cells" in err
+    assert "sequence indices are at most 65536, got 1000000" in err
 
 
 def test_tabulate_residual_from_input_file(tmp_path, capsys):

@@ -35,12 +35,12 @@ from framekit.frames import (
     derive_rng,
     dual_frame,
     duality_constant_check,
-    duality_sweep,
     estimate_frame_constant,
     frame_has_zero_elements,
     frame_pair,
     reflexivity_probe,
     shrinking_tail,
+    sweep_constants,
     synthesis_partial,
     unconditional_deviation,
     unconditional_probe,
@@ -326,15 +326,23 @@ def test_duality_check_examples():
     assert abs(ld - 1.0) <= 1e-9
 
 
-def test_duality_sweep_matches_separate_sweeps():
-    # one draw pass, mirrored for the dual frame, gives the rows that
-    # sweeping F and dual_frame(F) separately gives
-    for label in ("l1-canonical", "haar:p=1.5:J=3", "amalgam:p=2:q=2:J=3:window=-1,1"):
+def test_dual_frame_sweep_mirrors_the_frame_sweep():
+    # reference for duality_constant_check's one sweep: the dual frame's own
+    # sweep draws F's pairs mirrored, and the besselian sum is symmetric under
+    # the mirror, so its constants are F's bit for bit
+    for label in (
+        "l1-canonical",
+        "haar:p=1.5:J=3",
+        "haar:p=3:J=5",
+        "amalgam:p=3:q=1.5:J=2:window=-3,1",
+    ):
         F = frame_from_label(label)
-        primal, dual = duality_sweep(F, (4, 8), 20, 42)
-        assert primal == besselian_sweep(F, (4, 8), 20, 42)
-        assert dual == besselian_sweep(dual_frame(F), (4, 8), 20, 42)
+        primal = besselian_sweep(F, (4, 8), 20, 42)
+        dual = besselian_sweep(dual_frame(F), (4, 8), 20, 42)
+        assert sweep_constants(dual) == sweep_constants(primal)
         assert len(primal) == len(list(ball_pair_sweep(F.space, 20, 42)))
+        # row by row: the same pairs with the roles of the two balls swapped
+        assert sorted(dual) == sorted((nxs, nx, sums) for nx, nxs, sums in primal)
 
 
 def test_duality_estimates_mirror_exactly_on_catalog_frames():

@@ -1,5 +1,6 @@
 """Experiment suites, report bundles, and their determinism contract."""
 
+import itertools
 import json
 import sys
 
@@ -223,33 +224,38 @@ def test_run_all_sweeps_each_spec_once(monkeypatch):
 
         monkeypatch.setattr(verify, name, wrapped)
 
-    for name in ("besselian_sweep", "duality_sweep", "frame_has_zero_elements"):
+    for name in ("besselian_sweep", "frame_has_zero_elements"):
         spy(name, getattr(verify, name))
     specs = [
         mini_spec("l1-canonical"),
         mini_spec("haar:p=2:J=3"),
         mini_spec("amalgam:p=2:q=2:J=2:window=-1,1"),
     ]
+    # the suites that read each shared result
+    reads = {
+        "besselian_sweep": {"besselian", "duality"},
+        "frame_has_zero_elements": {"besselian", "duality", "unconditionality"},
+    }
+    once = sorted((name, s.label) for s in specs for name in reads)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
     try:
-        first = run_all(specs, workers=4)
-        sweeps = [c for c in calls if c[0].endswith("_sweep")]
-        assert sorted(sweeps) == sorted(("duality_sweep", s.label) for s in specs)
-        assert len(calls) == 2 * len(specs)  # plus one zero-pair scan per spec
+        # every selection: one of each per spec that its suites read, or none
+        for k in range(1, len(SUITES) + 1):
+            for suites in itertools.combinations(sorted(SUITES), k):
+                calls.clear()
+                run_all(specs, workers=4, suites=suites)
+                assert sorted(calls) == [
+                    c for c in once if reads[c[0]] & set(suites)
+                ], suites
         # nothing outlives the call: a second run computes everything again
+        calls.clear()
+        first = run_all(specs, workers=4)
         second = run_all(specs, workers=4)
-        assert len(calls) == 4 * len(specs)
+        assert sorted(calls) == sorted(once + once)
     finally:
         sys.setswitchinterval(interval)
     assert first.to_json() == second.to_json() == run_all(specs).to_json()
-    # without the duality suite the shared sweep covers F alone
-    calls.clear()
-    run_all(specs, suites=("besselian", "unconditionality"))
-    assert sorted(calls) == sorted(
-        [("besselian_sweep", s.label) for s in specs]
-        + [("frame_has_zero_elements", s.label) for s in specs]
-    )
     # a suite called directly computes its own
     calls.clear()
     run_besselian_suite(specs[0])
@@ -257,7 +263,7 @@ def test_run_all_sweeps_each_spec_once(monkeypatch):
     assert [c[0] for c in calls] == [
         "besselian_sweep",
         "frame_has_zero_elements",
-        "duality_sweep",
+        "besselian_sweep",
         "frame_has_zero_elements",
     ]
 
