@@ -18,9 +18,6 @@ import numpy as np
 from .frames import AmalgamSpace, Frame, GridSpace, SequenceSpace
 from .spaces import (
     AmalgamFunction,
-    DualSeq,
-    GridFunction,
-    SeqVector,
     check_window_width,
     dyadic_step_coefficients,
 )
@@ -123,54 +120,30 @@ def _normalized_haar_coefficients(level: int, n: int) -> np.ndarray:
 
 def canonical_l1_frame() -> Frame:
     """The pair family (e_n, coordinate functional n) on the sequence space."""
-    def coeff_batch(x: SeqVector, N: int) -> np.ndarray:
-        out = np.zeros(N)
-        for i, v in x.entries:
-            if i <= N:
-                out[i - 1] = v
-        return out
-
-    def eval_batch(mu: DualSeq, N: int) -> np.ndarray:
-        out = np.full(N, mu.tail)
-        head = min(N, len(mu.prefix))
-        out[:head] = mu.prefix[:head]
-        return out
-
-    def dual_synth_batch(coeffs: np.ndarray) -> DualSeq:
-        return DualSeq(tuple(coeffs))
-
-    def covering(x: SeqVector) -> int:
-        return x.max_index
-
+    space = SequenceSpace()
     return Frame(
-        space=SequenceSpace(),
+        space=space,
         label="l1-canonical",
-        coeff_batch=coeff_batch,
-        eval_batch=eval_batch,
-        synth_batch=SeqVector.from_dense,
-        dual_synth_batch=dual_synth_batch,
-        covering=covering,
+        coeff_batch=space.values,
+        eval_batch=space.dual.values,
+        synth_batch=lambda coeffs: np.asarray(coeffs, dtype=float),
+        dual_synth_batch=space.dual.finite,
+        covering=lambda x: x.max_index,
     )
 
 
 def zero_sequence_frame() -> Frame:
     """A frame whose every pair is zero; kept constructible so degenerate
     flagging stays testable end to end."""
-
-    def zeros(_element, N: int) -> np.ndarray:
-        return np.zeros(N)
-
-    def covering(x: SeqVector):
-        return 0 if not x.entries else None
-
+    space = SequenceSpace()
     return Frame(
-        space=SequenceSpace(),
+        space=space,
         label="zero",
-        coeff_batch=zeros,
-        eval_batch=zeros,
-        synth_batch=lambda coeffs: SeqVector(),
-        dual_synth_batch=lambda coeffs: DualSeq(),
-        covering=covering,
+        coeff_batch=lambda x, N: np.zeros(N),
+        eval_batch=lambda xstar, N: np.zeros(N),
+        synth_batch=lambda coeffs: space.zero(),
+        dual_synth_batch=lambda coeffs: space.dual.zero(),
+        covering=lambda x: None if x.entries else 0,
     )
 
 
@@ -200,22 +173,15 @@ def haar_frame(p: float, J: int) -> Frame:
     rows.flags.writeable = False
     label = f"haar:p={p:g}:J={J}"
 
-    def _pair_batch(f: GridFunction, N: int) -> np.ndarray:
-        # Integrals of the first N rows against f: block-sum f down to the
-        # frame level (exact for piecewise constants), then one matvec.
+    def _pair_batch(f: np.ndarray, N: int) -> np.ndarray:
+        # Integrals of the first N rows against the grid values f: one matvec.
         if not 1 <= N <= size:
             raise ValueError(f"frame {label!r} defines ranks 1..{size}, got {N}")
-        if f.level < J:
-            f = f.refine(J)
-        v = f.coefficients.reshape(size, -1).sum(axis=1)
-        return (rows[:N] @ v) * 2.0**-f.level
+        return (rows[:N] @ f) * 2.0**-J
 
-    def synth_batch(coeffs: np.ndarray) -> GridFunction:
+    def synth_batch(coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
-        return GridFunction(J, rows[: coeffs.size].T @ coeffs)
-
-    def covering(f: GridFunction):
-        return 2**f.level if f.level <= J else None
+        return rows[: coeffs.size].T @ coeffs
 
     # The normalized Haar family is its own dual family: a_n = b_n.
     return Frame(
@@ -227,7 +193,7 @@ def haar_frame(p: float, J: int) -> Frame:
         dual_synth_batch=synth_batch,
         max_rank=size,
         full_truncation=size,
-        covering=covering,
+        covering=lambda f: 2**f.level if f.level <= J else None,
     )
 
 
@@ -336,22 +302,20 @@ def amalgam_frame(base: Frame, q: float, window: tuple[int, int]) -> Frame:
         # Number of valid ranks <= N: a prefix of the rank-ordered tables.
         return int(np.searchsorted(ranks, N, side="right"))
 
-    def _gather(base_batch, f: AmalgamFunction, N: int) -> np.ndarray:
-        table = np.vstack(
-            [base_batch(f.cell(m), base_max) for m in range(lo, hi + 1)]
-        )
+    # The base operators run row by row on the (cells x 2^J) coordinate table.
+    def _gather(base_batch, f: np.ndarray, N: int) -> np.ndarray:
+        table = np.vstack([base_batch(cell, base_max) for cell in space.cells(f)])
         k = _upto(N)
         out = np.zeros(N)
         out[ranks[:k] - 1] = table[cell_rows[:k], base_cols[:k]]
         return out
 
-    def _scatter(base_synth, coeffs: np.ndarray) -> AmalgamFunction:
+    def _scatter(base_synth, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
         k = _upto(coeffs.size)
         table = np.zeros((width, base_max))
         table[cell_rows[:k], base_cols[:k]] = coeffs[ranks[:k] - 1]
-        cells = {lo + j: base_synth(table[j]) for j in range(width)}
-        return AmalgamFunction((lo, hi), cells)
+        return np.concatenate([base_synth(row) for row in table])
 
     def covering(f: AmalgamFunction):
         if f.level > J:

@@ -26,6 +26,7 @@ from .frames import (
     sweep_constants,
     synthesis_partial,
 )
+from .spaces import MAX_SEQ_INDEX
 from .verify import (
     DEFAULT_FRAME_LABELS,
     SUITES,
@@ -129,7 +130,7 @@ def _load_element(space, path: str):
     """The element stored in path, in the space's JSON form."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return space.element_from_json(json.load(fh))
+            return space.element.from_json_obj(json.load(fh))
     except OSError as exc:
         raise CliUsageError(f"cannot read element file: {exc}") from None
     except (ValueError, KeyError, TypeError) as exc:
@@ -138,7 +139,8 @@ def _load_element(space, path: str):
 
 def _check_truncation(F, n: int, low: int, names=("truncation", "truncation")) -> None:
     """Usage error unless low <= n <= the frame's largest rank; ``names`` are
-    the plural and singular nouns the messages use for n."""
+    the plural and singular nouns the messages use for n.  Operators are
+    dense up to n, so frames with neither bound get the element-file cap."""
     many, one = names
     if n < low:
         raise CliUsageError(f"{many} must be >= {low}, got {n}")
@@ -146,6 +148,8 @@ def _check_truncation(F, n: int, low: int, names=("truncation", "truncation")) -
         raise CliUsageError(
             f"{one} {n} exceeds the frame's representable ranks (max {F.max_rank})"
         )
+    if F.max_rank is None and F.full_truncation is None and n > MAX_SEQ_INDEX:
+        raise CliUsageError(f"{one} {n} exceeds the truncation cap {MAX_SEQ_INDEX}")
 
 
 def _json_text(obj) -> str:
@@ -207,15 +211,15 @@ def cmd_expand(ns: argparse.Namespace) -> int:
             )
     _check_truncation(F, n, 0)
 
-    coeffs = F.coeff_batch(x, n).tolist() if n else []
+    coeffs = F.coeff_batch(space.coordinates(x), n).tolist() if n else []
     partial = synthesis_partial(F, x, n)
-    residual = space.norm(x - partial)
+    residual = space.element_norm(x - partial)
 
     artifact = {
         "frame": label,
         "truncation": n,
         "coefficients": coeffs,
-        "partial_sum": space.element_to_json(partial),
+        "partial_sum": partial.to_json_obj(),
         "residual": residual,
     }
     rows = [[str(k + 1), repr(c)] for k, c in enumerate(coeffs)]
@@ -332,7 +336,7 @@ def cmd_tabulate(ns: argparse.Namespace) -> int:
             x = _load_element(space, input_path)
         else:
             x = seeded_ball_point(space, seed, "tabulate", 0)
-        values = [space.norm(x - synthesis_partial(F, x, N)) for N in schedule]
+        values = [space.element_norm(x - synthesis_partial(F, x, N)) for N in schedule]
     elif curve == "constant":
         # One sweep over the sorted truncations; rows keep the given order.
         if samples < 1:
@@ -346,7 +350,7 @@ def cmd_tabulate(ns: argparse.Namespace) -> int:
         by_n = dict(zip(truncations, constants))
         values = [by_n[N] for N in schedule]
     else:  # shrinking-tail
-        xstar = space.dual.extreme_ball_points()[0]
+        xstar = space.dual.from_coordinates(space.dual.extreme_ball_points()[0])
         values = [clamped_tail(shrinking_tail, F, xstar, N, 2 * N) for N in schedule]
 
     curve_obj = {

@@ -25,6 +25,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,13 +39,15 @@ from .spaces import (
     GridFunction,
     SeqVector,
     amalgam_norm,
+    amalgam_values_norm,
     conjugate_exponent,
     dyadic_step_coefficients,
-    embed_tilde,
     grid_lp_norm,
+    grid_values_norm,
+    l1_values_norm,
     linf_norm,
     lp_norm,
-    translate,
+    sup_values_norm,
 )
 
 __all__ = [
@@ -130,29 +133,20 @@ _SUP_BALL_RADIUS = 0.99
 class _Space:
     """What every space descriptor shares.
 
-    A descriptor describes one normed space and its unit ball.  ``element``
-    is the type of its elements, and ``dual`` is the descriptor of the
-    functionals the space represents, built once per descriptor.
-    ``dual_is_whole`` says whether those functionals are the whole dual
-    space or only part of it.
+    A descriptor describes one normed space and its unit ball on coordinate
+    arrays; ``coordinates`` / ``from_coordinates`` convert from and to its
+    typed elements, of type ``element``, which ``element_norm`` measures.
+    ``dual`` is the descriptor of the functionals the space represents, built
+    once; ``dual_is_whole`` says whether they are the whole dual space.
     """
 
     element: ClassVar[type]
     dual_is_whole: ClassVar[bool] = True
 
-    def contains(self, x) -> bool:
-        return isinstance(x, self.element)
-
-    def element_to_json(self, x):
-        return x.to_json_obj()
-
-    def element_from_json(self, obj):
-        return self.element.from_json_obj(obj)
-
-    def _unit(self, x):
-        """x scaled onto the unit sphere (the zero element stays zero)."""
-        nrm = self.norm(x)
-        return self.zero() if nrm == 0.0 else (1.0 / nrm) * x
+    def _unit(self, values: np.ndarray) -> np.ndarray:
+        """values scaled onto the unit sphere (the zero element stays zero)."""
+        nrm = self.norm(values)
+        return self.zero() if nrm == 0.0 else (1.0 / nrm) * values
 
     @property
     def bidual_representable(self) -> bool:
@@ -163,18 +157,21 @@ class _Space:
 
 @dataclass(frozen=True)
 class SequenceSpace(_Space):
-    """The summable-sequence space: SeqVector elements, DualSeq functionals."""
+    """The summable-sequence space: SeqVector elements, DualSeq functionals.
+    Coordinates: x_1, ..., x_k of any length k, all later values 0."""
 
     element = SeqVector
 
     def describe(self) -> str:
         return "l1 sequence space"
 
-    def norm(self, x: SeqVector) -> float:
+    norm = staticmethod(l1_values_norm)
+
+    def element_norm(self, x: SeqVector) -> float:
         return lp_norm(x, 1.0)
 
-    def zero(self) -> SeqVector:
-        return SeqVector()
+    def zero(self) -> np.ndarray:
+        return np.zeros(0)
 
     def coordinates(self, x: SeqVector) -> np.ndarray:
         out = np.zeros(x.max_index)
@@ -185,6 +182,11 @@ class SequenceSpace(_Space):
     def from_coordinates(self, values: np.ndarray) -> SeqVector:
         return SeqVector.from_dense(values)
 
+    @staticmethod
+    def values(coords: np.ndarray, N: int) -> np.ndarray:
+        """x_1, ..., x_N of the sequence with these coordinates."""
+        return np.concatenate((coords[:N], np.zeros(max(0, N - coords.size))))
+
     @cached_property
     def dual(self) -> "DualSequenceSpace":
         return DualSequenceSpace()
@@ -193,23 +195,20 @@ class SequenceSpace(_Space):
     def ball_key(self) -> tuple:
         return ("seq-l1",)
 
-    def random_ball_point(self, rng) -> SeqVector:
+    def random_ball_point(self, rng) -> np.ndarray:
         size = int(rng.integers(1, _SEQ_SAMPLE_MAX_SUPPORT + 1))
-        idx = rng.choice(_SEQ_SAMPLE_MAX_INDEX, size=size, replace=False) + 1
+        idx = rng.choice(_SEQ_SAMPLE_MAX_INDEX, size=size, replace=False)
         vals = rng.standard_normal(size)
         total = math.fsum(abs(float(v)) for v in vals)
         if total == 0.0:
-            return SeqVector()
-        return SeqVector(
-            tuple(sorted((int(i), float(v) / total) for i, v in zip(idx, vals)))
-        )
+            return self.zero()
+        out = np.zeros(int(idx.max()) + 1)
+        out[idx] = vals / total
+        return out
 
-    def extreme_ball_points(self) -> tuple[SeqVector, ...]:
-        out = []
-        for k in range(1, _SEQ_EXTREME_INDICES + 1):
-            out.append(SeqVector.basis(k))
-            out.append(-SeqVector.basis(k))
-        return tuple(out)
+    def extreme_ball_points(self) -> tuple[np.ndarray, ...]:
+        signed = itertools.product(range(1, _SEQ_EXTREME_INDICES + 1), (1.0, -1.0))
+        return tuple(np.append(np.zeros(k - 1), sign) for k, sign in signed)
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,9 @@ class DualSequenceSpace(_Space):
     This is where the dual of the canonical sequence frame lives.  Only the
     summable part of its dual is representable, which is all the dual frame
     needs; the full dual has no finite description, so ``dual`` is only part
-    of it and ``dual_frame`` refuses frames on this space.
+    of it and ``dual_frame`` refuses frames on this space.  Coordinates:
+    mu_1, ..., mu_k, k >= 1, the last value repeating forever, so
+    DualSeq(prefix, tail) has the coordinates prefix + (tail,).
     """
 
     element = DualSeq
@@ -228,21 +229,27 @@ class DualSequenceSpace(_Space):
     def describe(self) -> str:
         return "bounded sequence space (sup norm)"
 
-    def norm(self, x: DualSeq) -> float:
-        return linf_norm(x)
+    norm = staticmethod(sup_values_norm)
+    element_norm = staticmethod(linf_norm)
 
-    def zero(self) -> DualSeq:
-        return DualSeq()
+    def zero(self) -> np.ndarray:
+        return np.zeros(1)
 
     def coordinates(self, x: DualSeq) -> np.ndarray:
-        if x.tail != 0.0:
-            raise DualRepresentationError(
-                "a sequence with a nonzero constant tail has no finite coordinates"
-            )
-        return np.array(x.prefix)
+        return np.array(x.prefix + (x.tail,))
 
     def from_coordinates(self, values: np.ndarray) -> DualSeq:
-        return DualSeq(tuple(values))
+        return DualSeq(tuple(values[:-1]), values[-1])
+
+    @staticmethod
+    def values(coords: np.ndarray, N: int) -> np.ndarray:
+        """mu_1, ..., mu_N of the sequence with these coordinates."""
+        return coords[np.minimum(np.arange(N), coords.size - 1)]
+
+    @staticmethod
+    def finite(values: np.ndarray) -> np.ndarray:
+        """Coordinates of the sequence with these values, then zeros."""
+        return np.append(values, 0.0)
 
     @cached_property
     def dual(self) -> SequenceSpace:
@@ -252,33 +259,29 @@ class DualSequenceSpace(_Space):
     def ball_key(self) -> tuple:
         return ("seq-linf",)
 
-    def random_ball_point(self, rng) -> DualSeq:
+    def random_ball_point(self, rng) -> np.ndarray:
         width = int(rng.integers(1, _SEQ_SAMPLE_MAX_INDEX + 1))
         vals = rng.uniform(-1.0, 1.0, size=width)
         tail = float(rng.uniform(-1.0, 1.0))
         peak = max(float(np.max(np.abs(vals))), abs(tail))
         if peak == 0.0:
-            return DualSeq()
-        scale = _SUP_BALL_RADIUS / peak
-        return DualSeq(tuple(scale * float(v) for v in vals), scale * tail)
+            return self.zero()
+        return (_SUP_BALL_RADIUS / peak) * np.append(vals, tail)
 
-    def extreme_ball_points(self) -> tuple[DualSeq, ...]:
+    def extreme_ball_points(self) -> tuple[np.ndarray, ...]:
         # The constant-tail all-ones pattern goes first: it is the canonical
         # witness the shrinking probe wants to see checked before anything else.
-        out = [DualSeq.all_ones()]
-        for tail in (1.0, -1.0):
-            for bits in range(2**_SEQ_SIGN_PREFIX):
-                prefix = tuple(
-                    1.0 if bits & (1 << j) else -1.0 for j in range(_SEQ_SIGN_PREFIX)
-                )
-                out.append(DualSeq(prefix, tail))
-        return tuple(out)
+        # Then the sign prefixes, sign j set by bit j of the pattern's index.
+        signs = itertools.product((-1.0, 1.0), repeat=_SEQ_SIGN_PREFIX)
+        prefixes = [bits[::-1] for bits in signs]
+        return (np.ones(1),) + tuple(np.array(p + (t,)) for t in (1.0, -1.0) for p in prefixes)
 
 
 @dataclass(frozen=True)
 class GridSpace(_Space):
     """L_p[0,1] modeled on the level-J dyadic grid; dual elements act by
-    integration and carry the conjugate exponent's norm."""
+    integration and carry the conjugate exponent's norm.  Coordinates: the
+    2^J cell values; finer functions convert to their level-J cell averages."""
 
     p: float
     level: int
@@ -293,14 +296,20 @@ class GridSpace(_Space):
     def describe(self) -> str:
         return f"L_p[0,1] on the level-{self.level} dyadic grid (p={self.p:g})"
 
-    def norm(self, x: GridFunction) -> float:
+    def norm(self, values: np.ndarray) -> float:
+        return grid_values_norm(values, self.p, self.level)
+
+    def element_norm(self, x: GridFunction) -> float:
         return grid_lp_norm(x, self.p)
 
-    def zero(self) -> GridFunction:
-        return GridFunction.zero(self.level)
+    def zero(self) -> np.ndarray:
+        return np.zeros(2**self.level)
 
     def coordinates(self, x: GridFunction) -> np.ndarray:
-        return x.refine(self.level).coefficients
+        if x.level <= self.level:
+            return np.repeat(x.coefficients, 2 ** (self.level - x.level))
+        sums = x.coefficients.reshape(2**self.level, -1).sum(axis=1)
+        return sums * 2.0 ** (self.level - x.level)
 
     def from_coordinates(self, values: np.ndarray) -> GridFunction:
         return GridFunction(self.level, values)
@@ -313,20 +322,22 @@ class GridSpace(_Space):
     def ball_key(self) -> tuple:
         return ("grid", self.level, self.p)
 
-    def random_ball_point(self, rng) -> GridFunction:
-        return self._unit(GridFunction(self.level, rng.standard_normal(2**self.level)))
+    def random_ball_point(self, rng) -> np.ndarray:
+        return self._unit(rng.standard_normal(2**self.level))
 
-    def extreme_ball_points(self) -> tuple[GridFunction, ...]:
+    def extreme_ball_points(self) -> tuple[np.ndarray, ...]:
         # The normalised dyadic step directions, coarsest first.
         return tuple(
-            self._unit(GridFunction(self.level, dyadic_step_coefficients(self.level, n)))
+            self._unit(dyadic_step_coefficients(self.level, n))
             for n in range(1, min(2**self.level, _GRID_EXTREME_ATOMS) + 1)
         )
 
 
 @dataclass(frozen=True)
 class AmalgamSpace(_Space):
-    """The amalgam space on a finite window of unit cells at a fixed level."""
+    """The amalgam space on a finite window of unit cells at a fixed level.
+    Coordinates: the window's cells as on GridSpace, left to right, in one
+    flat array; mass outside the window is dropped."""
 
     p: float
     q: float
@@ -352,25 +363,29 @@ class AmalgamSpace(_Space):
             f"(p={self.p:g}, q={self.q:g})"
         )
 
-    def norm(self, x: AmalgamFunction) -> float:
+    def cells(self, values: np.ndarray) -> np.ndarray:
+        return np.reshape(values, (-1, 2**self.level))
+
+    def norm(self, values: np.ndarray) -> float:
+        return amalgam_values_norm(self.cells(values), self.p, self.q, self.level)
+
+    def element_norm(self, x: AmalgamFunction) -> float:
         return amalgam_norm(x, self.p, self.q)
 
-    def zero(self) -> AmalgamFunction:
-        return AmalgamFunction.zero(self.window, self.level)
+    def zero(self) -> np.ndarray:
+        lo, hi = self.window
+        return np.zeros((hi - lo + 1) * 2**self.level)
 
     def coordinates(self, x: AmalgamFunction) -> np.ndarray:
-        lo, hi = self.window
-        return np.concatenate(
-            [x.cell(m).refine(self.level).coefficients for m in range(lo, hi + 1)]
-        )
+        grid, (lo, hi) = GridSpace(self.p, self.level), self.window
+        return np.concatenate([
+            grid.coordinates(x.cells[m]) if m in x.cells else grid.zero()
+            for m in range(lo, hi + 1)
+        ])
 
     def from_coordinates(self, values: np.ndarray) -> AmalgamFunction:
-        cells = np.reshape(values, (-1, 2**self.level))
-        lo = self.window[0]
-        return AmalgamFunction(
-            self.window,
-            {lo + j: GridFunction(self.level, cell) for j, cell in enumerate(cells)},
-        )
+        cells = enumerate(self.cells(values), start=self.window[0])
+        return AmalgamFunction(self.window, {m: GridFunction(self.level, c) for m, c in cells})
 
     @cached_property
     def dual(self) -> "AmalgamSpace":
@@ -382,23 +397,23 @@ class AmalgamSpace(_Space):
     def ball_key(self) -> tuple:
         return ("amalgam", self.level, self.window, self.p, self.q)
 
-    def random_ball_point(self, rng) -> AmalgamFunction:
-        lo, hi = self.window
-        cells = {
-            m: GridFunction(self.level, rng.standard_normal(2**self.level))
-            for m in range(lo, hi + 1)
-        }
-        return self._unit(AmalgamFunction(self.window, cells))
+    def random_ball_point(self, rng) -> np.ndarray:
+        return self._unit(rng.standard_normal(self.zero().size))
 
-    def extreme_ball_points(self) -> tuple[AmalgamFunction, ...]:
-        # Each cell's first grid extreme points, translated into the cell.
-        lo, hi = self.window
+    def extreme_ball_points(self) -> tuple[np.ndarray, ...]:
+        # Each cell's first grid extreme points, placed in that cell.
         steps = GridSpace(self.p, self.level).extreme_ball_points()
+        width, blank = len(self.cells(self.zero())), np.zeros_like(steps[0])
         return tuple(
-            translate(embed_tilde(f), m)
-            for m in range(lo, hi + 1)
-            for f in steps[:_AMALGAM_EXTREME_ATOMS_PER_CELL]
+            np.concatenate([step if j == cell else blank for j in range(width)])
+            for cell in range(width)
+            for step in steps[:_AMALGAM_EXTREME_ATOMS_PER_CELL]
         )
+
+
+def _ball_point(space, seed: int, purpose: str, k: int) -> np.ndarray:
+    """Coordinates of seeded_ball_point(space, seed, purpose, k)."""
+    return space.random_ball_point(derive_rng(seed, purpose, *space.ball_key, k))
 
 
 def seeded_ball_point(space, seed: int, purpose: str, k: int):
@@ -408,7 +423,7 @@ def seeded_ball_point(space, seed: int, purpose: str, k: int):
     the role the point plays, so a frame and its dual frame draw mirrored
     points, and no draw depends on how many other draws were made.
     """
-    return space.random_ball_point(derive_rng(seed, purpose, *space.ball_key, k))
+    return space.from_coordinates(_ball_point(space, seed, purpose, k))
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +431,12 @@ def seeded_ball_point(space, seed: int, purpose: str, k: int):
 # ---------------------------------------------------------------------------
 
 
-def _no_covering(x) -> None:
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class Frame:
     """A rank-indexed family of (vector, functional) pairs on one space,
     given by its four coordinate operators.
 
+    They act on the coordinates of ``space`` and ``space.dual``:
     ``coeff_batch(x, N)`` returns the array of b_n(x) and
     ``eval_batch(xstar, N)`` the array of xstar(a_n), n = 1..N;
     ``synth_batch(c)`` returns sum c_n a_n and ``dual_synth_batch(c)`` returns
@@ -444,7 +456,7 @@ class Frame:
     dual_synth_batch: Callable  # ndarray c -> sum c_n b_n
     max_rank: Optional[int] = None
     full_truncation: Optional[int] = None
-    covering: Callable = _no_covering
+    covering: Callable = lambda x: None  # typed element -> truncation or None
 
 
 def _check_rank(F: Frame, n: int) -> None:
@@ -459,39 +471,41 @@ def frame_pair(F: Frame, n: int) -> tuple:
     _check_rank(F, n)
     unit = np.zeros(n)
     unit[-1] = 1.0
-    return F.synth_batch(unit), F.dual_synth_batch(unit)
+    return (
+        F.space.from_coordinates(F.synth_batch(unit)),
+        F.space.dual.from_coordinates(F.dual_synth_batch(unit)),
+    )
 
 
-def _require(space, x) -> None:
-    """ValueError unless x is an element of space; a functional on F's space
-    is checked against ``F.space.dual``."""
-    if not space.contains(x):
+def _coordinates(space, x) -> np.ndarray:
+    """x's coordinates in space; ValueError unless x is an element of it."""
+    if not isinstance(x, space.element):
         raise ValueError(f"{type(x).__name__} is not an element of {space.describe()}")
+    return space.coordinates(x)
 
 
 def analysis_coefficient(F: Frame, n: int, x) -> float:
     """The n-th coefficient b_n(x)."""
-    _require(F.space, x)
+    values = _coordinates(F.space, x)
     _check_rank(F, n)
-    return float(F.coeff_batch(x, n)[n - 1])
+    return float(F.coeff_batch(values, n)[n - 1])
 
 
 def synthesis_partial(F: Frame, x, N: int):
     """The partial expansion S_N x = sum_{n<=N} b_n(x) a_n."""
-    _require(F.space, x)
+    values = _coordinates(F.space, x)
     if N < 0:
         raise ValueError(f"truncation must be >= 0, got {N}")
-    if N == 0:
-        return F.space.zero()
-    return F.synth_batch(F.coeff_batch(x, N))
+    partial = F.synth_batch(F.coeff_batch(values, N)) if N else F.space.zero()
+    return F.space.from_coordinates(partial)
 
 
 def coefficient_products(F: Frame, x, xstar, N: int) -> np.ndarray:
     """Array of the N products b_n(x) * xstar(a_n), n = 1..N."""
-    _require(F.space, x)
-    _require(F.space.dual, xstar)
+    values = _coordinates(F.space, x)
+    dual_values = _coordinates(F.space.dual, xstar)
     _check_rank(F, N)
-    return F.coeff_batch(x, N) * F.eval_batch(xstar, N)
+    return F.coeff_batch(values, N) * F.eval_batch(dual_values, N)
 
 
 def coefficient_sequence(F: Frame, x, xstar, N: int) -> SeqVector:
@@ -501,18 +515,15 @@ def coefficient_sequence(F: Frame, x, xstar, N: int) -> SeqVector:
 
 def besselian_sum(F: Frame, x, xstar, N: int) -> float:
     """sum_{n<=N} |b_n(x)| |xstar(a_n)|, exactly rounded; nondecreasing in N."""
-    return lp_norm(coefficient_sequence(F, x, xstar, N), 1.0)
+    return l1_values_norm(coefficient_products(F, x, xstar, N))
 
 
 def _ball_samples(space, samples: int, seed: int) -> Iterator[tuple]:
-    """The seeded random pairs of the sweep, keyed by the balls' identities."""
+    """Coordinates of the sweep's seeded random pairs, keyed by ball identity."""
     if samples < 0:
         raise ValueError(f"sample count must be >= 0, got {samples}")
     return (
-        (
-            seeded_ball_point(space, seed, "ball", k),
-            seeded_ball_point(space.dual, seed, "ball", k),
-        )
+        (_ball_point(space, seed, "ball", k), _ball_point(space.dual, seed, "ball", k))
         for k in range(samples)
     )
 
@@ -525,12 +536,10 @@ def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
     the checked pairs.  Random draws are keyed by the ball's identity, which
     mirrors the streams between a frame and its dual frame.
     """
-    draws = _ball_samples(space, samples, seed)
-    xstars = space.dual.extreme_ball_points()
-    for x in space.extreme_ball_points():
-        for xstar in xstars:
-            yield x, xstar
-    yield from draws
+    dual = space.dual
+    extremes = itertools.product(space.extreme_ball_points(), dual.extreme_ball_points())
+    for x, xstar in itertools.chain(extremes, _ball_samples(space, samples, seed)):
+        yield space.from_coordinates(x), dual.from_coordinates(xstar)
 
 
 def _prefix_fsums(terms: np.ndarray, schedule: tuple[int, ...]) -> tuple[float, ...]:
@@ -567,7 +576,7 @@ def besselian_sweep(
             for terms, nxs in zip(prods, xstar_norms)
         )
     for x, xstar in draws:
-        prods = np.abs(coefficient_products(F, x, xstar, N))
+        prods = np.abs(F.coeff_batch(x, N) * F.eval_batch(xstar, N))
         rows.append((space.norm(x), dual.norm(xstar), _prefix_fsums(prods, schedule)))
     return rows
 
@@ -629,24 +638,16 @@ class UnconditionalResult:
     sign_flip_norm: float  # max over trials of ||sum eps_n b_n(x) a_n||
 
 
-def _atom_rows(F: Frame, N: int) -> np.ndarray:
-    """Coordinate rows of a_1..a_N, read off the syntheses of unit vectors."""
-    rows = [F.space.coordinates(F.synth_batch(unit)) for unit in np.eye(N)]
-    width = max(row.size for row in rows)
-    return np.vstack([np.pad(row, (0, width - row.size)) for row in rows])
-
-
 def unconditional_sweep(
     F: Frame, elements, schedule: tuple[int, ...], trials: int, seed: int
 ) -> list[list[UnconditionalResult]]:
     """unconditional_probe for every element at every truncation of the
     schedule: one list of results per truncation, in the elements' order.
 
-    The atoms' coordinate rows are synthesized once, at the largest
-    truncation, and sliced for the smaller ones.
+    The atoms' coordinate rows, the syntheses of unit vectors, are built
+    once, at the largest truncation, and sliced for the smaller ones.
     """
-    for x in elements:
-        _require(F.space, x)
+    elements = [_coordinates(F.space, x) for x in elements]
     for N in schedule:
         if N < 1:
             raise ValueError(f"truncation must be >= 1, got {N}")
@@ -654,7 +655,7 @@ def unconditional_sweep(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not schedule:
         return []
-    rows = _atom_rows(F, max(schedule))
+    rows = np.vstack([F.synth_batch(unit) for unit in np.eye(max(schedule))])
     return [
         [_ordering_probe(F, x, N, trials, seed, rows[:N]) for x in elements]
         for N in schedule
@@ -681,9 +682,9 @@ def _ordering_probe(
         perm = rng.permutation(N)
         signs = rng.integers(0, 2, size=N) * 2 - 1
         permuted = ordered(coeffs, perm)
-        deviation = max(deviation, space.norm(space.from_coordinates(permuted - base)))
+        deviation = max(deviation, space.norm(permuted - base))
         flipped = ordered(signs * coeffs, identity)
-        flip_norm = max(flip_norm, space.norm(space.from_coordinates(flipped)))
+        flip_norm = max(flip_norm, space.norm(flipped))
     return UnconditionalResult(
         truncation=N, trials=trials, deviation=deviation, sign_flip_norm=flip_norm
     )
@@ -723,12 +724,21 @@ def _check_horizon(N: int, M: int) -> None:
         raise ValueError(f"need horizon M > truncation N >= 0, got N={N}, M={M}")
 
 
-def shrinking_tail(F: Frame, xstar, N: int, M: int) -> float:
-    """Dual-space norm of sum_{N<n<=M} xstar(a_n) b_n."""
-    _require(F.space.dual, xstar)
+def _shrinking_tail(F: Frame, xstar: np.ndarray, N: int, M: int) -> float:
     _check_horizon(N, M)
     coeffs = _tail_only(F.eval_batch(xstar, M), N, M)
     return F.space.dual.norm(F.dual_synth_batch(coeffs))
+
+
+def _boundedly_complete_tail(F: Frame, xss: np.ndarray, N: int, M: int) -> float:
+    _check_horizon(N, M)
+    coeffs = _tail_only(F.coeff_batch(xss, M), N, M)
+    return F.space.norm(F.synth_batch(coeffs))
+
+
+def shrinking_tail(F: Frame, xstar, N: int, M: int) -> float:
+    """Dual-space norm of sum_{N<n<=M} xstar(a_n) b_n."""
+    return _shrinking_tail(F, _coordinates(F.space.dual, xstar), N, M)
 
 
 def boundedly_complete_tail(F: Frame, xss, N: int, M: int) -> float:
@@ -739,10 +749,7 @@ def boundedly_complete_tail(F: Frame, xss, N: int, M: int) -> float:
         raise DualRepresentationError(
             f"bidual elements of {F.space.describe()} have no finite representation"
         )
-    _require(F.space, xss)
-    _check_horizon(N, M)
-    coeffs = _tail_only(F.coeff_batch(xss, M), N, M)
-    return F.space.norm(F.synth_batch(coeffs))
+    return _boundedly_complete_tail(F, _coordinates(F.space, xss), N, M)
 
 
 def duality_constant_check(
@@ -936,21 +943,20 @@ class ProbeConfig:
 def covering_truncation(F: Frame, x) -> Optional[int]:
     """Smallest truncation after which the expansion of x is exact, if the
     frame knows one for this element; None when no finite horizon applies."""
-    _require(F.space, x)
+    _coordinates(F.space, x)  # rejects x outside F's space
     return F.covering(x)
 
 
 def _zero_pair_scan(F: Frame, upto: int) -> tuple[bool, bool]:
     """(some pair has a zero vector or functional, every pair is zero in both
     slots) over the ranks up to min(upto, max_rank, _ZERO_SCAN_CAP)."""
-    horizon = min(upto, _ZERO_SCAN_CAP)
-    if F.max_rank is not None:
-        horizon = min(horizon, F.max_rank)
+    horizon = min(upto, _ZERO_SCAN_CAP, F.max_rank or upto)
     some, every = False, horizon >= 1
     for n in range(1, horizon + 1):
-        a, b = frame_pair(F, n)
-        zero_a = F.space.norm(a) == 0.0
-        zero_b = F.space.dual.norm(b) == 0.0
+        unit = np.zeros(n)
+        unit[-1] = 1.0
+        zero_a = not F.synth_batch(unit).any()
+        zero_b = not F.dual_synth_batch(unit).any()
         some = some or zero_a or zero_b
         every = every and zero_a and zero_b
         if some and not every:
@@ -1032,17 +1038,17 @@ def reflexivity_probe(
     def candidates(ball, purpose: str) -> list:
         # Deterministic extreme points first, then seeded random draws.
         return list(ball.extreme_ball_points()[:_EXTREME_CANDIDATES]) + [
-            seeded_ball_point(ball, cfg.seed, purpose, k) for k in range(cfg.samples)
+            _ball_point(ball, cfg.seed, purpose, k) for k in range(cfg.samples)
         ]
 
     shrink_state, shrink_last = run_leg(
-        "shrinking", shrinking_tail, candidates(space.dual, "probe-dual")
+        "shrinking", _shrinking_tail, candidates(space.dual, "probe-dual")
     )
 
     if space.bidual_representable:
         bc_state, bc_last = run_leg(
             "boundedly-complete",
-            boundedly_complete_tail,
+            _boundedly_complete_tail,
             candidates(space, "probe-bidual"),
         )
     else:

@@ -57,6 +57,13 @@ def _require_exponent(p: float, low_open: bool) -> None:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
 
 
+def _json_int(value, name: str) -> int:
+    """value, read from an element file, which must be an int (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # sequence types
 # ---------------------------------------------------------------------------
@@ -145,7 +152,7 @@ class SeqVector:
 
     @classmethod
     def from_json_obj(cls, obj) -> "SeqVector":
-        pairs = [(int(i), float(v)) for i, v in obj]
+        pairs = [(_json_int(i, "sequence index"), float(v)) for i, v in obj]
         top = max((i for i, _ in pairs), default=0)
         if top > MAX_SEQ_INDEX:
             raise ValueError(f"sequence indices are at most {MAX_SEQ_INDEX}, got {top}")
@@ -217,25 +224,31 @@ class DualSeq:
         return cls(tuple(obj["prefix"]), float(obj["tail"]))
 
 
+# Each norm's formula, on value arrays, is shared by the typed *_norm
+# function and the space descriptor's coordinate norm.
+def l1_values_norm(values) -> float:
+    """sum |v_n|.  fsum is exactly rounded and order-independent, so l1 norms
+    of prefixes are monotone in the truncation with no rounding caveats."""
+    return math.fsum(np.abs(values))
+
+
+def sup_values_norm(values) -> float:
+    """max |v_n| over a nonempty array of values."""
+    return float(np.max(np.abs(values)))
+
+
 def lp_norm(v: SeqVector, p: float) -> float:
     """(sum |v_n|^p)^(1/p) over the finite support; requires p >= 1."""
     _require_exponent(p, low_open=False)
-    if not v.entries:
-        return 0.0
-    vals = np.abs(np.array([val for _, val in v.entries]))
+    vals = np.array([val for _, val in v.entries])
     if p == 1.0:
-        # fsum is exactly rounded and order-independent, so l1 norms of
-        # prefixes are monotone in the truncation with no rounding caveats.
-        return math.fsum(vals)
-    return float((vals**p).sum() ** (1.0 / p))
+        return l1_values_norm(vals)
+    return float((np.abs(vals) ** p).sum() ** (1.0 / p))
 
 
 def linf_norm(mu: DualSeq) -> float:
     """sup_n |mu_n|, exact thanks to the prefix-plus-constant-tail form."""
-    best = abs(mu.tail)
-    for v in mu.prefix:
-        best = max(best, abs(v))
-    return best
+    return sup_values_norm(mu.prefix + (mu.tail,))
 
 
 def pairing_psi(mu: DualSeq, lam: SeqVector) -> float:
@@ -342,7 +355,8 @@ class GridFunction:
 
     @classmethod
     def from_json_obj(cls, obj) -> "GridFunction":
-        return cls(int(obj["level"]), np.asarray(obj["coefficients"], dtype=float))
+        level = _json_int(obj["level"], "level")
+        return cls(level, np.asarray(obj["coefficients"], dtype=float))
 
 
 def _common_level(f: GridFunction, g: GridFunction) -> tuple[np.ndarray, np.ndarray, int]:
@@ -353,8 +367,13 @@ def _common_level(f: GridFunction, g: GridFunction) -> tuple[np.ndarray, np.ndar
 def grid_lp_norm(f: GridFunction, p: float) -> float:
     """Exact Lp[0,1] norm of a piecewise constant: (sum |c_k|^p 2^-J)^(1/p)."""
     _require_exponent(p, low_open=False)
-    cell = 2.0**-f.level
-    vals = np.abs(f.coefficients)
+    return grid_values_norm(f.coefficients, p, f.level)
+
+
+def grid_values_norm(values, p: float, level: int) -> float:
+    """grid_lp_norm of the level-``level`` grid function with these values."""
+    cell = 2.0**-level
+    vals = np.abs(values)
     if p == 1.0:
         return float(vals.sum() * cell)
     if p == 2.0:
@@ -472,9 +491,10 @@ class AmalgamFunction:
 
     @classmethod
     def from_json_obj(cls, obj) -> "AmalgamFunction":
-        lo, hi = int(obj["window"][0]), int(obj["window"][1])
+        lo = _json_int(obj["window"][0], "window bound")
+        hi = _json_int(obj["window"][1], "window bound")
         check_window_width(lo, hi)
-        level = int(obj["level"])
+        level = _json_int(obj["level"], "level")
         cells = {
             int(m): GridFunction(level, np.asarray(vals, dtype=float))
             for m, vals in obj["cells"].items()
@@ -486,10 +506,14 @@ def amalgam_norm(f: AmalgamFunction, p: float, q: float) -> float:
     """(sum_m ||f on [m, m+1)||_p^q)^(1/q); requires p, q in (1, inf)."""
     _require_exponent(p, low_open=True)
     _require_exponent(q, low_open=True)
-    cell_norms = np.array(
-        [grid_lp_norm(f.cells[m], p) for m in sorted(f.cells)]
-    )
-    return float((cell_norms**q).sum() ** (1.0 / q)) if cell_norms.size else 0.0
+    cells = [f.cells[m].coefficients for m in sorted(f.cells)]
+    return amalgam_values_norm(cells, p, q, f.level)
+
+
+def amalgam_values_norm(cells, p: float, q: float, level: int) -> float:
+    """amalgam_norm of the function whose cells hold these level-J rows."""
+    cell_norms = np.array([grid_values_norm(c, p, level) for c in cells])
+    return float((cell_norms**q).sum() ** (1.0 / q))
 
 
 def pairing_phi_pq(fdual: AmalgamFunction, g: AmalgamFunction) -> float:

@@ -217,8 +217,8 @@ def test_haar_batch_routes_agree_with_per_rank_route():
     f = GridFunction(3, rng.standard_normal(8))
     rows = oracles.normalized_haar_rows(3)
     slow = [oracles.quadrature_integral(rows[n] * f.coefficients) for n in range(8)]
-    assert np.allclose(F.coeff_batch(f, 8), slow, atol=1e-13, rtol=0.0)
-    assert np.allclose(F.eval_batch(f, 8), slow, atol=1e-13, rtol=0.0)
+    assert np.allclose(F.coeff_batch(F.space.coordinates(f), 8), slow, atol=1e-13, rtol=0.0)
+    assert np.allclose(F.eval_batch(F.space.coordinates(f), 8), slow, atol=1e-13, rtol=0.0)
     for n in range(1, 9):
         a, b = frame_pair(F, n)
         assert np.allclose(a.coefficients, rows[n - 1], atol=1e-13, rtol=0.0)
@@ -324,7 +324,7 @@ def test_amalgam_translation_covariance():
 
 def test_amalgam_out_of_range_ranks_are_zero_pairs():
     F = make_amalgam()  # window (-1, 1), base ranks 1..8
-    zero = F.space.zero()
+    zero = F.space.from_coordinates(F.space.zero())
     a, b = frame_pair(F, rank_of_index(2, 1))  # m outside window
     assert a == zero and b == zero
     a, b = frame_pair(F, rank_of_index(0, 9))  # n beyond base range
@@ -342,8 +342,8 @@ def test_amalgam_batch_routes_agree_with_per_rank_route():
     pairs = [frame_pair(F, n) for n in range(1, N + 1)]
     slow_coeffs = [pairing_phi_pq(b, f) for _a, b in pairs]
     slow_evals = [pairing_phi_pq(f, a) for a, _b in pairs]
-    assert np.allclose(F.coeff_batch(f, N), slow_coeffs, atol=1e-13, rtol=0.0)
-    assert np.allclose(F.eval_batch(f, N), slow_evals, atol=1e-13, rtol=0.0)
+    assert np.allclose(F.coeff_batch(F.space.coordinates(f), N), slow_coeffs, atol=1e-13, rtol=0.0)
+    assert np.allclose(F.eval_batch(F.space.coordinates(f), N), slow_evals, atol=1e-13, rtol=0.0)
 
 
 def test_amalgam_operators_match_enumeration_on_asymmetric_window():
@@ -356,12 +356,13 @@ def test_amalgam_operators_match_enumeration_on_asymmetric_window():
     f = AmalgamFunction(
         (-3, 1), {m: GridFunction(3, rng.standard_normal(8)) for m in range(-3, 2)}
     )
-    coeffs, evals = F.coeff_batch(f, N), F.eval_batch(f, N)
+    values = F.space.coordinates(f)
+    coeffs, evals = F.coeff_batch(values, N), F.eval_batch(values, N)
     for rank in range(1, N + 1):
         idx = enumerate_z_cross_n(rank)
         inside = -3 <= idx.m <= 1 and idx.n <= 8
-        want_coeff = base.coeff_batch(f.cell(idx.m), 8)[idx.n - 1] if inside else 0.0
-        want_eval = base.eval_batch(f.cell(idx.m), 8)[idx.n - 1] if inside else 0.0
+        want_coeff = base.coeff_batch(f.cell(idx.m).coefficients, 8)[idx.n - 1] if inside else 0.0
+        want_eval = base.eval_batch(f.cell(idx.m).coefficients, 8)[idx.n - 1] if inside else 0.0
         assert coeffs[rank - 1] == want_coeff
         assert evals[rank - 1] == want_eval
         a, b = frame_pair(F, rank)

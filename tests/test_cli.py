@@ -5,13 +5,14 @@ import json
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import framekit.verify as verify
 from framekit.catalog import frame_from_label
 from framekit.cli import main
-from framekit.frames import FrameReport, ProbeResult, estimate_frame_constant
-from framekit.spaces import GridFunction, SeqVector, grid_lp_norm
+from framekit.frames import FrameReport, ProbeResult, estimate_frame_constant, synthesis_partial
+from framekit.spaces import AmalgamFunction, GridFunction, SeqVector, amalgam_norm, grid_lp_norm
 
 
 @pytest.fixture(autouse=True)
@@ -94,6 +95,18 @@ def test_expand_usage_errors(tmp_path, capsys):
     assert main(["expand", "--frame", "l1-canonical"]) == 1  # no input
     bad = write_element(tmp_path / "bad.json", {"not": "an element"})
     assert main(["expand", "--frame", "l1-canonical", "--input", bad]) == 1
+    # integer fields hold integers: no float and no bool is truncated into one
+    amalgam = "amalgam:p=2:q=2:J=1:window=-1,1"
+    for label, obj, field in (
+        ("l1-canonical", [[1.5, 2.0]], "sequence index"),
+        ("l1-canonical", [[True, 3.0]], "sequence index"),
+        ("haar:p=2:J=2", {"level": 2.7, "coefficients": [1.0] * 4}, "level"),
+        (amalgam, {"window": [-1.5, 1], "level": 0, "cells": {}}, "window bound"),
+    ):
+        capsys.readouterr()
+        elem = write_element(tmp_path / "int.json", obj)
+        assert main(["expand", "--frame", label, "--input", elem]) == 1
+        assert f"{field} must be an integer" in capsys.readouterr().err
     assert main([
         "expand", "--frame", "haar:p=2:J=2", "--input",
         write_element(tmp_path / "f.json", GridFunction(1, (1.0, 0.0)).to_json_obj()),
@@ -321,6 +334,41 @@ def test_oversized_element_files_exit_one_before_allocation(tmp_path, capsys):
     assert "2^100000000 coefficients" in err
     assert "at most 256 cells" in err
     assert "sequence indices are at most 65536, got 1000000" in err
+
+
+def test_unbounded_frames_cap_cli_truncations(tmp_path, capsys):
+    # l1 has no largest rank, and every operator is dense up to N
+    start = time.perf_counter()
+    assert main(["constant", "--frame", "l1-canonical", "--n", "65537", "--samples", "1"]) == 1
+    assert main([
+        "tabulate", "--frame", "l1-canonical", "--curve", "constant", "--schedule", "4,65537",
+    ]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the truncation cap 65536" in capsys.readouterr().err
+    elem = seq_file(tmp_path, [(65536, 1.0)])
+    assert main(["expand", "--frame", "l1-canonical", "--input", elem, "--n", "65536"]) == 0
+    assert json.loads((tmp_path / "expand.json").read_text())["residual"] == 0.0
+
+
+def test_expand_residual_of_inputs_outside_the_model(tmp_path):
+    # a grid finer than the frame's level and mass outside the amalgam
+    # window: the residual is the typed norm of x - S_N x
+    rng = np.random.default_rng(43)
+    fine = GridFunction(5, rng.standard_normal(32))
+    wide = AmalgamFunction(
+        (-2, 2), {m: GridFunction(3, rng.standard_normal(8)) for m in range(-2, 3)}
+    )
+    haar, amalgam = "haar:p=3:J=3", "amalgam:p=3:q=1.5:J=2:window=-1,1"
+    for label, x, norm in (
+        (haar, fine, lambda r: grid_lp_norm(r, 3.0)),
+        (amalgam, wide, lambda r: amalgam_norm(r, 3.0, 1.5)),
+    ):
+        F = frame_from_label(label)
+        n = F.max_rank or F.full_truncation
+        elem = write_element(tmp_path / "x.json", x.to_json_obj())
+        assert main(["expand", "--frame", label, "--input", elem, "--n", str(n)]) == 0
+        residual = json.loads((tmp_path / "expand.json").read_text())["residual"]
+        assert residual == norm(x - synthesis_partial(F, x, n)) > 0.1
 
 
 def test_tabulate_residual_from_input_file(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from framekit.catalog import (
     amalgam_frame,
     canonical_l1_frame,
+    enumerate_z_cross_n,
     frame_from_label,
     haar_frame,
     rank_of_index,
@@ -39,6 +40,7 @@ from framekit.frames import (
     frame_has_zero_elements,
     frame_pair,
     reflexivity_probe,
+    seeded_ball_point,
     shrinking_tail,
     sweep_constants,
     synthesis_partial,
@@ -51,12 +53,13 @@ from framekit.spaces import (
     DualSeq,
     GridFunction,
     SeqVector,
+    amalgam_norm,
     grid_lp_norm,
     linf_norm,
     lp_norm,
 )
 
-from framekit.verify import DEFAULT_FRAME_LABELS
+from framekit.verify import DEFAULT_FRAME_LABELS, spec_for_label
 
 import oracles
 
@@ -238,7 +241,7 @@ def test_besselian_bound_against_superset_budget():
         lhat = estimate_frame_constant(F, N, 60, 42)
         for x, xstar in ball_pair_sweep(F.space, 60, 42):
             bs = besselian_sum(F, x, xstar, N)
-            bound = lhat * F.space.norm(x) * F.space.dual.norm(xstar)
+            bound = lhat * F.space.element_norm(x) * F.space.dual.element_norm(xstar)
             assert bs <= bound + 1e-9
 
 
@@ -251,8 +254,8 @@ def test_ball_sweep_is_deterministic_and_inside_balls():
         assert len(pairs1) == len(pairs2) > 10
         for (x1, s1), (x2, s2) in zip(pairs1, pairs2):
             assert x1 == x2 and s1 == s2
-            assert F.space.norm(x1) <= 1.0 + 1e-12
-            assert F.space.dual.norm(s1) <= 1.0 + 1e-12
+            assert F.space.element_norm(x1) <= 1.0 + 1e-12
+            assert F.space.dual.element_norm(s1) <= 1.0 + 1e-12
 
 
 def test_dual_descriptors_keep_the_stream_keys():
@@ -303,9 +306,9 @@ def test_dual_frame_synthesis_reconstructs():
     for F in (haar_frame(1.5, 4), amalgam):
         Fd = dual_frame(F)
         rng = np.random.default_rng(37)
-        g = Fd.space.random_ball_point(rng)
+        g = Fd.space.from_coordinates(Fd.space.random_ball_point(rng))
         rebuilt = synthesis_partial(Fd, g, F.full_truncation)
-        assert Fd.space.norm(g - rebuilt) <= 1e-12
+        assert Fd.space.element_norm(g - rebuilt) <= 1e-12
     mu = DualSeq((0.5, 0.0, -2.0, 0.25), 0.0)
     Ld = dual_frame(L1)
     assert synthesis_partial(Ld, mu, 4) == mu
@@ -366,7 +369,8 @@ def test_unconditional_sweep_matches_per_truncation_probes():
     amalgam = frame_from_label("amalgam:p=2:q=2:J=2:window=-1,1")
     for F in (L1, HAAR4, amalgam):
         elements = [
-            F.space.random_ball_point(derive_rng(3, "elements", k)) for k in range(2)
+            F.space.from_coordinates(F.space.random_ball_point(derive_rng(3, "elements", k)))
+            for k in range(2)
         ]
         schedule = (2, 5, 16)
         results = unconditional_sweep(F, elements, schedule, 4, 42)
@@ -529,9 +533,61 @@ def test_covering_truncations():
     too_fine = GridFunction(6, np.ones(64))
     assert covering_truncation(HAAR4, too_fine) is None
     A = frame_from_label("amalgam:p=2:q=2:J=3:window=-1,1")
-    x = A.space.random_ball_point(derive_rng(1, "t"))
+    x = A.space.from_coordinates(A.space.random_ball_point(derive_rng(1, "t")))
     cover = covering_truncation(A, x)
     assert cover == rank_of_index(1, 8)
+
+
+def test_sweep_probe_and_tails_build_no_typed_elements(monkeypatch):
+    # the frame-level loops run on coordinate arrays; typed elements are
+    # built only where a public function takes or returns one
+    runs = []
+    for label in DEFAULT_FRAME_LABELS:
+        F = frame_from_label(label)
+        elements = [seeded_ball_point(F.space, 7, "uncond-element", k) for k in range(2)]
+        runs.append((F, elements, spec_for_label(label).schedule))
+    built = []
+    for cls in (SeqVector, DualSeq, GridFunction, AmalgamFunction):
+        def counted(self, original=cls.__post_init__):
+            built.append(type(self).__name__)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for F, elements, schedule in runs:
+        besselian_sweep(F, schedule, 20, 42)
+        unconditional_sweep(F, elements, schedule, 3, 42)
+        reflexivity_probe(F, ProbeConfig(schedule=schedule, samples=2))
+    assert built == []
+
+
+def test_inputs_outside_the_model_keep_their_values():
+    # a grid function finer than the Haar level is read through its cell
+    # averages, which keep every integral against the level-J Haar functions
+    F = haar_frame(3.0, 3)
+    rng = np.random.default_rng(41)
+    fine = GridFunction(5, rng.standard_normal(32))
+    averaged = fine.coefficients.reshape(8, 4).mean(axis=1)
+    want = oracles.normalized_haar_rows(3) @ averaged / 8
+    got = [analysis_coefficient(F, n, fine) for n in range(1, 9)]
+    assert np.allclose(got, want, atol=1e-13, rtol=0.0)
+    partial = synthesis_partial(F, fine, 8)
+    assert partial.level == 3
+    assert np.allclose(partial.coefficients, averaged, atol=1e-12, rtol=0.0)
+    assert grid_lp_norm(fine - partial, 3.0) > 0.1
+    # mass outside an amalgam frame's window has no coefficient and no atom
+    A = frame_from_label("amalgam:p=2:q=2:J=2:window=-1,1")
+    base = haar_frame(2.0, 2)
+    wide = AmalgamFunction(
+        (-2, 2), {m: GridFunction(2, rng.standard_normal(4)) for m in range(-2, 3)}
+    )
+    for rank in range(1, A.full_truncation + 1):
+        idx = enumerate_z_cross_n(rank)
+        inside = -1 <= idx.m <= 1 and idx.n <= 4
+        want = analysis_coefficient(base, idx.n, wide.cell(idx.m)) if inside else 0.0
+        assert analysis_coefficient(A, rank, wide) == want
+    rebuilt = synthesis_partial(A, wide, A.full_truncation)
+    outside = AmalgamFunction((-2, 2), {m: wide.cell(m) for m in (-2, 2)})
+    assert amalgam_norm(wide - rebuilt - outside, 2.0, 2.0) <= 1e-12
 
 
 def test_frame_zero_element_scan():

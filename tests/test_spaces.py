@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from framekit.frames import AmalgamSpace, DualSequenceSpace, GridSpace, SequenceSpace
 from framekit.spaces import (
     AmalgamFunction,
     DualSeq,
@@ -309,6 +310,33 @@ def test_grid_function_json_round_trip(f):
 @given(f=amalgam_functions())
 def test_amalgam_function_json_round_trip(f):
     assert AmalgamFunction.from_json_obj(json.loads(json.dumps(f.to_json_obj()))) == f
+
+
+# ---------------------------------------------------------------------------
+# coordinate round-trips through the space descriptors
+# ---------------------------------------------------------------------------
+
+# Descriptors whose models hold every element the strategies draw: grids up
+# to level 5, amalgam windows inside [-3, 5] at levels up to 3.
+MODELS = {
+    SeqVector: SequenceSpace(),
+    DualSeq: DualSequenceSpace(),
+    GridFunction: GridSpace(1.5, 5),
+    AmalgamFunction: AmalgamSpace(3.0, 1.5, (-3, 5), 3),
+}
+
+
+@example(x=DualSeq((0.5, 0.0), -1.0))
+@example(x=DualSeq((), 2.0))
+@given(x=st.one_of(seq_vectors(), dual_seqs(), grid_functions(), amalgam_functions()))
+def test_coordinates_round_trip_in_the_model(x):
+    space = MODELS[type(x)]
+    values = space.coordinates(x)
+    assert space.from_coordinates(values) == x
+    assert space.norm(values) == pytest.approx(space.element_norm(x), rel=1e-12, abs=1e-300)
+    if isinstance(x, DualSeq):
+        assert values[-1] == x.tail  # the constant tail is the last coordinate
+        assert np.array_equal(space.values(values, len(x.prefix) + 3)[-3:], [x.tail] * 3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
