@@ -16,11 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .frames import AmalgamSpace, Frame, GridSpace, SequenceSpace
-from .spaces import (
-    AmalgamFunction,
-    check_window_width,
-    dyadic_step_coefficients,
-)
+from .spaces import AmalgamFunction, check_window_width
 
 __all__ = [
     "HaarIndex",
@@ -38,9 +34,8 @@ __all__ = [
 ]
 
 
-# Size cap, checked before anything is allocated: the Haar matrix takes
-# 8 * 4^J bytes (128 MiB at J = 12).  Windows are capped by
-# spaces.check_window_width.
+# Size cap on the Haar level, checked before anything is allocated.
+# Windows are capped by spaces.check_window_width.
 _MAX_LEVEL = 12
 
 
@@ -105,12 +100,47 @@ def haar_l2_norm(n: int) -> float:
     return 1.0 if n == 1 else 2.0 ** (0.5 * (1 - idx.m))
 
 
-def _normalized_haar_coefficients(level: int, n: int) -> np.ndarray:
-    """Level-J coefficients of h_n / ||h_n||_2 (values 0 or +-2^((m-1)/2))."""
-    step = dyadic_step_coefficients(level, n)
-    if n == 1:
-        return step
-    return step * 2.0 ** (0.5 * (haar_index(n).m - 1))
+def _haar_scale(m: int) -> float:
+    """Height of the normalized generation-m Haar function, m >= 1."""
+    return 2.0 ** (0.5 * (m - 1))
+
+
+def _haar_analysis(f: np.ndarray, J: int) -> np.ndarray:
+    """Integrals of h_1/||h_1||, ..., h_{2^J}/||h_{2^J}|| against the level-J
+    grid values f (on the last axis), by the Mallat pyramid.
+
+    Each level splits the block sums into left and right halves: their
+    difference gives that generation's coefficients, left to right, and
+    their sum the next coarser level's block sums.  Every step acts on
+    elements one by one, so a coefficient's value does not depend on how
+    many inputs or coefficients one call takes.
+    """
+    sums = np.asarray(f, dtype=float)
+    details = []
+    for m in range(J, 0, -1):
+        left, right = sums[..., 0::2], sums[..., 1::2]
+        details.append((left - right) * _haar_scale(m))
+        sums = left + right
+    return np.concatenate([sums] + details[::-1], axis=-1) * 2.0**-J
+
+
+def _haar_synthesis(coeffs: np.ndarray, J: int) -> np.ndarray:
+    """sum_n c_n h_n/||h_n||_2 on the level-J grid, for c on the last axis
+    (at most 2^J of them), by the inverse pyramid: each level adds its
+    generation's term to the left half of every block and subtracts it from
+    the right half."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    lead = coeffs.shape[:-1]
+    full = np.zeros(lead + (2**J,))
+    full[..., : coeffs.shape[-1]] = coeffs
+    values = full[..., :1]
+    for m in range(1, J + 1):
+        detail = full[..., 2 ** (m - 1) : 2**m] * _haar_scale(m)
+        finer = np.empty(lead + (2**m,))
+        finer[..., 0::2] = values + detail
+        finer[..., 1::2] = values - detail
+        values = finer
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +169,10 @@ def zero_sequence_frame() -> Frame:
     return Frame(
         space=space,
         label="zero",
-        coeff_batch=lambda x, N: np.zeros(N),
-        eval_batch=lambda xstar, N: np.zeros(N),
-        synth_batch=lambda coeffs: space.zero(),
-        dual_synth_batch=lambda coeffs: space.dual.zero(),
+        coeff_batch=lambda x, N: np.zeros(np.shape(x)[:-1] + (N,)),
+        eval_batch=lambda xstar, N: np.zeros(np.shape(xstar)[:-1] + (N,)),
+        synth_batch=lambda coeffs: np.zeros(np.shape(coeffs)[:-1] + (0,)),
+        dual_synth_batch=lambda coeffs: np.zeros(np.shape(coeffs)[:-1] + (1,)),
         covering=lambda x: None if x.entries else 0,
     )
 
@@ -167,21 +197,15 @@ def haar_frame(p: float, J: int) -> Frame:
 
     space = GridSpace(p, J)
     size = 2**J
-    rows = np.vstack(
-        [_normalized_haar_coefficients(J, n) for n in range(1, size + 1)]
-    )
-    rows.flags.writeable = False
     label = f"haar:p={p:g}:J={J}"
 
     def _pair_batch(f: np.ndarray, N: int) -> np.ndarray:
-        # Integrals of the first N rows against the grid values f: one matvec.
         if not 1 <= N <= size:
             raise ValueError(f"frame {label!r} defines ranks 1..{size}, got {N}")
-        return (rows[:N] @ f) * 2.0**-J
+        return _haar_analysis(f, J)[..., :N]
 
     def synth_batch(coeffs: np.ndarray) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=float)
-        return rows[: coeffs.size].T @ coeffs
+        return _haar_synthesis(coeffs, J)
 
     # The normalized Haar family is its own dual family: a_n = b_n.
     return Frame(
@@ -302,20 +326,25 @@ def amalgam_frame(base: Frame, q: float, window: tuple[int, int]) -> Frame:
         # Number of valid ranks <= N: a prefix of the rank-ordered tables.
         return int(np.searchsorted(ranks, N, side="right"))
 
-    # The base operators run row by row on the (cells x 2^J) coordinate table.
+    # The base operators run on the (cells x 2^J) coordinate tables, every
+    # cell of every input in one call.
     def _gather(base_batch, f: np.ndarray, N: int) -> np.ndarray:
-        table = np.vstack([base_batch(cell, base_max) for cell in space.cells(f)])
+        lead = np.shape(f)[:-1]
+        cells = space.cells(f)
+        table = base_batch(cells.reshape(-1, cells.shape[-1]), base_max)
+        table = table.reshape(lead + (width, base_max))
         k = _upto(N)
-        out = np.zeros(N)
-        out[ranks[:k] - 1] = table[cell_rows[:k], base_cols[:k]]
+        out = np.zeros(lead + (N,))
+        out[..., ranks[:k] - 1] = table[..., cell_rows[:k], base_cols[:k]]
         return out
 
     def _scatter(base_synth, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
-        k = _upto(coeffs.size)
-        table = np.zeros((width, base_max))
-        table[cell_rows[:k], base_cols[:k]] = coeffs[ranks[:k] - 1]
-        return np.concatenate([base_synth(row) for row in table])
+        lead = coeffs.shape[:-1]
+        k = _upto(coeffs.shape[-1])
+        table = np.zeros(lead + (width, base_max))
+        table[..., cell_rows[:k], base_cols[:k]] = coeffs[..., ranks[:k] - 1]
+        return base_synth(table.reshape(-1, base_max)).reshape(lead + (-1,))
 
     def covering(f: AmalgamFunction):
         if f.level > J:
@@ -358,7 +387,7 @@ def _parse_fields(parts: list[str], label: str) -> dict[str, str]:
 
 
 # Frames are immutable, so each label is built once per process; the bound
-# keeps a few fine Haar matrices from piling up.
+# keeps a few wide amalgam rank tables from piling up.
 _FRAME_CACHE_SIZE = 8
 
 

@@ -140,7 +140,8 @@ def _load_element(space, path: str):
 def _check_truncation(F, n: int, low: int, names=("truncation", "truncation")) -> None:
     """Usage error unless low <= n <= the frame's largest rank; ``names`` are
     the plural and singular nouns the messages use for n.  Operators are
-    dense up to n, so frames with neither bound get the element-file cap."""
+    dense up to n, so frames with no largest rank are capped at the
+    element-file cap, or at their full truncation when that is larger."""
     many, one = names
     if n < low:
         raise CliUsageError(f"{many} must be >= {low}, got {n}")
@@ -148,8 +149,9 @@ def _check_truncation(F, n: int, low: int, names=("truncation", "truncation")) -
         raise CliUsageError(
             f"{one} {n} exceeds the frame's representable ranks (max {F.max_rank})"
         )
-    if F.max_rank is None and F.full_truncation is None and n > MAX_SEQ_INDEX:
-        raise CliUsageError(f"{one} {n} exceeds the truncation cap {MAX_SEQ_INDEX}")
+    cap = max(MAX_SEQ_INDEX, F.full_truncation or 0)
+    if F.max_rank is None and n > cap:
+        raise CliUsageError(f"{one} {n} exceeds the truncation cap {cap}")
 
 
 def _json_text(obj) -> str:
@@ -288,6 +290,8 @@ def cmd_suite(ns: argparse.Namespace) -> int:
             raise CliUsageError("suite runs need a non-empty schedule")
         overrides["schedule"] = schedule
     specs = [spec_for_label(lbl, **overrides) for lbl in labels]
+    for spec in specs:
+        _check_truncation(frame_from_label(spec.label), spec.schedule[-1], 1)
 
     workers = _resolve(ns, cfg, "workers", _to_int, default=1)
     if workers < 1:

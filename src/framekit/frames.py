@@ -11,9 +11,10 @@ Conventions used throughout:
 
 * Every operation takes an explicit truncation N; nothing pretends to sum an
   infinite series.
-* Every stochastic operation takes a seed, and the randomness of sample k is
-  derived from (seed, purpose, k), so results do not depend on evaluation
-  order or on how many workers ran the loop.
+* Every stochastic operation takes a seed.  Sample k of a unit ball is a
+  fixed slice of one counter-based stream keyed by (seed, purpose, ball),
+  so results do not depend on evaluation order, on how many samples are
+  drawn at once, or on how many workers ran the loop.
 * Unit-ball sample streams are keyed by the *ball* they live in, not by the
   role (primal/dual) they play.  A frame and its dual frame therefore consume
   mirrored streams, and since the besselian sum is symmetric under that
@@ -97,13 +98,8 @@ class DualRepresentationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def derive_rng(seed: int, *keys) -> np.random.Generator:
-    """Independent random stream for one sample, derived from (seed, keys).
-
-    The key material is hashed, so streams for different purposes or sample
-    indices never collide and never depend on how many draws other streams
-    made.  This is what keeps reports identical under parallel execution.
-    """
+def _entropy(seed: int, *keys) -> int:
+    """128 bits hashed from (seed, keys): distinct keys never collide."""
     import hashlib
 
     h = hashlib.sha256()
@@ -111,8 +107,55 @@ def derive_rng(seed: int, *keys) -> np.random.Generator:
     for k in keys:
         h.update(b"\x1f")
         h.update(str(k).encode())
-    entropy = int.from_bytes(h.digest()[:16], "little")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return int.from_bytes(h.digest()[:16], "little")
+
+
+def derive_rng(seed: int, *keys) -> np.random.Generator:
+    """Independent random stream derived from (seed, keys).
+
+    The key material is hashed, so streams for different purposes or sample
+    indices never collide and never depend on how many draws other streams
+    made.  This is what keeps reports identical under parallel execution.
+    """
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(seed, *keys))))
+
+
+def _stream_words(space, seed: int, purpose: str, k0: int, k1: int) -> np.ndarray:
+    """Words [k0 w, k1 w) of the ball's stream, as a (k1 - k0) x w matrix.
+
+    Each (seed, purpose, ball) has one counter-based Philox stream, and its
+    sample k is the fixed-width slice of words [k w, (k+1) w), w =
+    space.draw_width.  Philox yields four 64-bit words per counter value, so
+    the slice is reached by setting the counter, not by drawing up to it.
+    """
+    start, width = k0 * space.draw_width, (k1 - k0) * space.draw_width
+    bits = np.random.Philox(
+        key=_entropy(seed, purpose, *space.ball_key), counter=start // 4
+    )
+    words = bits.random_raw(start % 4 + width)[start % 4 :]
+    return words.reshape(k1 - k0, space.draw_width)
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """One uniform per word, in the open interval (0, 1): never 0, 1/2 or 1."""
+    return ((words >> 12).astype(float) + 0.5) * 2.0**-52
+
+
+def _integers(words: np.ndarray, m: int) -> np.ndarray:
+    """One integer in 0..m-1 per word, by an exact multiply-shift."""
+    return ((words >> 32) * m) >> 32
+
+
+def _normals(words: np.ndarray) -> np.ndarray:
+    """Standard normals by Box-Muller, two per pair of words on the last
+    axis (which must have even length); none is 0."""
+    u = _uniforms(words)
+    radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+    angle = (2.0 * math.pi) * u[..., 1::2]
+    out = np.empty(u.shape)
+    out[..., 0::2] = radius * np.cos(angle)
+    out[..., 1::2] = radius * np.sin(angle)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +179,30 @@ class _Space:
     A descriptor describes one normed space and its unit ball on coordinate
     arrays; ``coordinates`` / ``from_coordinates`` convert from and to its
     typed elements, of type ``element``, which ``element_norm`` measures.
-    ``dual`` is the descriptor of the functionals the space represents, built
-    once; ``dual_is_whole`` says whether they are the whole dual space.
+    ``norm`` acts on the last axis, so an (S x d) matrix of coordinates gives
+    S norms.  ``dual`` is the descriptor of the functionals the space
+    represents, built once; ``dual_is_whole`` says whether they are the
+    whole dual space.
+
+    ``ball_points(words)`` turns an (S x draw_width) matrix of stream words
+    into S unit-ball points, one per row, each from its own row's words only.
+    The default draws a Gaussian direction and scales it onto the sphere.
     """
 
     element: ClassVar[type]
     dual_is_whole: ClassVar[bool] = True
 
     def _unit(self, values: np.ndarray) -> np.ndarray:
-        """values scaled onto the unit sphere (the zero element stays zero)."""
-        nrm = self.norm(values)
-        return self.zero() if nrm == 0.0 else (1.0 / nrm) * values
+        """Each row of values scaled onto the unit sphere."""
+        return values / self.norm(values)[..., None]
+
+    @property
+    def draw_width(self) -> int:
+        size = self.zero().size
+        return size + size % 2
+
+    def ball_points(self, words: np.ndarray) -> np.ndarray:
+        return self._unit(_normals(words)[:, : self.zero().size])
 
     @property
     def bidual_representable(self) -> bool:
@@ -184,8 +240,11 @@ class SequenceSpace(_Space):
 
     @staticmethod
     def values(coords: np.ndarray, N: int) -> np.ndarray:
-        """x_1, ..., x_N of the sequence with these coordinates."""
-        return np.concatenate((coords[:N], np.zeros(max(0, N - coords.size))))
+        """x_1, ..., x_N of the sequences with these coordinates."""
+        out = np.zeros(np.shape(coords)[:-1] + (N,))
+        k = min(N, np.shape(coords)[-1])
+        out[..., :k] = coords[..., :k]
+        return out
 
     @cached_property
     def dual(self) -> "DualSequenceSpace":
@@ -195,20 +254,27 @@ class SequenceSpace(_Space):
     def ball_key(self) -> tuple:
         return ("seq-l1",)
 
-    def random_ball_point(self, rng) -> np.ndarray:
-        size = int(rng.integers(1, _SEQ_SAMPLE_MAX_SUPPORT + 1))
-        idx = rng.choice(_SEQ_SAMPLE_MAX_INDEX, size=size, replace=False)
-        vals = rng.standard_normal(size)
-        total = math.fsum(abs(float(v)) for v in vals)
-        if total == 0.0:
-            return self.zero()
-        out = np.zeros(int(idx.max()) + 1)
-        out[idx] = vals / total
-        return out
+    # Words per sample: the support size, one uniform per index (their
+    # argsort is a random ordering of the indices), one normal per value.
+    draw_width = 1 + _SEQ_SAMPLE_MAX_INDEX + _SEQ_SAMPLE_MAX_SUPPORT
 
-    def extreme_ball_points(self) -> tuple[np.ndarray, ...]:
-        signed = itertools.product(range(1, _SEQ_EXTREME_INDICES + 1), (1.0, -1.0))
-        return tuple(np.append(np.zeros(k - 1), sign) for k, sign in signed)
+    def ball_points(self, words: np.ndarray) -> np.ndarray:
+        """Up to 8 Gaussian values on distinct random indices in 1..24."""
+        size = 1 + _integers(words[:, 0], _SEQ_SAMPLE_MAX_SUPPORT)
+        order = np.argsort(_uniforms(words[:, 1 : 1 + _SEQ_SAMPLE_MAX_INDEX]), kind="stable")
+        vals = _normals(words[:, 1 + _SEQ_SAMPLE_MAX_INDEX :])
+        vals[np.arange(_SEQ_SAMPLE_MAX_SUPPORT) >= size[:, None]] = 0.0
+        out = np.zeros((len(words), _SEQ_SAMPLE_MAX_INDEX))
+        np.put_along_axis(out, order[:, :_SEQ_SAMPLE_MAX_SUPPORT], vals, axis=1)
+        return self._unit(out)
+
+    def extreme_ball_points(self) -> np.ndarray:
+        """The signed unit vectors +-e_1, ..., +-e_6, one per row."""
+        signed = itertools.product(range(_SEQ_EXTREME_INDICES), (1.0, -1.0))
+        out = np.zeros((2 * _SEQ_EXTREME_INDICES, _SEQ_EXTREME_INDICES))
+        for row, (k, sign) in enumerate(signed):
+            out[row, k] = sign
+        return out
 
 
 @dataclass(frozen=True)
@@ -243,13 +309,14 @@ class DualSequenceSpace(_Space):
 
     @staticmethod
     def values(coords: np.ndarray, N: int) -> np.ndarray:
-        """mu_1, ..., mu_N of the sequence with these coordinates."""
-        return coords[np.minimum(np.arange(N), coords.size - 1)]
+        """mu_1, ..., mu_N of the sequences with these coordinates."""
+        return coords[..., np.minimum(np.arange(N), np.shape(coords)[-1] - 1)]
 
     @staticmethod
     def finite(values: np.ndarray) -> np.ndarray:
-        """Coordinates of the sequence with these values, then zeros."""
-        return np.append(values, 0.0)
+        """Coordinates of the sequences with these values, then zeros."""
+        values = np.asarray(values, dtype=float)
+        return np.concatenate((values, np.zeros(values.shape[:-1] + (1,))), axis=-1)
 
     @cached_property
     def dual(self) -> SequenceSpace:
@@ -259,22 +326,29 @@ class DualSequenceSpace(_Space):
     def ball_key(self) -> tuple:
         return ("seq-linf",)
 
-    def random_ball_point(self, rng) -> np.ndarray:
-        width = int(rng.integers(1, _SEQ_SAMPLE_MAX_INDEX + 1))
-        vals = rng.uniform(-1.0, 1.0, size=width)
-        tail = float(rng.uniform(-1.0, 1.0))
-        peak = max(float(np.max(np.abs(vals))), abs(tail))
-        if peak == 0.0:
-            return self.zero()
-        return (_SUP_BALL_RADIUS / peak) * np.append(vals, tail)
+    # Words per sample: the prefix width, one uniform per prefix value and
+    # one for the tail.
+    draw_width = 2 + _SEQ_SAMPLE_MAX_INDEX
 
-    def extreme_ball_points(self) -> tuple[np.ndarray, ...]:
+    def ball_points(self, words: np.ndarray) -> np.ndarray:
+        """A prefix of 1..24 uniform values and a uniform tail, scaled to sup
+        norm 0.99.  Rows have 25 coordinates: past the prefix, the tail."""
+        width = 1 + _integers(words[:, 0], _SEQ_SAMPLE_MAX_INDEX)
+        vals = 2.0 * _uniforms(words[:, 1:]) - 1.0
+        past = np.arange(_SEQ_SAMPLE_MAX_INDEX + 1) >= width[:, None]
+        vals = np.where(past, vals[:, -1:], vals)
+        return _SUP_BALL_RADIUS * self._unit(vals)
+
+    def extreme_ball_points(self) -> np.ndarray:
+        """One sign pattern per row, with a constant +-1 tail after 4 terms."""
         # The constant-tail all-ones pattern goes first: it is the canonical
         # witness the shrinking probe wants to see checked before anything else.
         # Then the sign prefixes, sign j set by bit j of the pattern's index.
         signs = itertools.product((-1.0, 1.0), repeat=_SEQ_SIGN_PREFIX)
         prefixes = [bits[::-1] for bits in signs]
-        return (np.ones(1),) + tuple(np.array(p + (t,)) for t in (1.0, -1.0) for p in prefixes)
+        rows = [(1.0,) * (_SEQ_SIGN_PREFIX + 1)]
+        rows += [p + (t,) for t in (1.0, -1.0) for p in prefixes]
+        return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -296,7 +370,7 @@ class GridSpace(_Space):
     def describe(self) -> str:
         return f"L_p[0,1] on the level-{self.level} dyadic grid (p={self.p:g})"
 
-    def norm(self, values: np.ndarray) -> float:
+    def norm(self, values: np.ndarray):
         return grid_values_norm(values, self.p, self.level)
 
     def element_norm(self, x: GridFunction) -> float:
@@ -322,15 +396,12 @@ class GridSpace(_Space):
     def ball_key(self) -> tuple:
         return ("grid", self.level, self.p)
 
-    def random_ball_point(self, rng) -> np.ndarray:
-        return self._unit(rng.standard_normal(2**self.level))
-
-    def extreme_ball_points(self) -> tuple[np.ndarray, ...]:
-        # The normalised dyadic step directions, coarsest first.
-        return tuple(
-            self._unit(dyadic_step_coefficients(self.level, n))
+    def extreme_ball_points(self) -> np.ndarray:
+        """The normalised dyadic step directions, coarsest first, one per row."""
+        return self._unit(np.array([
+            dyadic_step_coefficients(self.level, n)
             for n in range(1, min(2**self.level, _GRID_EXTREME_ATOMS) + 1)
-        )
+        ]))
 
 
 @dataclass(frozen=True)
@@ -364,9 +435,10 @@ class AmalgamSpace(_Space):
         )
 
     def cells(self, values: np.ndarray) -> np.ndarray:
-        return np.reshape(values, (-1, 2**self.level))
+        """values with the last axis split into (cells, 2^J)."""
+        return np.reshape(values, np.shape(values)[:-1] + (-1, 2**self.level))
 
-    def norm(self, values: np.ndarray) -> float:
+    def norm(self, values: np.ndarray):
         return amalgam_values_norm(self.cells(values), self.p, self.q, self.level)
 
     def element_norm(self, x: AmalgamFunction) -> float:
@@ -397,31 +469,34 @@ class AmalgamSpace(_Space):
     def ball_key(self) -> tuple:
         return ("amalgam", self.level, self.window, self.p, self.q)
 
-    def random_ball_point(self, rng) -> np.ndarray:
-        return self._unit(rng.standard_normal(self.zero().size))
-
-    def extreme_ball_points(self) -> tuple[np.ndarray, ...]:
-        # Each cell's first grid extreme points, placed in that cell.
+    def extreme_ball_points(self) -> np.ndarray:
+        """Each cell's first grid extreme points, placed in that cell."""
         steps = GridSpace(self.p, self.level).extreme_ball_points()
-        width, blank = len(self.cells(self.zero())), np.zeros_like(steps[0])
-        return tuple(
-            np.concatenate([step if j == cell else blank for j in range(width)])
-            for cell in range(width)
-            for step in steps[:_AMALGAM_EXTREME_ATOMS_PER_CELL]
-        )
+        steps = steps[:_AMALGAM_EXTREME_ATOMS_PER_CELL]
+        width = len(self.cells(self.zero()))
+        out = np.zeros((width, len(steps), width, steps.shape[1]))
+        for cell in range(width):
+            out[cell, :, cell] = steps
+        return out.reshape(width * len(steps), -1)
+
+
+def _ball_block(space, seed: int, purpose: str, k0: int, k1: int) -> np.ndarray:
+    """Coordinates of the seeded unit-ball points k0..k1-1, one per row."""
+    return space.ball_points(_stream_words(space, seed, purpose, k0, k1))
 
 
 def _ball_point(space, seed: int, purpose: str, k: int) -> np.ndarray:
     """Coordinates of seeded_ball_point(space, seed, purpose, k)."""
-    return space.random_ball_point(derive_rng(seed, purpose, *space.ball_key, k))
+    return _ball_block(space, seed, purpose, k, k + 1)[0]
 
 
 def seeded_ball_point(space, seed: int, purpose: str, k: int):
     """The k-th seeded random point of space's unit ball for one purpose.
 
-    The stream is keyed by (seed, purpose, the ball's identity, k), not by
-    the role the point plays, so a frame and its dual frame draw mirrored
-    points, and no draw depends on how many other draws were made.
+    It is row k of every block draw that holds sample k.  The stream is
+    keyed by (seed, purpose, the ball's identity), not by the role the point
+    plays, so a frame and its dual frame draw mirrored points, and no draw
+    depends on how many other draws were made.
     """
     return space.from_coordinates(_ball_point(space, seed, purpose, k))
 
@@ -436,7 +511,8 @@ class Frame:
     """A rank-indexed family of (vector, functional) pairs on one space,
     given by its four coordinate operators.
 
-    They act on the coordinates of ``space`` and ``space.dual``:
+    They act on the last axis of coordinate arrays of ``space`` and
+    ``space.dual``, so an (S x d) matrix is S points at once:
     ``coeff_batch(x, N)`` returns the array of b_n(x) and
     ``eval_batch(xstar, N)`` the array of xstar(a_n), n = 1..N;
     ``synth_batch(c)`` returns sum c_n a_n and ``dual_synth_batch(c)`` returns
@@ -515,16 +591,22 @@ def coefficient_sequence(F: Frame, x, xstar, N: int) -> SeqVector:
 
 def besselian_sum(F: Frame, x, xstar, N: int) -> float:
     """sum_{n<=N} |b_n(x)| |xstar(a_n)|, exactly rounded; nondecreasing in N."""
-    return l1_values_norm(coefficient_products(F, x, xstar, N))
+    return float(l1_values_norm(coefficient_products(F, x, xstar, N)))
 
 
-def _ball_samples(space, samples: int, seed: int) -> Iterator[tuple]:
-    """Coordinates of the sweep's seeded random pairs, keyed by ball identity."""
+# Random sweep pairs are drawn, evaluated and measured this many at a time.
+_SWEEP_BLOCK = 64
+
+
+def _ball_blocks(space, samples: int, seed: int) -> Iterator[tuple]:
+    """The sweep's seeded random pairs, keyed by ball identity, a block at a
+    time: (rows of x, rows of xstar) for samples k0..k1-1."""
     if samples < 0:
         raise ValueError(f"sample count must be >= 0, got {samples}")
+    bounds = [(k, min(samples, k + _SWEEP_BLOCK)) for k in range(0, samples, _SWEEP_BLOCK)]
     return (
-        (_ball_point(space, seed, "ball", k), _ball_point(space.dual, seed, "ball", k))
-        for k in range(samples)
+        (_ball_block(space, seed, "ball", *b), _ball_block(space.dual, seed, "ball", *b))
+        for b in bounds
     )
 
 
@@ -538,14 +620,19 @@ def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
     """
     dual = space.dual
     extremes = itertools.product(space.extreme_ball_points(), dual.extreme_ball_points())
-    for x, xstar in itertools.chain(extremes, _ball_samples(space, samples, seed)):
+    draws = itertools.chain.from_iterable(
+        zip(xs, xstars) for xs, xstars in _ball_blocks(space, samples, seed)
+    )
+    for x, xstar in itertools.chain(extremes, draws):
         yield space.from_coordinates(x), dual.from_coordinates(xstar)
 
 
-def _prefix_fsums(terms: np.ndarray, schedule: tuple[int, ...]) -> tuple[float, ...]:
-    """math.fsum of the first N terms, for each N of the schedule."""
-    values = terms.tolist()
-    return tuple(math.fsum(values[:N]) for N in schedule)
+def _sweep_rows(coeffs, evals, x_norms, xstar_norms, schedule: tuple[int, ...]):
+    """(||x||, ||xstar||, prefix fsums of |b_n(x) xstar(a_n)|) per pair, for
+    pairs given by rows of coefficients and evaluations that broadcast."""
+    terms = (row.tolist() for row in np.abs(coeffs * evals))
+    sums = (tuple(math.fsum(values[:N]) for N in schedule) for values in terms)
+    return zip(x_norms, xstar_norms, sums)
 
 
 def besselian_sweep(
@@ -555,29 +642,28 @@ def besselian_sweep(
 
     Per swept pair this keeps only (||x||, ||xstar||, the besselian sums at
     each truncation of the increasing schedule), in ball_pair_sweep's order,
-    so memory does not grow with the truncation.  Each distinct extreme point
-    goes through its operator once.  The sums go through ``math.fsum``:
+    so memory does not grow with the truncation.  Points go through the
+    operators and norms as matrices: the extreme points once each, the
+    random pairs a block at a time.  The sums go through ``math.fsum``:
     exactly rounded sums of nonnegative terms are monotone in N with no
     rounding caveats.
     """
-    draws = _ball_samples(F.space, samples, seed)
+    blocks = _ball_blocks(F.space, samples, seed)
     N = schedule[-1]
     _check_rank(F, N)
     space, dual = F.space, F.space.dual
-    xstars = dual.extreme_ball_points()
-    evals = np.array([F.eval_batch(xstar, N) for xstar in xstars])
-    xstar_norms = [dual.norm(xstar) for xstar in xstars]
+    xs, xstars = space.extreme_ball_points(), dual.extreme_ball_points()
+    evals, xstar_norms = F.eval_batch(xstars, N), dual.norm(xstars).tolist()
     rows = []
-    for x in space.extreme_ball_points():
-        nx = space.norm(x)
-        prods = np.abs(F.coeff_batch(x, N) * evals)
+    for coeffs, nx in zip(F.coeff_batch(xs, N), space.norm(xs).tolist()):
         rows.extend(
-            (nx, nxs, _prefix_fsums(terms, schedule))
-            for terms, nxs in zip(prods, xstar_norms)
+            _sweep_rows(coeffs, evals, itertools.repeat(nx), xstar_norms, schedule)
         )
-    for x, xstar in draws:
-        prods = np.abs(F.coeff_batch(x, N) * F.eval_batch(xstar, N))
-        rows.append((space.norm(x), dual.norm(xstar), _prefix_fsums(prods, schedule)))
+    for x, xstar in blocks:
+        rows.extend(_sweep_rows(
+            F.coeff_batch(x, N), F.eval_batch(xstar, N),
+            space.norm(x).tolist(), dual.norm(xstar).tolist(), schedule,
+        ))
     return rows
 
 
@@ -645,7 +731,9 @@ def unconditional_sweep(
     schedule: one list of results per truncation, in the elements' order.
 
     The atoms' coordinate rows, the syntheses of unit vectors, are built
-    once, at the largest truncation, and sliced for the smaller ones.
+    once, at the largest truncation, and sliced for the smaller ones.  Each
+    trial's permutation and sign pattern is drawn once per truncation, its
+    permuted rows gathered once, and both reused for every element.
     """
     elements = [_coordinates(F.space, x) for x in elements]
     for N in schedule:
@@ -655,39 +743,38 @@ def unconditional_sweep(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not schedule:
         return []
-    rows = np.vstack([F.synth_batch(unit) for unit in np.eye(max(schedule))])
-    return [
-        [_ordering_probe(F, x, N, trials, seed, rows[:N]) for x in elements]
-        for N in schedule
-    ]
+    atoms = F.synth_batch(np.eye(max(schedule)))
+    return [_ordering_probe(F, elements, N, trials, seed, atoms[:N]) for N in schedule]
+
+
+def _ordered(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_n coeffs[..., n] rows[n]: reducing over the rank axis adds the
+    scaled rows one after the other in exactly their order, coordinate by
+    coordinate."""
+    return np.add.reduce(coeffs[..., None] * rows, axis=-2)
 
 
 def _ordering_probe(
-    F: Frame, x, N: int, trials: int, seed: int, rows: np.ndarray
-) -> UnconditionalResult:
-    space = F.space
-    coeffs = F.coeff_batch(x, N)
-    identity = np.arange(N)
-
-    def ordered(c: np.ndarray, order: np.ndarray) -> np.ndarray:
-        # Reducing over the leading axis adds the scaled rows one after the
-        # other in exactly the given order, coordinate by coordinate.
-        return np.add.reduce(c[order, None] * rows[order], axis=0)
-
-    base = ordered(coeffs, identity)
-    deviation = 0.0
-    flip_norm = 0.0
+    F: Frame, elements: list, N: int, trials: int, seed: int, rows: np.ndarray
+) -> list[UnconditionalResult]:
+    coeffs = [F.coeff_batch(x, N) for x in elements]
+    bases = [_ordered(c, rows) for c in coeffs]
+    deviations = flip_norms = np.zeros(len(elements))
     for t in range(trials):
         rng = derive_rng(seed, "unconditional", t)
         perm = rng.permutation(N)
         signs = rng.integers(0, 2, size=N) * 2 - 1
-        permuted = ordered(coeffs, perm)
-        deviation = max(deviation, space.norm(permuted - base))
-        flipped = ordered(signs * coeffs, identity)
-        flip_norm = max(flip_norm, space.norm(flipped))
-    return UnconditionalResult(
-        truncation=N, trials=trials, deviation=deviation, sign_flip_norm=flip_norm
-    )
+        perm_rows = rows[perm]
+        permuted = [_ordered(c[perm], perm_rows) - b for c, b in zip(coeffs, bases)]
+        flipped = [_ordered(signs * c, rows) for c in coeffs]
+        deviations = np.maximum(deviations, F.space.norm(np.array(permuted)))
+        flip_norms = np.maximum(flip_norms, F.space.norm(np.array(flipped)))
+    return [
+        UnconditionalResult(
+            truncation=N, trials=trials, deviation=float(dev), sign_flip_norm=float(flip)
+        )
+        for dev, flip in zip(deviations, flip_norms)
+    ]
 
 
 def unconditional_probe(
@@ -727,13 +814,13 @@ def _check_horizon(N: int, M: int) -> None:
 def _shrinking_tail(F: Frame, xstar: np.ndarray, N: int, M: int) -> float:
     _check_horizon(N, M)
     coeffs = _tail_only(F.eval_batch(xstar, M), N, M)
-    return F.space.dual.norm(F.dual_synth_batch(coeffs))
+    return float(F.space.dual.norm(F.dual_synth_batch(coeffs)))
 
 
 def _boundedly_complete_tail(F: Frame, xss: np.ndarray, N: int, M: int) -> float:
     _check_horizon(N, M)
     coeffs = _tail_only(F.coeff_batch(xss, M), N, M)
-    return F.space.norm(F.synth_batch(coeffs))
+    return float(F.space.norm(F.synth_batch(coeffs)))
 
 
 def shrinking_tail(F: Frame, xstar, N: int, M: int) -> float:
@@ -907,9 +994,11 @@ VERDICT_DEGENERATE = "degenerate"
 _HORIZON_FACTOR = 2
 # Deterministic extreme points tried ahead of each leg's random candidates.
 _EXTREME_CANDIDATES = 4
-# Zero-pair scans stop at this rank: they synthesize pair after pair, and
-# the catalog's zero pairs show up within the first few ranks.
+# Zero-pair scans stop at this rank: they synthesize the pairs a block of
+# ranks at a time, and the catalog's zero pairs show up within the first
+# few ranks.
 _ZERO_SCAN_CAP = 512
+_ZERO_SCAN_BLOCK = 64
 
 
 def validate_schedule(schedule) -> tuple[int, ...]:
@@ -949,16 +1038,18 @@ def covering_truncation(F: Frame, x) -> Optional[int]:
 
 def _zero_pair_scan(F: Frame, upto: int) -> tuple[bool, bool]:
     """(some pair has a zero vector or functional, every pair is zero in both
-    slots) over the ranks up to min(upto, max_rank, _ZERO_SCAN_CAP)."""
+    slots) over the ranks up to min(upto, max_rank, _ZERO_SCAN_CAP), a block
+    of ranks at a time."""
     horizon = min(upto, _ZERO_SCAN_CAP, F.max_rank or upto)
     some, every = False, horizon >= 1
-    for n in range(1, horizon + 1):
-        unit = np.zeros(n)
-        unit[-1] = 1.0
-        zero_a = not F.synth_batch(unit).any()
-        zero_b = not F.dual_synth_batch(unit).any()
-        some = some or zero_a or zero_b
-        every = every and zero_a and zero_b
+    for n0 in range(0, horizon, _ZERO_SCAN_BLOCK):
+        n1 = min(horizon, n0 + _ZERO_SCAN_BLOCK)
+        units = np.zeros((n1 - n0, n1))
+        units[np.arange(n1 - n0), np.arange(n0, n1)] = 1.0
+        zero_a = ~F.synth_batch(units).any(axis=-1)
+        zero_b = ~F.dual_synth_batch(units).any(axis=-1)
+        some = some or bool((zero_a | zero_b).any())
+        every = every and bool((zero_a & zero_b).all())
         if some and not every:
             break
     return some, every
@@ -1037,9 +1128,9 @@ def reflexivity_probe(
 
     def candidates(ball, purpose: str) -> list:
         # Deterministic extreme points first, then seeded random draws.
-        return list(ball.extreme_ball_points()[:_EXTREME_CANDIDATES]) + [
-            _ball_point(ball, cfg.seed, purpose, k) for k in range(cfg.samples)
-        ]
+        return list(ball.extreme_ball_points()[:_EXTREME_CANDIDATES]) + list(
+            _ball_block(ball, cfg.seed, purpose, 0, cfg.samples)
+        )
 
     shrink_state, shrink_last = run_leg(
         "shrinking", _shrinking_tail, candidates(space.dual, "probe-dual")

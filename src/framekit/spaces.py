@@ -225,16 +225,20 @@ class DualSeq:
 
 
 # Each norm's formula, on value arrays, is shared by the typed *_norm
-# function and the space descriptor's coordinate norm.
-def l1_values_norm(values) -> float:
-    """sum |v_n|.  fsum is exactly rounded and order-independent, so l1 norms
-    of prefixes are monotone in the truncation with no rounding caveats."""
-    return math.fsum(np.abs(values))
+# function and the space descriptor's coordinate norm.  The formulas act on
+# the last axis: a 1-D array gives one norm, an (S x d) matrix S norms.
+def l1_values_norm(values):
+    """sum |v_n| along the last axis.  fsum is exactly rounded and
+    order-independent, so l1 norms of prefixes are monotone in the
+    truncation with no rounding caveats."""
+    vals = np.abs(np.asarray(values, dtype=float))
+    rows = vals.reshape(math.prod(vals.shape[:-1]), vals.shape[-1]).tolist()
+    return np.array([math.fsum(row) for row in rows]).reshape(vals.shape[:-1])[()]
 
 
-def sup_values_norm(values) -> float:
-    """max |v_n| over a nonempty array of values."""
-    return float(np.max(np.abs(values)))
+def sup_values_norm(values):
+    """max |v_n| along a nonempty last axis."""
+    return np.max(np.abs(values), axis=-1)
 
 
 def lp_norm(v: SeqVector, p: float) -> float:
@@ -242,13 +246,13 @@ def lp_norm(v: SeqVector, p: float) -> float:
     _require_exponent(p, low_open=False)
     vals = np.array([val for _, val in v.entries])
     if p == 1.0:
-        return l1_values_norm(vals)
+        return float(l1_values_norm(vals))
     return float((np.abs(vals) ** p).sum() ** (1.0 / p))
 
 
 def linf_norm(mu: DualSeq) -> float:
     """sup_n |mu_n|, exact thanks to the prefix-plus-constant-tail form."""
-    return sup_values_norm(mu.prefix + (mu.tail,))
+    return float(sup_values_norm(mu.prefix + (mu.tail,)))
 
 
 def pairing_psi(mu: DualSeq, lam: SeqVector) -> float:
@@ -367,18 +371,19 @@ def _common_level(f: GridFunction, g: GridFunction) -> tuple[np.ndarray, np.ndar
 def grid_lp_norm(f: GridFunction, p: float) -> float:
     """Exact Lp[0,1] norm of a piecewise constant: (sum |c_k|^p 2^-J)^(1/p)."""
     _require_exponent(p, low_open=False)
-    return grid_values_norm(f.coefficients, p, f.level)
+    return float(grid_values_norm(f.coefficients, p, f.level))
 
 
-def grid_values_norm(values, p: float, level: int) -> float:
-    """grid_lp_norm of the level-``level`` grid function with these values."""
+def grid_values_norm(values, p: float, level: int):
+    """grid_lp_norm of the level-``level`` grid functions with these values,
+    one per index of the leading axes."""
     cell = 2.0**-level
     vals = np.abs(values)
     if p == 1.0:
-        return float(vals.sum() * cell)
+        return vals.sum(axis=-1) * cell
     if p == 2.0:
-        return float(math.sqrt(float((vals * vals).sum()) * cell))
-    return float((float((vals**p).sum()) * cell) ** (1.0 / p))
+        return np.sqrt((vals * vals).sum(axis=-1) * cell)
+    return ((vals**p).sum(axis=-1) * cell) ** (1.0 / p)
 
 
 def pairing_phi(fdual: GridFunction, g: GridFunction) -> float:
@@ -506,14 +511,15 @@ def amalgam_norm(f: AmalgamFunction, p: float, q: float) -> float:
     """(sum_m ||f on [m, m+1)||_p^q)^(1/q); requires p, q in (1, inf)."""
     _require_exponent(p, low_open=True)
     _require_exponent(q, low_open=True)
-    cells = [f.cells[m].coefficients for m in sorted(f.cells)]
-    return amalgam_values_norm(cells, p, q, f.level)
+    cells = np.array([f.cells[m].coefficients for m in sorted(f.cells)])
+    return float(amalgam_values_norm(cells, p, q, f.level))
 
 
-def amalgam_values_norm(cells, p: float, q: float, level: int) -> float:
-    """amalgam_norm of the function whose cells hold these level-J rows."""
-    cell_norms = np.array([grid_values_norm(c, p, level) for c in cells])
-    return float((cell_norms**q).sum() ** (1.0 / q))
+def amalgam_values_norm(cells, p: float, q: float, level: int):
+    """amalgam_norm of the functions whose cells hold these level-J rows:
+    cells[..., m, :] is cell m of one function."""
+    cell_norms = grid_values_norm(cells, p, level)
+    return (cell_norms**q).sum(axis=-1) ** (1.0 / q)
 
 
 def pairing_phi_pq(fdual: AmalgamFunction, g: AmalgamFunction) -> float:

@@ -350,6 +350,38 @@ def test_unbounded_frames_cap_cli_truncations(tmp_path, capsys):
     assert json.loads((tmp_path / "expand.json").read_text())["residual"] == 0.0
 
 
+def test_cli_truncations_are_capped_on_every_unbounded_frame(tmp_path, capsys):
+    # amalgam frames have a full truncation but no largest rank: past the
+    # full truncation every pair is zero, and operators are dense up to N
+    label = "amalgam:p=2:q=2:J=1:window=0,0"
+    F = frame_from_label(label)  # built outside the trace
+    tracemalloc.start()
+    try:
+        code = main(["constant", "--frame", label, "--n", "100000000", "--samples", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 2**20
+    assert "exceeds the truncation cap 65536" in capsys.readouterr().err
+    full = str(F.full_truncation)
+    assert main(["constant", "--frame", label, "--n", full, "--samples", "1"]) == 0
+    assert json.loads((tmp_path / "constant.json").read_text())["truncation"] == F.full_truncation
+    # suite schedules are capped the same way
+    start = time.perf_counter()
+    assert main(["suite", "unconditionality", "--frame", label, "--schedule", "4,100000000"]) == 1
+    assert main(["suite", "all", "--frame", "l1-canonical", "--schedule", "4,65537"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.count("exceeds the truncation cap") == 2
+    # a full truncation past the element-file cap stays reachable
+    wide = frame_from_label("amalgam:p=2:q=2:J=8:window=0,60")
+    assert wide.full_truncation > 65536
+    top = str(wide.full_truncation)
+    assert main(["tabulate", "--frame", wide.label, "--curve", "constant",
+                 "--schedule", f"1,{wide.full_truncation + 1}"]) == 1
+    assert f"exceeds the truncation cap {top}" in capsys.readouterr().err
+
+
 def test_expand_residual_of_inputs_outside_the_model(tmp_path):
     # a grid finer than the frame's level and mass outside the amalgam
     # window: the residual is the typed norm of x - S_N x

@@ -3,12 +3,14 @@ tail probes, rearrangement probes, and report plumbing."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import framekit.frames as frames_module
 from framekit.catalog import (
     amalgam_frame,
     canonical_l1_frame,
@@ -19,9 +21,12 @@ from framekit.catalog import (
     zero_sequence_frame,
 )
 from framekit.frames import (
+    AmalgamSpace,
     DualRepresentationError,
+    DualSequenceSpace,
     Frame,
     GridSpace,
+    SequenceSpace,
     FrameReport,
     ProbeConfig,
     ProbeResult,
@@ -258,6 +263,115 @@ def test_ball_sweep_is_deterministic_and_inside_balls():
             assert F.space.dual.element_norm(s1) <= 1.0 + 1e-12
 
 
+# ---------------------------------------------------------------------------
+# the stream contract: sample k of (seed, purpose, ball) is one fixed slice
+# of one stream, whatever the block or sample count that draws it
+# ---------------------------------------------------------------------------
+
+STREAM_SPACES = (
+    SequenceSpace(),
+    DualSequenceSpace(),
+    GridSpace(3.0, 5),
+    AmalgamSpace(3.0, 1.5, (-1, 1), 2),
+)
+
+
+def test_sweep_rows_are_prefixes_across_block_sizes():
+    block = frames_module._SWEEP_BLOCK
+    for label in DEFAULT_FRAME_LABELS + ("haar:p=3:J=5",):
+        F = frame_from_label(label)
+        schedule = spec_for_label(label).schedule
+        full = besselian_sweep(F, schedule, 2000, 7)
+        extremes = len(full) - 2000
+        for samples in (1, block - 1, block, block + 1):
+            assert besselian_sweep(F, schedule, samples, 7) == full[: extremes + samples]
+
+
+def test_seeded_ball_point_is_row_k_of_every_block():
+    for space in STREAM_SPACES:
+        for k0, k1 in ((0, 300), (5, 9), (255, 258), (299, 300)):
+            block = frames_module._ball_block(space, 9, "ball", k0, k1)
+            assert block.shape[0] == k1 - k0
+            for k in (k0, (k0 + k1) // 2, k1 - 1):
+                row = frames_module._ball_point(space, 9, "ball", k)
+                assert np.array_equal(row, block[k - k0])
+                assert seeded_ball_point(space, 9, "ball", k) == space.from_coordinates(row)
+        # the sweep's random pairs are these rows, in order
+        pairs = list(ball_pair_sweep(space, 3, 9))[-3:]
+        for k, (x, xstar) in enumerate(pairs):
+            assert x == seeded_ball_point(space, 9, "ball", k)
+            assert xstar == seeded_ball_point(space.dual, 9, "ball", k)
+
+
+def test_ball_samplers_keep_their_invariants():
+    draws = {space: frames_module._ball_block(space, 5, "ball", 0, 4096) for space in STREAM_SPACES}
+    l1, sup, grid, amalgam = STREAM_SPACES
+    rows = draws[l1]
+    support = rows != 0.0
+    assert rows.shape[1] == 24  # indices 1..24
+    assert (support.sum(axis=1) >= 1).all() and (support.sum(axis=1) <= 8).all()
+    assert support.sum(axis=1).max() == 8 and support[:, -1].any()
+    for row in rows[:64]:
+        x = l1.from_coordinates(row)
+        assert 1 <= len(x.entries) <= 8 and x.max_index <= 24
+    assert np.max(np.abs(draws[sup])) <= 0.99
+    assert np.all(sup.norm(draws[sup]) == 0.99)
+    for space in (l1, grid, amalgam, grid.dual, amalgam.dual):
+        block = frames_module._ball_block(space, 5, "ball", 0, 4096)
+        assert np.all(np.abs(space.norm(block) - 1.0) <= 1e-12)
+        assert np.isfinite(block).all()
+
+
+def test_batched_operators_match_the_oracles():
+    J, size = 5, 32
+    F = haar_frame(3.0, J)
+    rows = oracles.normalized_haar_rows(J)
+    X = frames_module._ball_block(F.space, 3, "ops", 0, 40)
+    XS = frames_module._ball_block(F.space.dual, 3, "ops", 0, 40)
+    for N in (1, 7, size):
+        assert np.allclose(F.coeff_batch(X, N), X @ rows[:N].T / size, rtol=0.0, atol=1e-12)
+        assert np.allclose(F.eval_batch(XS, N), XS @ rows[:N].T / size, rtol=0.0, atol=1e-12)
+        C = X[:, :N]
+        assert np.allclose(F.synth_batch(C), C @ rows[:N], rtol=0.0, atol=1e-12)
+        # a 1-D input is a batch of one through the same code, bit for bit
+        for i in (0, 17):
+            assert np.array_equal(F.coeff_batch(X[i], N), F.coeff_batch(X, N)[i])
+            assert np.array_equal(F.synth_batch(C[i]), F.synth_batch(C)[i])
+    A = frame_from_label("amalgam:p=3:q=1.5:J=2:window=-1,1")
+    base_rows = oracles.normalized_haar_rows(2)
+    X = frames_module._ball_block(A.space, 3, "ops", 0, 20)
+    XS = frames_module._ball_block(A.space.dual, 3, "ops", 0, 20)
+    N = A.full_truncation + 5
+    coeffs, evals = A.coeff_batch(X, N), A.eval_batch(XS, N)
+    cells, dual_cells = A.space.cells(X), A.space.cells(XS)
+    for rank in range(1, N + 1):
+        idx = enumerate_z_cross_n(rank)
+        if -1 <= idx.m <= 1 and idx.n <= 4:
+            want = cells[:, idx.m + 1] @ base_rows[idx.n - 1] / 4
+            want_eval = dual_cells[:, idx.m + 1] @ base_rows[idx.n - 1] / 4
+        else:
+            want = want_eval = np.zeros(len(X))
+        assert np.allclose(coeffs[:, rank - 1], want, rtol=0.0, atol=1e-12)
+        assert np.allclose(evals[:, rank - 1], want_eval, rtol=0.0, atol=1e-12)
+    for i in (0, 11):
+        assert np.array_equal(A.coeff_batch(X[i], N), coeffs[i])
+        assert np.array_equal(A.synth_batch(coeffs[i]), A.synth_batch(coeffs)[i])
+
+
+def test_besselian_sweep_memory_stays_small():
+    # the sweep holds one block of points, operators and products at a time
+    for label in DEFAULT_FRAME_LABELS:
+        F = frame_from_label(label)  # built outside the trace
+        spec = spec_for_label(label)
+        tracemalloc.start()
+        try:
+            besselian_sweep(F, spec.schedule, spec.samples, spec.seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, (label, peak)
+
+
 def test_dual_descriptors_keep_the_stream_keys():
     # The dual ball's key enters every dual-side random stream, so these
     # literals (compared by repr: 2 and 2.0 key different streams) pin the
@@ -305,8 +419,7 @@ def test_dual_frame_synthesis_reconstructs():
     amalgam = frame_from_label("amalgam:p=3:q=1.5:J=3:window=-1,1")
     for F in (haar_frame(1.5, 4), amalgam):
         Fd = dual_frame(F)
-        rng = np.random.default_rng(37)
-        g = Fd.space.from_coordinates(Fd.space.random_ball_point(rng))
+        g = seeded_ball_point(Fd.space, 37, "elements", 0)
         rebuilt = synthesis_partial(Fd, g, F.full_truncation)
         assert Fd.space.element_norm(g - rebuilt) <= 1e-12
     mu = DualSeq((0.5, 0.0, -2.0, 0.25), 0.0)
@@ -368,14 +481,33 @@ def test_unconditional_sweep_matches_per_truncation_probes():
     # truncation's probe bit for bit
     amalgam = frame_from_label("amalgam:p=2:q=2:J=2:window=-1,1")
     for F in (L1, HAAR4, amalgam):
-        elements = [
-            F.space.from_coordinates(F.space.random_ball_point(derive_rng(3, "elements", k)))
-            for k in range(2)
-        ]
+        elements = [seeded_ball_point(F.space, 3, "elements", k) for k in range(2)]
         schedule = (2, 5, 16)
         results = unconditional_sweep(F, elements, schedule, 4, 42)
         assert results == [
             [unconditional_probe(F, x, N, 4, 42) for x in elements] for N in schedule
+        ]
+
+
+def test_unconditional_sweep_draws_each_trial_once(monkeypatch):
+    # one permutation and sign pattern per (trial, truncation), shared by
+    # every element, with results equal to per-element probes bit for bit
+    for label in DEFAULT_FRAME_LABELS:
+        F = frame_from_label(label)
+        elements = [seeded_ball_point(F.space, 3, "elements", k) for k in range(3)]
+        schedule = spec_for_label(label).schedule
+        calls = []
+
+        def counted(seed, *keys, original=frames_module.derive_rng):
+            calls.append(keys)
+            return original(seed, *keys)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(frames_module, "derive_rng", counted)
+            results = unconditional_sweep(F, elements, schedule, 5, 42)
+        assert len(calls) == 5 * len(schedule)
+        assert results == [
+            [unconditional_probe(F, x, N, 5, 42) for x in elements] for N in schedule
         ]
 
 
@@ -533,7 +665,7 @@ def test_covering_truncations():
     too_fine = GridFunction(6, np.ones(64))
     assert covering_truncation(HAAR4, too_fine) is None
     A = frame_from_label("amalgam:p=2:q=2:J=3:window=-1,1")
-    x = A.space.from_coordinates(A.space.random_ball_point(derive_rng(1, "t")))
+    x = seeded_ball_point(A.space, 1, "t", 0)
     cover = covering_truncation(A, x)
     assert cover == rank_of_index(1, 8)
 
