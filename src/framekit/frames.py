@@ -19,9 +19,9 @@ Conventions used throughout:
   role (primal/dual) they play.  A frame and its dual frame therefore consume
   mirrored streams, and since the besselian sum is symmetric under that
   mirror, one sweep gives both sides' constants (see duality_constant_check).
-* Sums of nonnegative terms go through ``math.fsum`` (exactly rounded), so
-  monotonicity in N and in sample count holds as stated, not just up to
-  rounding luck.
+* Sums of nonnegative terms are exactly rounded (``math.fsum``, or in the
+  sweep a certified array route with the same bits), so monotonicity in N
+  and in sample count holds as stated, not just up to rounding luck.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import Callable, ClassVar, Iterator, Optional
 
 import numpy as np
 
+from . import sums
 from .spaces import (
     AmalgamFunction,
     DualSeq,
@@ -553,6 +554,18 @@ def frame_pair(F: Frame, n: int) -> tuple:
     )
 
 
+# Unit coefficient vectors are synthesized this many ranks at a time.
+_UNIT_BLOCK = 64
+
+
+def _unit_rows(n0: int, n1: int, width: int) -> np.ndarray:
+    """The unit coefficient vectors of the 0-based ranks n0..n1-1, as rows
+    of length width."""
+    units = np.zeros((n1 - n0, width))
+    units[np.arange(n1 - n0), np.arange(n0, n1)] = 1.0
+    return units
+
+
 def _coordinates(space, x) -> np.ndarray:
     """x's coordinates in space; ValueError unless x is an element of it."""
     if not isinstance(x, space.element):
@@ -627,12 +640,22 @@ def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
         yield space.from_coordinates(x), dual.from_coordinates(xstar)
 
 
+# The sweep's prefix sums take at most this many terms at a time.
+_PREFIX_CHUNK = 1 << 14
+
+
 def _sweep_rows(coeffs, evals, x_norms, xstar_norms, schedule: tuple[int, ...]):
-    """(||x||, ||xstar||, prefix fsums of |b_n(x) xstar(a_n)|) per pair, for
-    pairs given by rows of coefficients and evaluations that broadcast."""
-    terms = (row.tolist() for row in np.abs(coeffs * evals))
-    sums = (tuple(math.fsum(values[:N]) for N in schedule) for values in terms)
-    return zip(x_norms, xstar_norms, sums)
+    """(||x||, ||xstar||, exactly rounded prefix sums of |b_n(x) xstar(a_n)|)
+    per pair, for pairs given by rows of coefficients and evaluations that
+    broadcast."""
+    coeffs, evals = np.broadcast_arrays(coeffs, evals)
+    step = max(1, _PREFIX_CHUNK // coeffs.shape[-1])
+    rows = []
+    for i in range(0, len(coeffs), step):
+        terms = coeffs[i : i + step] * evals[i : i + step]
+        np.abs(terms, out=terms)
+        rows.extend(map(tuple, sums.prefix_sums(terms, schedule).tolist()))
+    return zip(x_norms, xstar_norms, rows)
 
 
 def besselian_sweep(
@@ -644,9 +667,9 @@ def besselian_sweep(
     each truncation of the increasing schedule), in ball_pair_sweep's order,
     so memory does not grow with the truncation.  Points go through the
     operators and norms as matrices: the extreme points once each, the
-    random pairs a block at a time.  The sums go through ``math.fsum``:
-    exactly rounded sums of nonnegative terms are monotone in N with no
-    rounding caveats.
+    random pairs a block at a time.  The sums are exactly rounded (bit for
+    bit ``math.fsum``, see sums.prefix_sums): exactly rounded sums of
+    nonnegative terms are monotone in N with no rounding caveats.
     """
     blocks = _ball_blocks(F.space, samples, seed)
     N = schedule[-1]
@@ -730,10 +753,10 @@ def unconditional_sweep(
     """unconditional_probe for every element at every truncation of the
     schedule: one list of results per truncation, in the elements' order.
 
-    The atoms' coordinate rows, the syntheses of unit vectors, are built
-    once, at the largest truncation, and sliced for the smaller ones.  Each
-    trial's permutation and sign pattern is drawn once per truncation, its
-    permuted rows gathered once, and both reused for every element.
+    The atoms' nonzero entries, coordinate by coordinate, are found once, at
+    the largest truncation, synthesizing a block of ranks at a time, and cut
+    down for the smaller ones.  Each trial's permutation and sign pattern is
+    drawn once per truncation and reused for every element.
     """
     elements = [_coordinates(F.space, x) for x in elements]
     for N in schedule:
@@ -743,32 +766,48 @@ def unconditional_sweep(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not schedule:
         return []
-    atoms = F.synth_batch(np.eye(max(schedule)))
-    return [_ordering_probe(F, elements, N, trials, seed, atoms[:N]) for N in schedule]
+    top = max(schedule)
+    ranks, values = sums.nonzero_columns(
+        (n0, F.synth_batch(_unit_rows(n0, min(top, n0 + _UNIT_BLOCK), top)))
+        for n0 in range(0, top, _UNIT_BLOCK)
+    )
+    return [
+        _ordering_probe(F, elements, N, trials, seed, *sums.columns_upto(ranks, values, N))
+        for N in schedule
+    ]
 
 
-def _ordered(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_n coeffs[..., n] rows[n]: reducing over the rank axis adds the
-    scaled rows one after the other in exactly their order, coordinate by
-    coordinate."""
-    return np.add.reduce(coeffs[..., None] * rows, axis=-2)
+# The probe takes its trials a chunk at a time, this many scaled entries.
+_PROBE_CHUNK = 1 << 14
 
 
 def _ordering_probe(
-    F: Frame, elements: list, N: int, trials: int, seed: int, rows: np.ndarray
+    F: Frame, elements: list, N: int, trials: int, seed: int,
+    ranks: np.ndarray, values: np.ndarray,
 ) -> list[UnconditionalResult]:
-    coeffs = [F.coeff_batch(x, N) for x in elements]
-    bases = [_ordered(c, rows) for c in coeffs]
-    deviations = flip_norms = np.zeros(len(elements))
+    # Each sum adds only the atoms' nonzero entries, in the trial's order;
+    # the zero terms left out could change only the sign of a zero sum.
+    coeffs = np.reshape([F.coeff_batch(x, N) for x in elements], (len(elements), N))
+    perms, signs = np.empty((trials, N), dtype=np.intp), np.empty((trials, N))
     for t in range(trials):
         rng = derive_rng(seed, "unconditional", t)
-        perm = rng.permutation(N)
-        signs = rng.integers(0, 2, size=N) * 2 - 1
-        perm_rows = rows[perm]
-        permuted = [_ordered(c[perm], perm_rows) - b for c, b in zip(coeffs, bases)]
-        flipped = [_ordered(signs * c, rows) for c in coeffs]
-        deviations = np.maximum(deviations, F.space.norm(np.array(permuted)))
-        flip_norms = np.maximum(flip_norms, F.space.norm(np.array(flipped)))
+        perms[t] = rng.permutation(N)
+        signs[t] = rng.integers(0, 2, size=N) * 2 - 1
+    bases = sums.in_order(coeffs[:, ranks] * values)
+    live, columns = values != 0.0, np.arange(values.shape[-1])
+    deviations = flip_norms = np.zeros(len(elements))
+    step = max(1, _PROBE_CHUNK // max(1, coeffs.shape[0] * values.size))
+    for t0 in range(0, trials, step):
+        perm, sign = perms[t0 : t0 + step], signs[t0 : t0 + step]
+        # Each column's entries in the order perm draws their ranks.
+        position = np.argsort(perm, axis=-1)
+        drawn = np.argsort(np.where(live, position[:, ranks], N), axis=-2, kind="stable")
+        permuted = sums.in_order(coeffs[:, ranks[drawn, columns]] * values[drawn, columns])
+        flipped = sums.in_order((sign[:, None] * coeffs)[..., ranks] * values)
+        deviations = np.maximum(
+            deviations, F.space.norm(permuted - bases[:, None]).max(axis=1)
+        )
+        flip_norms = np.maximum(flip_norms, F.space.norm(flipped).max(axis=0))
     return [
         UnconditionalResult(
             truncation=N, trials=trials, deviation=float(dev), sign_flip_norm=float(flip)
@@ -998,7 +1037,6 @@ _EXTREME_CANDIDATES = 4
 # ranks at a time, and the catalog's zero pairs show up within the first
 # few ranks.
 _ZERO_SCAN_CAP = 512
-_ZERO_SCAN_BLOCK = 64
 
 
 def validate_schedule(schedule) -> tuple[int, ...]:
@@ -1042,10 +1080,9 @@ def _zero_pair_scan(F: Frame, upto: int) -> tuple[bool, bool]:
     of ranks at a time."""
     horizon = min(upto, _ZERO_SCAN_CAP, F.max_rank or upto)
     some, every = False, horizon >= 1
-    for n0 in range(0, horizon, _ZERO_SCAN_BLOCK):
-        n1 = min(horizon, n0 + _ZERO_SCAN_BLOCK)
-        units = np.zeros((n1 - n0, n1))
-        units[np.arange(n1 - n0), np.arange(n0, n1)] = 1.0
+    for n0 in range(0, horizon, _UNIT_BLOCK):
+        n1 = min(horizon, n0 + _UNIT_BLOCK)
+        units = _unit_rows(n0, n1, n1)
         zero_a = ~F.synth_batch(units).any(axis=-1)
         zero_b = ~F.dual_synth_batch(units).any(axis=-1)
         some = some or bool((zero_a | zero_b).any())

@@ -159,7 +159,7 @@ class SeqVector:
         return cls.from_pairs(pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualSeq:
     """Bounded real sequence with an explicit prefix and a constant tail.
 
@@ -196,6 +196,15 @@ class DualSeq:
         if n <= len(self.prefix):
             return self.prefix[n - 1]
         return self.tail
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DualSeq):
+            return NotImplemented
+        # Past the longer prefix both sides are their tails.
+        width = max(len(self.prefix), len(other.prefix)) + 1
+        return all(self.value_at(n) == other.value_at(n) for n in range(1, width + 1))
+
+    __hash__ = None  # one sequence has prefixes of many lengths
 
     def __add__(self, other: "DualSeq") -> "DualSeq":
         if not isinstance(other, DualSeq):

@@ -1,0 +1,104 @@
+"""Sums whose bits do not depend on how the work is batched.
+
+* ``prefix_sums`` gives exactly rounded prefix sums, the bits of
+  ``math.fsum``, for a whole matrix of terms at once.
+* ``nonzero_columns`` / ``columns_upto`` hold a matrix's nonzero entries
+  column by column, and ``in_order`` adds terms one after the other in a
+  given order, never by numpy's pairwise loop.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterable
+
+import numpy as np
+
+__all__ = ["prefix_sums", "nonzero_columns", "columns_upto", "in_order"]
+
+
+def prefix_sums(terms: np.ndarray, schedule: tuple[int, ...]) -> np.ndarray:
+    """math.fsum(row[:N]) for each row of the matrix terms and each N of the
+    schedule, bit for bit, as a (rows x len(schedule)) array.
+
+    This is Sum2 (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005) on
+    whole rows: running sums s_n by cumsum, each step's rounding error e_n
+    exactly by TwoSum, and r = fl(s_N + sum e_n).  r is certified to be the
+    exactly rounded sum when its rounding residual, plus the bound
+    gamma_{N-1} sum |e_n| on the error of the computed error sum, stays
+    strictly inside half the gap from r to its neighbour on each side; an
+    error sum of 0 means s_N is exact.  Entries left uncertified (exact
+    midpoints, non-finite values) go through math.fsum.
+    """
+    cols = np.asarray(schedule) - 1
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = np.cumsum(terms, axis=-1)
+        e, z = np.empty_like(s), np.empty_like(s)
+        e[:, 0] = z[:, 0] = 0.0
+        # TwoSum of (s_{n-1}, t_n) -> (s_n, e_n), in place.
+        np.subtract(s[:, 1:], s[:, :-1], out=z[:, 1:])
+        np.subtract(s[:, 1:], z[:, 1:], out=e[:, 1:])
+        np.subtract(s[:, :-1], e[:, 1:], out=e[:, 1:])
+        np.subtract(terms[:, 1:], z[:, 1:], out=z[:, 1:])
+        e += z
+        np.abs(e, out=z)
+        np.cumsum(e, axis=-1, out=e)
+        np.cumsum(z, axis=-1, out=z)
+        s, c, a = s[:, cols], e[:, cols], z[:, cols]
+        r = s + c
+        w = r - s
+        residual = (s - (r - w)) + (c - w)
+        # gamma_{N-1} sum |e_n| <= 2 N 2^-53 a, a the computed sum of |e_n|;
+        # the smallest subnormal covers the rounding of an underflow.
+        bound = a * ((cols + 1) * 2.0**-52) + 2.0**-1074
+        above = (np.nextafter(r, math.inf) - r) * 0.5
+        below = (r - np.nextafter(r, -math.inf)) * 0.5
+        exact = (a == 0.0) | (
+            (residual + bound < above) & (bound - residual < below)
+            & (np.abs(r) < np.finfo(float).max)
+        )
+    for i, k in zip(*np.nonzero(~exact)):
+        r[i, k] = math.fsum(terms[i, : schedule[k]].tolist())
+    return r
+
+
+def nonzero_columns(blocks: Iterable[tuple[int, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of a matrix given as (first row, rows) blocks, in
+    row order, all of one width d.
+
+    Returns (rows, values), two K x d arrays, K the largest number of
+    nonzero entries in one column: column j lists the rows nonzero at j,
+    ascending, and those entries; shorter columns are padded with row 0 and
+    value 0.
+    """
+    found = []
+    for r0, block in blocks:
+        row, col = np.nonzero(block)
+        found.append((row + r0, col, block[row, col]))
+    width = block.shape[-1]
+    row, col, value = (np.concatenate(parts) for parts in zip(*found))
+    # A stable sort by column keeps each column's rows ascending.
+    order = np.argsort(col, kind="stable")
+    row, col, value = row[order], col[order], value[order]
+    counts = np.bincount(col, minlength=width)
+    slot = np.arange(len(col)) - (np.cumsum(counts) - counts)[col]
+    rows = np.zeros((counts.max(initial=0), width), dtype=np.intp)
+    values = np.zeros(rows.shape)
+    rows[slot, col], values[slot, col] = row, value
+    return rows, values
+
+
+def columns_upto(rows: np.ndarray, values: np.ndarray, n: int) -> tuple:
+    """nonzero_columns of the matrix's first n rows, cut from the whole."""
+    live = (values != 0.0) & (rows < n)
+    depth = live.sum(axis=0).max(initial=0)
+    return np.where(live, rows, 0)[:depth], np.where(live, values, 0.0)[:depth]
+
+
+def in_order(terms: np.ndarray) -> np.ndarray:
+    """terms summed over the second-to-last axis, one term after the other
+    in that axis's order, coordinate by coordinate."""
+    out = np.zeros(terms.shape[:-2] + terms.shape[-1:])
+    for k in range(terms.shape[-2]):
+        out += terms[..., k, :]
+    return out

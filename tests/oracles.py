@@ -114,3 +114,13 @@ def l1_extreme_point_sup(max_index: int, prefix_len: int) -> float:
 def dense_lp_norm(values: np.ndarray, p: float, cell_measure: float) -> float:
     """(sum |v|^p * cell_measure)^(1/p) computed directly."""
     return float((np.sum(np.abs(values) ** p) * cell_measure) ** (1.0 / p))
+
+
+def in_order_sum(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_n coeffs[n] rows[n] over the dense rows, added rank by rank.
+
+    numpy reduces the leading axis of a C-contiguous matrix with more than
+    one column by adding its rows one after the other, so every coordinate
+    sees its N terms, zeros included, in exactly the rank order given.
+    """
+    return np.add.reduce(coeffs[:, None] * rows, axis=0)

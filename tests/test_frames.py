@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framekit.frames as frames_module
+import framekit.sums as sums_module
 from framekit.catalog import (
     amalgam_frame,
     canonical_l1_frame,
@@ -509,6 +510,85 @@ def test_unconditional_sweep_draws_each_trial_once(monkeypatch):
         assert results == [
             [unconditional_probe(F, x, N, 5, 42) for x in elements] for N in schedule
         ]
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _dense_probe(F, elements, N: int, trials: int, seed: int) -> list:
+    """(deviation, sign-flip norm) per element, with every sum taken over the
+    dense atom rows, zeros included, in the trial's order.  The norms are
+    taken over the elements' stacked sums, as the probe takes them: on a
+    1-d input a norm may round its last step differently."""
+    rows = F.synth_batch(np.eye(N))
+    coeffs = [F.coeff_batch(F.space.coordinates(x), N) for x in elements]
+    bases = [oracles.in_order_sum(c, rows) for c in coeffs]
+    deviations = flips = np.zeros(len(elements))
+    for t in range(trials):
+        rng = derive_rng(seed, "unconditional", t)
+        perm = rng.permutation(N)
+        signs = rng.integers(0, 2, size=N) * 2 - 1
+        permuted = [oracles.in_order_sum(c[perm], rows[perm]) - b for c, b in zip(coeffs, bases)]
+        flipped = [oracles.in_order_sum(signs * c, rows) for c in coeffs]
+        deviations = np.maximum(deviations, F.space.norm(np.array(permuted)))
+        flips = np.maximum(flips, F.space.norm(np.array(flipped)))
+    return list(zip(deviations.tolist(), flips.tolist()))
+
+
+def _probe_pairs(F, elements, schedule, trials, seed) -> list:
+    return [
+        [(r.deviation, r.sign_flip_norm) for r in results]
+        for results in unconditional_sweep(F, elements, schedule, trials, seed)
+    ]
+
+
+def test_unconditional_sweep_matches_the_dense_in_order_oracle():
+    cases = [(frame_from_label(label), spec_for_label(label).schedule)
+             for label in DEFAULT_FRAME_LABELS]
+    cases += [
+        (frame_from_label("haar:p=3:J=5"), (4, 16, 32)),
+        (frame_from_label("amalgam:p=3:q=1.5:J=2:window=-3,1"), (4, 16, 45)),
+        (dual_frame(frame_from_label("haar:p=3:J=5")), (3, 32)),
+        (dual_frame(L1), (4, 30)),
+    ]
+    for F, schedule in cases:
+        elements = [seeded_ball_point(F.space, 3, "elements", k) for k in range(3)]
+        got = _probe_pairs(F, elements, schedule, 6, 42)
+        want = [_dense_probe(F, elements, N, 6, 42) for N in schedule]
+        assert _bits(got) == _bits(want), F.label
+
+
+def test_unconditional_sweep_adds_in_order_where_pairwise_sums_differ(monkeypatch):
+    # At J = 8 each grid cell lies in 9 Haar atoms, enough for numpy's
+    # unrolled pairwise loop, which a reduce over a strided axis would run.
+    F = frame_from_label("haar:p=2:J=8")
+    elements = [seeded_ball_point(F.space, 3, "elements", k) for k in range(3)]
+    want = [_dense_probe(F, elements, 256, 6, 42)]
+    assert _bits(_probe_pairs(F, elements, (256,), 6, 42)) == _bits(want)
+
+    def pairwise(terms):
+        return np.add.reduce(np.ascontiguousarray(np.moveaxis(terms, -2, -1)), axis=-1)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sums_module, "in_order", pairwise)
+        assert _bits(_probe_pairs(F, elements, (256,), 6, 42)) != _bits(want)
+
+
+def test_unconditional_sweep_memory_is_linear_in_the_truncation():
+    # the atoms are synthesized a block of ranks at a time, never as an
+    # N x N identity
+    x = seeded_ball_point(L1.space, 1, "elements", 0)
+    peaks = {}
+    for N in (1024, 2048):
+        tracemalloc.start()
+        try:
+            unconditional_sweep(L1, [x], (N,), 1, 1)
+            peaks[N] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2048] < 8 * 2**20, peaks
+    assert peaks[2048] <= 2.5 * peaks[1024], peaks
 
 
 def test_unconditional_deviation_vanishes_at_covering():

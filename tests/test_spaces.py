@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framekit.frames import AmalgamSpace, DualSequenceSpace, GridSpace, SequenceSpace
+from framekit.frames import (
+    AmalgamSpace,
+    DualSequenceSpace,
+    GridSpace,
+    SequenceSpace,
+    seeded_ball_point,
+)
 from framekit.spaces import (
     AmalgamFunction,
     DualSeq,
@@ -109,6 +115,33 @@ def test_linf_norm_small_cases():
     assert linf_norm(DualSeq((1.0, -2.0, 3.0), 0.0)) == 3.0
     assert linf_norm(DualSeq((), 1.0)) == 1.0
     assert linf_norm(DualSeq((0.5,), 0.75)) == 0.75
+
+
+def test_dual_seq_equality_compares_values():
+    assert DualSeq((1.0,), 1.0) == DualSeq((), 1.0)
+    assert DualSeq((), 1.0) == DualSeq((1.0,), 1.0)
+    assert DualSeq((0.5, 2.0, 2.0), 2.0) == DualSeq((0.5,), 2.0)
+    assert DualSeq((-0.0,), 0.0) == DualSeq()
+    assert DualSeq((1.0,), 1.0) != DualSeq((), -1.0)
+    assert DualSeq((1.0, 2.0), 0.0) != DualSeq((1.0,), 0.0)
+    assert DualSeq((1.0,), 2.0) != DualSeq((1.0,), 2.5)
+    assert DualSeq() != SeqVector()
+    with pytest.raises(TypeError):
+        hash(DualSeq())
+
+
+def test_sup_ball_points_equal_their_short_form():
+    # sup-ball points carry a full-width prefix padded with the tail
+    trimmed = 0
+    for k in range(8):
+        point = seeded_ball_point(DualSequenceSpace(), 42, "ball", k)
+        prefix = point.prefix
+        while prefix and prefix[-1] == point.tail:
+            prefix = prefix[:-1]
+        trimmed += len(prefix) < len(point.prefix)
+        assert point == DualSeq(prefix, point.tail)
+        assert DualSeq(prefix, point.tail) == point
+    assert trimmed > 0
 
 
 def test_pairing_psi_small_cases():
