@@ -359,11 +359,19 @@ def amalgam_frame(base: Frame, q: float, window: tuple[int, int]) -> Frame:
         need = min(2**f.level, base_max)
         return max(rank_of_index(m, need) for m in support)
 
+    def coeff_batch(f: np.ndarray, N: int) -> np.ndarray:
+        return _gather(base.coeff_batch, f, N)
+
+    def eval_batch(g: np.ndarray, N: int) -> np.ndarray:
+        return _gather(base.eval_batch, g, N)
+
     return Frame(
         space=space,
         label=label,
-        coeff_batch=lambda f, N: _gather(base.coeff_batch, f, N),
-        eval_batch=lambda g, N: _gather(base.eval_batch, g, N),
+        coeff_batch=coeff_batch,
+        # Translates of a family with a_n = b_n keep a_n = b_n: one callable
+        # serves both roles, as on the base.
+        eval_batch=coeff_batch if base.eval_batch is base.coeff_batch else eval_batch,
         synth_batch=lambda coeffs: _scatter(base.synth_batch, coeffs),
         dual_synth_batch=lambda coeffs: _scatter(base.dual_synth_batch, coeffs),
         full_truncation=int(ranks[-1]),

@@ -519,6 +519,7 @@ class Frame:
     ``synth_batch(c)`` returns sum c_n a_n and ``dual_synth_batch(c)`` returns
     sum c_n b_n, n = 1..len(c).  They must be deterministic and linear, so the
     rank-n pair is the synthesis of the n-th unit coefficient vector.
+    ``eval_batch is coeff_batch`` states that a_n = b_n.
     ``max_rank`` bounds the representable ranks (None = every rank is valid).
     ``full_truncation`` is the rank horizon after which every representable
     element of the space is reconstructed exactly, when such a horizon exists.
@@ -611,16 +612,11 @@ def besselian_sum(F: Frame, x, xstar, N: int) -> float:
 _SWEEP_BLOCK = 64
 
 
-def _ball_blocks(space, samples: int, seed: int) -> Iterator[tuple]:
-    """The sweep's seeded random pairs, keyed by ball identity, a block at a
-    time: (rows of x, rows of xstar) for samples k0..k1-1."""
+def _sample_blocks(samples: int) -> list[tuple[int, int]]:
+    """The sweep's sample ranges k0..k1-1, a block at a time."""
     if samples < 0:
         raise ValueError(f"sample count must be >= 0, got {samples}")
-    bounds = [(k, min(samples, k + _SWEEP_BLOCK)) for k in range(0, samples, _SWEEP_BLOCK)]
-    return (
-        (_ball_block(space, seed, "ball", *b), _ball_block(space.dual, seed, "ball", *b))
-        for b in bounds
-    )
+    return [(k, min(samples, k + _SWEEP_BLOCK)) for k in range(0, samples, _SWEEP_BLOCK)]
 
 
 def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
@@ -629,12 +625,14 @@ def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
     This single sweep is shared by the constant estimate and by the bound
     checks run against it, so the estimate's budget is always a superset of
     the checked pairs.  Random draws are keyed by the ball's identity, which
-    mirrors the streams between a frame and its dual frame.
+    mirrors the streams between a frame and its dual frame.  x and xstar
+    never share a buffer.
     """
     dual = space.dual
     extremes = itertools.product(space.extreme_ball_points(), dual.extreme_ball_points())
     draws = itertools.chain.from_iterable(
-        zip(xs, xstars) for xs, xstars in _ball_blocks(space, samples, seed)
+        zip(_ball_block(space, seed, "ball", *b), _ball_block(dual, seed, "ball", *b))
+        for b in _sample_blocks(samples)
     )
     for x, xstar in itertools.chain(extremes, draws):
         yield space.from_coordinates(x), dual.from_coordinates(xstar)
@@ -648,13 +646,17 @@ def _sweep_rows(coeffs, evals, x_norms, xstar_norms, schedule: tuple[int, ...]):
     """(||x||, ||xstar||, exactly rounded prefix sums of |b_n(x) xstar(a_n)|)
     per pair, for pairs given by rows of coefficients and evaluations that
     broadcast."""
-    coeffs, evals = np.broadcast_arrays(coeffs, evals)
-    step = max(1, _PREFIX_CHUNK // coeffs.shape[-1])
+    terms = coeffs * evals
+    np.abs(terms, out=terms)
+    # Terms past the last nonzero column are +0.0 and change no exactly
+    # rounded prefix sum: cut there.
+    live = np.flatnonzero(terms.any(axis=0))
+    w = int(live[-1]) + 1 if len(live) else 1
+    terms, cut = terms[:, :w], tuple(min(n, w) for n in schedule)
+    step = max(1, _PREFIX_CHUNK // w)
     rows = []
-    for i in range(0, len(coeffs), step):
-        terms = coeffs[i : i + step] * evals[i : i + step]
-        np.abs(terms, out=terms)
-        rows.extend(map(tuple, sums.prefix_sums(terms, schedule).tolist()))
+    for i in range(0, len(terms), step):
+        rows.extend(map(tuple, sums.prefix_sums(terms[i : i + step], cut).tolist()))
     return zip(x_norms, xstar_norms, rows)
 
 
@@ -670,23 +672,35 @@ def besselian_sweep(
     random pairs a block at a time.  The sums are exactly rounded (bit for
     bit ``math.fsum``, see sums.prefix_sums): exactly rounded sums of
     nonnegative terms are monotone in N with no rounding caveats.
+    A self-dual ball (``space.dual == space``) is drawn and measured once
+    for x and xstar, and a family with a_n = b_n analysed once for both
+    roles; neither moves a bit.
     """
-    blocks = _ball_blocks(F.space, samples, seed)
+    bounds = _sample_blocks(samples)
     N = schedule[-1]
     _check_rank(F, N)
     space, dual = F.space, F.space.dual
-    xs, xstars = space.extreme_ball_points(), dual.extreme_ball_points()
-    evals, xstar_norms = F.eval_batch(xstars, N), dual.norm(xstars).tolist()
+    self_dual = dual == space
+
+    def measure(x, xstar):
+        """(coeffs, evals, ||x||, ||xstar||) of the rows x and xstar."""
+        coeffs, x_norms = F.coeff_batch(x, N), space.norm(x).tolist()
+        if xstar is x:
+            evals = coeffs if F.eval_batch is F.coeff_batch else F.eval_batch(x, N)
+            return coeffs, evals, x_norms, x_norms
+        return coeffs, F.eval_batch(xstar, N), x_norms, dual.norm(xstar).tolist()
+
+    xs = space.extreme_ball_points()
+    coeffs, evals, x_norms, xstar_norms = measure(
+        xs, xs if self_dual else dual.extreme_ball_points()
+    )
     rows = []
-    for coeffs, nx in zip(F.coeff_batch(xs, N), space.norm(xs).tolist()):
-        rows.extend(
-            _sweep_rows(coeffs, evals, itertools.repeat(nx), xstar_norms, schedule)
-        )
-    for x, xstar in blocks:
-        rows.extend(_sweep_rows(
-            F.coeff_batch(x, N), F.eval_batch(xstar, N),
-            space.norm(x).tolist(), dual.norm(xstar).tolist(), schedule,
-        ))
+    for c, nx in zip(coeffs, x_norms):
+        rows.extend(_sweep_rows(c, evals, itertools.repeat(nx), xstar_norms, schedule))
+    for b in bounds:
+        x = _ball_block(space, seed, "ball", *b)
+        xstar = x if self_dual else _ball_block(dual, seed, "ball", *b)
+        rows.extend(_sweep_rows(*measure(x, xstar), schedule))
     return rows
 
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
+import numpy as np
+
 from . import __version__
 from .catalog import frame_from_label
 from .frames import (
@@ -36,7 +38,6 @@ from .frames import (
     frame_has_zero_elements,
     reflexivity_probe,
     seeded_ball_point,
-    sweep_constants,
     unconditional_sweep,
     validate_schedule,
 )
@@ -187,12 +188,11 @@ class _SpecResults:
         the max of besselian_sum - L-hat ||x|| ||x*|| over the swept pairs."""
         spec = self.spec
         rows = besselian_sweep(self.frame, spec.schedule, spec.samples, spec.seed)
-        constants = sweep_constants(rows)
-        margins = [
-            max(sums[i] - lhat * nx * nxs for nx, nxs, sums in rows)
-            for i, lhat in enumerate(constants)
-        ]
-        return constants, margins
+        nx, nxs, S = (np.array(column) for column in zip(*rows))
+        lhat = S.max(axis=0)
+        # (lhat * nx) * nxs is Python's left-to-right lhat * nx * nxs.
+        margins = (S - lhat * nx[:, None] * nxs[:, None]).max(axis=0)
+        return lhat.tolist(), margins.tolist()
 
     @cached_property
     def zero_flags(self) -> tuple[str, ...]:

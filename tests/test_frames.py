@@ -1,6 +1,7 @@
 """Frame-level computations: expansions, besselian sums, constants, duals,
 tail probes, rearrangement probes, and report plumbing."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -371,6 +372,136 @@ def test_besselian_sweep_memory_stays_small():
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20, (label, peak)
+
+
+# ---------------------------------------------------------------------------
+# the sweep skips work whose result it already holds, and no bit moves
+# ---------------------------------------------------------------------------
+
+
+def test_sweep_rows_are_besselian_sums_past_the_cut(monkeypatch):
+    # the prefix sums stop at the last column holding a nonzero term, and
+    # every row is still besselian_sum over the matching ball_pair_sweep pair
+    calls = []
+    prefix_sums = sums_module.prefix_sums
+
+    def spy(terms, schedule):
+        calls.append((terms.shape[1], schedule))
+        return prefix_sums(terms, schedule)
+
+    monkeypatch.setattr(sums_module, "prefix_sums", spy)
+    samples = frames_module._SWEEP_BLOCK + 6
+    cases = (
+        ("haar:p=3:J=7", (1, 3, 16, 40, 128)),
+        ("l1-canonical", (2, 5, 24, 40)),
+        ("zero", (1, 4)),
+    )
+    for label, schedule in cases:
+        F = frame_from_label(label)
+        calls.clear()
+        rows = besselian_sweep(F, schedule, samples, 5)
+        pairs = list(ball_pair_sweep(F.space, samples, 5))
+        assert len(rows) == len(pairs)
+        for (_nx, _nxs, got), (x, xstar) in zip(rows, pairs):
+            assert got == tuple(besselian_sum(F, x, xstar, N) for N in schedule)
+        for w, cut in calls:
+            assert cut == tuple(min(N, w) for N in schedule)
+        widths = [w for w, _ in calls]
+        if label == "zero":
+            assert set(widths) == {1}
+        else:
+            # some chunks are cut with schedule entries below and above the cut
+            assert any(schedule[0] < w < schedule[-1] for w in widths)
+        if label.startswith("haar"):
+            # one chunk per coarse extreme x, none wider than rank 32
+            assert max(widths[:32]) == 32 and widths[32:] == [128, 128]
+
+
+def test_self_dual_sweeps_draw_and_analyse_once(monkeypatch):
+    # a self-dual ball draws each block once; a family with a_n = b_n runs
+    # one analysis for both roles; neither moves a bit of any row
+    draws = []
+    stream_words = frames_module._stream_words
+
+    def spy(space, *args):
+        draws.append(space)
+        return stream_words(space, *args)
+
+    monkeypatch.setattr(frames_module, "_stream_words", spy)
+    blocks = 3
+    samples = (blocks - 1) * frames_module._SWEEP_BLOCK + 1
+    cases = (
+        ("haar:p=2:J=5", 1),
+        ("amalgam:p=2:q=2:J=2:window=-1,1", 1),
+        ("haar:p=3:J=5", 2),
+        ("l1-canonical", 2),
+    )
+    for label, per_block in cases:
+        F = frame_from_label(label)
+        space, dual = F.space, F.space.dual
+        draws.clear()
+        rows = besselian_sweep(F, (4, 16), samples, 3)
+        assert len(draws) == blocks * per_block
+        assert (dual == space) == (per_block == 1)
+        # the random pairs' norms are those of the two sides' own draws
+        nx = space.norm(frames_module._ball_block(space, 3, "ball", 0, samples))
+        nxs = dual.norm(frames_module._ball_block(dual, 3, "ball", 0, samples))
+        assert [r[:2] for r in rows[-samples:]] == list(zip(nx.tolist(), nxs.tolist()))
+
+    analyses = []
+
+    def counted(batch):
+        def wrapped(values, N):
+            analyses.append(N)
+            return batch(values, N)
+
+        return wrapped
+
+    for label in ("haar:p=2:J=5", "amalgam:p=2:q=2:J=2:window=-1,1"):
+        F = frame_from_label(label)
+        one = counted(F.coeff_batch)
+        shared = dataclasses.replace(F, coeff_batch=one, eval_batch=one)
+        split = dataclasses.replace(
+            F, coeff_batch=counted(F.coeff_batch), eval_batch=counted(F.eval_batch)
+        )
+        analyses.clear()
+        rows = besselian_sweep(shared, (4, 16), samples, 3)
+        assert len(analyses) == 1 + blocks  # the extreme points, then each block
+        analyses.clear()
+        assert besselian_sweep(split, (4, 16), samples, 3) == rows
+        assert len(analyses) == 2 * (1 + blocks)
+
+
+def test_ball_pair_sweep_points_own_their_coordinates():
+    def buffers(element):
+        if isinstance(element, GridFunction):
+            return [element.coefficients]
+        return [cell.coefficients for cell in element.cells.values()]
+
+    for space in (
+        GridSpace(2.0, 4),
+        GridSpace(3.0, 4),
+        AmalgamSpace(2.0, 2.0, (-1, 1), 2),
+        AmalgamSpace(3.0, 1.5, (-1, 1), 2),
+    ):
+        for x, xstar in ball_pair_sweep(space, frames_module._SWEEP_BLOCK + 3, 2):
+            for a in buffers(x):
+                assert not any(np.shares_memory(a, b) for b in buffers(xstar))
+
+
+def test_self_dual_families_share_one_operator():
+    haar = frame_from_label("haar:p=3:J=4")
+    split = dataclasses.replace(haar, eval_batch=lambda g, N: haar.eval_batch(g, N))
+    for F in (
+        haar,
+        frame_from_label("haar:p=2:J=5"),
+        frame_from_label("amalgam:p=2:q=2:J=2:window=-1,1"),
+        amalgam_frame(haar, 1.5, (-1, 1)),
+    ):
+        assert F.eval_batch is F.coeff_batch
+        assert dual_frame(F).eval_batch is dual_frame(F).coeff_batch
+    for F in (L1, split, amalgam_frame(split, 1.5, (-1, 1))):
+        assert F.eval_batch is not F.coeff_batch
 
 
 def test_dual_descriptors_keep_the_stream_keys():

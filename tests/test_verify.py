@@ -8,6 +8,7 @@ import pytest
 
 import framekit.verify as verify
 from framekit.catalog import frame_from_label
+from framekit.frames import besselian_sweep, sweep_constants
 from framekit.frames import dual_frame, estimate_frame_constant
 from framekit.verify import (
     DEFAULT_FRAME_LABELS,
@@ -212,6 +213,23 @@ def test_shared_sweep_rows_match_per_frame_estimates():
             assert rows[("duality", "constant-primal", N)] == lhat
             ld = estimate_frame_constant(Fd, N, spec.samples, spec.seed)
             assert rows[("duality", "constant-dual", N)] == ld
+
+
+def test_sweep_margins_match_the_per_pair_generator():
+    # the margins on arrays are bit for bit Python's left-to-right
+    # sums[i] - lhat * nx * nxs, maximized pair by pair
+    for label in DEFAULT_FRAME_LABELS + ("haar:p=3:J=6",):
+        spec = spec_for_label(label)
+        rows = besselian_sweep(frame_from_label(label), spec.schedule, spec.samples, spec.seed)
+        constants = sweep_constants(rows)
+        margins = [
+            max(sums[i] - lhat * nx * nxs for nx, nxs, sums in rows)
+            for i, lhat in enumerate(constants)
+        ]
+        got = verify._SpecResults(spec).sweep
+        assert [[v.hex() for v in vs] for vs in got] == [
+            [v.hex() for v in vs] for vs in (constants, margins)
+        ]
 
 
 def test_run_all_sweeps_each_spec_once(monkeypatch):
