@@ -7,7 +7,7 @@ shrinking/boundedly-complete decay, rearrangement stability) into
 deterministic pass/fail reports.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 from .spaces import (  # noqa: E402
     AmalgamFunction,

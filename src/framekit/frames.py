@@ -642,22 +642,47 @@ def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
 _PREFIX_CHUNK = 1 << 14
 
 
-def _sweep_rows(coeffs, evals, x_norms, xstar_norms, schedule: tuple[int, ...]):
-    """(||x||, ||xstar||, exactly rounded prefix sums of |b_n(x) xstar(a_n)|)
-    per pair, for pairs given by rows of coefficients and evaluations that
-    broadcast."""
-    terms = coeffs * evals
-    np.abs(terms, out=terms)
-    # Terms past the last nonzero column are +0.0 and change no exactly
-    # rounded prefix sum: cut there.
+def _live_width(terms: np.ndarray) -> int:
+    """Columns up to and including the last one holding a nonzero entry;
+    at least 1."""
     live = np.flatnonzero(terms.any(axis=0))
-    w = int(live[-1]) + 1 if len(live) else 1
+    return int(live[-1]) + 1 if len(live) else 1
+
+
+def _prefix_rows(products: np.ndarray, schedule: tuple[int, ...]) -> list[tuple]:
+    """Exactly rounded prefix sums of |products| per row, at most
+    _PREFIX_CHUNK terms per call; products is overwritten.  Terms past the
+    last nonzero column are +0.0 and change no exactly rounded prefix sum:
+    they are cut."""
+    terms = np.abs(products, out=products)
+    w = _live_width(terms)
     terms, cut = terms[:, :w], tuple(min(n, w) for n in schedule)
     step = max(1, _PREFIX_CHUNK // w)
     rows = []
     for i in range(0, len(terms), step):
         rows.extend(map(tuple, sums.prefix_sums(terms[i : i + step], cut).tolist()))
-    return zip(x_norms, xstar_norms, rows)
+    return rows
+
+
+def _extreme_rows(coeffs: np.ndarray, evals: np.ndarray, schedule: tuple[int, ...]) -> list:
+    """_prefix_rows of |b_n(x) xstar(a_n)| for every pair of a coefficient
+    row x and an evaluation row xstar, x-major as in ball_pair_sweep.
+
+    Finite factors are cut first, at the last column where some row of each
+    is nonzero: every later product is +0.0.  A non-finite factor can make
+    a product NaN (inf * 0), so then the whole product is formed first.  The
+    outer product is built a chunk of x rows at a time, each chunk at most
+    _PREFIX_CHUNK terms (at least one x row).
+    """
+    if np.isfinite(coeffs).all() and np.isfinite(evals).all():
+        w = min(_live_width(coeffs), _live_width(evals))
+        coeffs, evals = coeffs[:, :w], evals[:, :w]
+    step = max(1, _PREFIX_CHUNK // max(1, evals.size))
+    rows = []
+    for i in range(0, len(coeffs), step):
+        products = coeffs[i : i + step, None] * evals
+        rows.extend(_prefix_rows(products.reshape(-1, evals.shape[-1]), schedule))
+    return rows
 
 
 def besselian_sweep(
@@ -694,13 +719,13 @@ def besselian_sweep(
     coeffs, evals, x_norms, xstar_norms = measure(
         xs, xs if self_dual else dual.extreme_ball_points()
     )
-    rows = []
-    for c, nx in zip(coeffs, x_norms):
-        rows.extend(_sweep_rows(c, evals, itertools.repeat(nx), xstar_norms, schedule))
+    pairs = itertools.product(x_norms, xstar_norms)
+    rows = [(nx, nxs, s) for (nx, nxs), s in zip(pairs, _extreme_rows(coeffs, evals, schedule))]
     for b in bounds:
         x = _ball_block(space, seed, "ball", *b)
         xstar = x if self_dual else _ball_block(dual, seed, "ball", *b)
-        rows.extend(_sweep_rows(*measure(x, xstar), schedule))
+        coeffs, evals, x_norms, xstar_norms = measure(x, xstar)
+        rows.extend(zip(x_norms, xstar_norms, _prefix_rows(coeffs * evals, schedule)))
     return rows
 
 
@@ -769,8 +794,9 @@ def unconditional_sweep(
 
     The atoms' nonzero entries, coordinate by coordinate, are found once, at
     the largest truncation, synthesizing a block of ranks at a time, and cut
-    down for the smaller ones.  Each trial's permutation and sign pattern is
-    drawn once per truncation and reused for every element.
+    down for the smaller ones.  Each trial's stream is derived once and
+    rewound for every truncation; its permutation and sign pattern are drawn
+    once per truncation and reused for every element.
     """
     elements = [_coordinates(F.space, x) for x in elements]
     for N in schedule:
@@ -785,8 +811,10 @@ def unconditional_sweep(
         (n0, F.synth_batch(_unit_rows(n0, min(top, n0 + _UNIT_BLOCK), top)))
         for n0 in range(0, top, _UNIT_BLOCK)
     )
+    rngs = [derive_rng(seed, "unconditional", t) for t in range(trials)]
+    starts = [rng.bit_generator.state for rng in rngs]
     return [
-        _ordering_probe(F, elements, N, trials, seed, *sums.columns_upto(ranks, values, N))
+        _ordering_probe(F, elements, N, rngs, starts, *sums.columns_upto(ranks, values, N))
         for N in schedule
     ]
 
@@ -796,15 +824,17 @@ _PROBE_CHUNK = 1 << 14
 
 
 def _ordering_probe(
-    F: Frame, elements: list, N: int, trials: int, seed: int,
+    F: Frame, elements: list, N: int, rngs: list, starts: list,
     ranks: np.ndarray, values: np.ndarray,
 ) -> list[UnconditionalResult]:
     # Each sum adds only the atoms' nonzero entries, in the trial's order;
     # the zero terms left out could change only the sign of a zero sum.
+    # Trial t draws from the start of its stream at every truncation.
     coeffs = np.reshape([F.coeff_batch(x, N) for x in elements], (len(elements), N))
+    trials = len(rngs)
     perms, signs = np.empty((trials, N), dtype=np.intp), np.empty((trials, N))
-    for t in range(trials):
-        rng = derive_rng(seed, "unconditional", t)
+    for t, (rng, start) in enumerate(zip(rngs, starts)):
+        rng.bit_generator.state = start
         perms[t] = rng.permutation(N)
         signs[t] = rng.integers(0, 2, size=N) * 2 - 1
     bases = sums.in_order(coeffs[:, ranks] * values)
@@ -854,9 +884,13 @@ def unconditional_deviation(F: Frame, x, N: int, trials: int, seed: int) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _tail_only(coeffs: np.ndarray, N: int, M: int) -> np.ndarray:
-    """The coefficients of ranks N+1..M, with ranks 1..N zeroed."""
-    return np.concatenate((np.zeros(N), coeffs[N:M]))
+def _tail_norms(coeffs: np.ndarray, synthesis, norm, N: int, M: int):
+    """Norm of the synthesis of ranks N+1..M of each row of coefficients
+    (the last axis, at least M long); every operator acts row by row, so a
+    row's value does not depend on the other rows."""
+    tail = coeffs[..., :M].copy()
+    tail[..., :N] = 0.0
+    return norm(synthesis(tail))
 
 
 def _check_horizon(N: int, M: int) -> None:
@@ -864,21 +898,12 @@ def _check_horizon(N: int, M: int) -> None:
         raise ValueError(f"need horizon M > truncation N >= 0, got N={N}, M={M}")
 
 
-def _shrinking_tail(F: Frame, xstar: np.ndarray, N: int, M: int) -> float:
-    _check_horizon(N, M)
-    coeffs = _tail_only(F.eval_batch(xstar, M), N, M)
-    return float(F.space.dual.norm(F.dual_synth_batch(coeffs)))
-
-
-def _boundedly_complete_tail(F: Frame, xss: np.ndarray, N: int, M: int) -> float:
-    _check_horizon(N, M)
-    coeffs = _tail_only(F.coeff_batch(xss, M), N, M)
-    return float(F.space.norm(F.synth_batch(coeffs)))
-
-
 def shrinking_tail(F: Frame, xstar, N: int, M: int) -> float:
     """Dual-space norm of sum_{N<n<=M} xstar(a_n) b_n."""
-    return _shrinking_tail(F, _coordinates(F.space.dual, xstar), N, M)
+    values = _coordinates(F.space.dual, xstar)
+    _check_horizon(N, M)
+    coeffs = F.eval_batch(values, M)
+    return float(_tail_norms(coeffs, F.dual_synth_batch, F.space.dual.norm, N, M))
 
 
 def boundedly_complete_tail(F: Frame, xss, N: int, M: int) -> float:
@@ -889,7 +914,10 @@ def boundedly_complete_tail(F: Frame, xss, N: int, M: int) -> float:
         raise DualRepresentationError(
             f"bidual elements of {F.space.describe()} have no finite representation"
         )
-    return _boundedly_complete_tail(F, _coordinates(F.space, xss), N, M)
+    values = _coordinates(F.space, xss)
+    _check_horizon(N, M)
+    coeffs = F.coeff_batch(values, M)
+    return float(_tail_norms(coeffs, F.synth_batch, F.space.norm, N, M))
 
 
 def duality_constant_check(
@@ -1156,12 +1184,23 @@ def reflexivity_probe(
         flags.append("zero-elements")
     settled = F.full_truncation is None or schedule[-1] >= F.full_truncation
 
-    def run_leg(name: str, tail_fn, candidates: list) -> tuple[str, float]:
+    horizons = [_HORIZON_FACTOR * N for N in schedule]
+    if F.max_rank is not None:
+        horizons = [min(M, F.max_rank) for M in horizons]
+
+    def run_leg(name: str, ball, purpose: str, analysis, synthesis) -> tuple[str, float]:
+        # Deterministic extreme points first, then seeded random draws, each
+        # block through one analysis out to the largest horizon that is used.
+        blocks = [ball.extreme_ball_points()[:_EXTREME_CANDIDATES]] + [
+            _ball_block(ball, cfg.seed, purpose, *b) for b in _sample_blocks(cfg.samples)
+        ]
+        top = max((M for N, M in zip(schedule, horizons) if M > N), default=None)
+        coeffs = [analysis(block, top) for block in blocks] if top else []
         values = []
-        for N in schedule:
-            worst = max(
-                clamped_tail(tail_fn, F, c, N, _HORIZON_FACTOR * N) for c in candidates
-            )
+        for N, M in zip(schedule, horizons):
+            worst = 0.0  # as clamped_tail, when no rank is left past N
+            if M > N:
+                worst = float(max(_tail_norms(c, synthesis, ball.norm, N, M).max() for c in coeffs))
             values.append(worst)
             probes.append(ProbeResult(f"{name}-tail", N, worst))
         first, last = values[0], values[-1]
@@ -1177,21 +1216,13 @@ def reflexivity_probe(
         )
         return "undecided", last
 
-    def candidates(ball, purpose: str) -> list:
-        # Deterministic extreme points first, then seeded random draws.
-        return list(ball.extreme_ball_points()[:_EXTREME_CANDIDATES]) + list(
-            _ball_block(ball, cfg.seed, purpose, 0, cfg.samples)
-        )
-
     shrink_state, shrink_last = run_leg(
-        "shrinking", _shrinking_tail, candidates(space.dual, "probe-dual")
+        "shrinking", space.dual, "probe-dual", F.eval_batch, F.dual_synth_batch
     )
 
     if space.bidual_representable:
         bc_state, bc_last = run_leg(
-            "boundedly-complete",
-            _boundedly_complete_tail,
-            candidates(space, "probe-bidual"),
+            "boundedly-complete", space, "probe-bidual", F.coeff_batch, F.synth_batch
         )
     else:
         bc_state = "not representable"

@@ -245,6 +245,14 @@ def l1_values_norm(values):
     return np.array([math.fsum(row) for row in rows]).reshape(vals.shape[:-1])[()]
 
 
+def _root(totals: np.ndarray, r: float):
+    """totals ** (1/r), dropping the kept last axis of length 1.  The power
+    acts on an array even for a single norm: numpy's scalar power may round
+    differently from its array power, and a 1-d input must give the bits of
+    the same row in a batch."""
+    return (totals ** (1.0 / r))[..., 0][()]
+
+
 def sup_values_norm(values):
     """max |v_n| along a nonempty last axis."""
     return np.max(np.abs(values), axis=-1)
@@ -392,7 +400,7 @@ def grid_values_norm(values, p: float, level: int):
         return vals.sum(axis=-1) * cell
     if p == 2.0:
         return np.sqrt((vals * vals).sum(axis=-1) * cell)
-    return ((vals**p).sum(axis=-1) * cell) ** (1.0 / p)
+    return _root((vals**p).sum(axis=-1, keepdims=True) * cell, p)
 
 
 def pairing_phi(fdual: GridFunction, g: GridFunction) -> float:
@@ -528,7 +536,7 @@ def amalgam_values_norm(cells, p: float, q: float, level: int):
     """amalgam_norm of the functions whose cells hold these level-J rows:
     cells[..., m, :] is cell m of one function."""
     cell_norms = grid_values_norm(cells, p, level)
-    return (cell_norms**q).sum(axis=-1) ** (1.0 / q)
+    return _root((cell_norms**q).sum(axis=-1, keepdims=True), q)
 
 
 def pairing_phi_pq(fdual: AmalgamFunction, g: AmalgamFunction) -> float:

@@ -2,6 +2,7 @@
 tail probes, rearrangement probes, and report plumbing."""
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -37,6 +38,7 @@ from framekit.frames import (
     besselian_sum,
     besselian_sweep,
     boundedly_complete_tail,
+    clamped_tail,
     coefficient_products,
     coefficient_sequence,
     covering_truncation,
@@ -413,8 +415,91 @@ def test_sweep_rows_are_besselian_sums_past_the_cut(monkeypatch):
             # some chunks are cut with schedule entries below and above the cut
             assert any(schedule[0] < w < schedule[-1] for w in widths)
         if label.startswith("haar"):
-            # one chunk per coarse extreme x, none wider than rank 32
-            assert max(widths[:32]) == 32 and widths[32:] == [128, 128]
+            # the 32 x 32 extreme pairs in two chunks of 16 x rows, their
+            # factors cut at rank 32, then one call per sample block
+            assert widths == [16, 32, 128, 128]
+
+
+def _frame_with_a_nan_column() -> Frame:
+    """l1-canonical with every coefficient past rank 29 infinite and every
+    evaluation past rank 19 zero: the products past rank 29 are inf * 0."""
+    space = SequenceSpace()
+
+    def coeff_batch(x, N):
+        out = space.values(x, N)
+        out[..., 29:] = math.inf
+        return out
+
+    def eval_batch(xstar, N):
+        out = space.dual.values(xstar, N)
+        out[..., 19:] = 0.0
+        return out
+
+    return dataclasses.replace(
+        canonical_l1_frame(), label="nan-column", coeff_batch=coeff_batch,
+        eval_batch=eval_batch,
+    )
+
+
+def test_sweep_with_a_non_finite_factor_forms_the_products_first(monkeypatch):
+    # cutting the factors at rank 19 would drop the inf * 0 = NaN terms
+    F, schedule, samples = _frame_with_a_nan_column(), (4, 19, 30, 40), 10
+    widths = []
+    prefix_sums = sums_module.prefix_sums
+
+    def spy(terms, cut):
+        widths.append(terms.shape[1])
+        return prefix_sums(terms, cut)
+
+    monkeypatch.setattr(sums_module, "prefix_sums", spy)
+    with np.errstate(invalid="ignore"):
+        rows = besselian_sweep(F, schedule, samples, 3)
+        pairs = list(ball_pair_sweep(F.space, samples, 3))
+        want = [[besselian_sum(F, x, xs, N) for N in schedule] for x, xs in pairs]
+    got = [list(row) for _nx, _nxs, row in rows]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got).any(axis=0).tolist() == [False, False, True, True]
+    assert set(widths) == {40}
+
+
+def test_sweep_prefix_sums_take_at_most_one_chunk(monkeypatch):
+    sizes = []
+    prefix_sums = sums_module.prefix_sums
+
+    def spy(terms, cut):
+        sizes.append(terms.size)
+        return prefix_sums(terms, cut)
+
+    monkeypatch.setattr(sums_module, "prefix_sums", spy)
+    chunk = frames_module._PREFIX_CHUNK
+    cases = (("haar:p=3:J=11", (32, 2048)), ("l1-canonical", (4, 256, 4096)))
+    for label, schedule in cases:
+        besselian_sweep(frame_from_label(label), schedule, 70, 5)
+    for label in DEFAULT_FRAME_LABELS:
+        besselian_sweep(frame_from_label(label), spec_for_label(label).schedule, 70, 5)
+    assert sizes and max(sizes) <= chunk
+    # a smaller chunk splits the extreme product across x rows; rows stay put
+    F, schedule = frame_from_label("amalgam:p=3:q=1.5:J=2:window=-3,1"), (4, 16, 64)
+    full = besselian_sweep(F, schedule, 70, 5)
+    sizes.clear()
+    monkeypatch.setattr(frames_module, "_PREFIX_CHUNK", 500)
+    assert besselian_sweep(F, schedule, 70, 5) == full
+    assert max(sizes) <= 500
+
+
+def test_extreme_rows_keep_ball_pair_sweep_order(monkeypatch):
+    # x-major over the extreme pairs, whatever the chunk: on l1 the 12 x
+    # rows and 33 xstar rows make an x-minor order fail
+    F, schedule = L1, (2, 5, 12)
+    xs, xstars = F.space.extreme_ball_points(), F.space.dual.extreme_ball_points()
+    pairs = list(itertools.islice(ball_pair_sweep(F.space, 0, 1), len(xs) * len(xstars)))
+    want = [
+        (lp_norm(x, 1.0), linf_norm(xstar), tuple(besselian_sum(F, x, xstar, N) for N in schedule))
+        for x, xstar in pairs
+    ]
+    for chunk in (frames_module._PREFIX_CHUNK, 500, 1):
+        monkeypatch.setattr(frames_module, "_PREFIX_CHUNK", chunk)
+        assert besselian_sweep(F, schedule, 0, 1) == want
 
 
 def test_self_dual_sweeps_draw_and_analyse_once(monkeypatch):
@@ -622,8 +707,9 @@ def test_unconditional_sweep_matches_per_truncation_probes():
 
 
 def test_unconditional_sweep_draws_each_trial_once(monkeypatch):
-    # one permutation and sign pattern per (trial, truncation), shared by
-    # every element, with results equal to per-element probes bit for bit
+    # one stream per trial, rewound for each truncation; one permutation and
+    # sign pattern per (trial, truncation), shared by every element, with
+    # results equal to per-element probes bit for bit
     for label in DEFAULT_FRAME_LABELS:
         F = frame_from_label(label)
         elements = [seeded_ball_point(F.space, 3, "elements", k) for k in range(3)]
@@ -637,7 +723,7 @@ def test_unconditional_sweep_draws_each_trial_once(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(frames_module, "derive_rng", counted)
             results = unconditional_sweep(F, elements, schedule, 5, 42)
-        assert len(calls) == 5 * len(schedule)
+        assert len(calls) == 5
         assert results == [
             [unconditional_probe(F, x, N, 5, 42) for x in elements] for N in schedule
         ]
@@ -825,6 +911,44 @@ def test_probe_stall_before_full_truncation_is_no_witness():
     assert any("before the full truncation 256" in n for n in report.notes)
     full = reflexivity_probe(F, ProbeConfig(schedule=(4, 16, 64, 256)))
     assert full.verdict == "consistent with reflexive"
+
+
+def _typed_leg(F, ball, purpose: str, tail_fn, cfg: ProbeConfig) -> list:
+    """Each scheduled truncation's max over the probe's candidates, typed
+    elements one at a time, of clamped_tail(tail_fn, ...) at horizon 2N."""
+    extremes = ball.extreme_ball_points()[: frames_module._EXTREME_CANDIDATES]
+    candidates = [ball.from_coordinates(c) for c in extremes] + [
+        seeded_ball_point(ball, cfg.seed, purpose, k) for k in range(cfg.samples)
+    ]
+    return [
+        max(clamped_tail(tail_fn, F, c, N, 2 * N) for c in candidates) for N in cfg.schedule
+    ]
+
+
+def test_probe_legs_are_the_typed_tails_bit_for_bit():
+    # each leg's row is the max over its candidates of the typed tail;
+    # the legs run a block of candidates per operator call, one at a time here
+    cases = [(label, spec_for_label(label).schedule, 42) for label in DEFAULT_FRAME_LABELS]
+    cases += [
+        ("haar:p=3:J=6", (4, 16, 64), 7),
+        ("amalgam:p=3:q=1.5:J=2:window=-3,1", (4, 16, 64), 42),
+        ("l1-canonical", (4, 16, 64, 256, 512), 1),
+        ("zero", (4, 16), 3),
+        ("haar:p=1.5:J=5", (4, 12, 16, 24, 32), 7),  # horizons clamped to rank 32
+    ]
+    for label, schedule, seed in cases:
+        F = frame_from_label(label)
+        cfg = ProbeConfig(schedule=schedule, samples=8, seed=seed)
+        report = reflexivity_probe(F, cfg)
+        legs = [("shrinking", F.space.dual, "probe-dual", shrinking_tail)]
+        if F.space.bidual_representable:
+            legs.append(("boundedly-complete", F.space, "probe-bidual", boundedly_complete_tail))
+        for name, ball, purpose, tail_fn in legs:
+            got = [p.value for p in report.probes if p.name == f"{name}-tail"]
+            want = _typed_leg(F, ball, purpose, tail_fn, cfg)
+            assert _bits(got) == _bits(want), (label, name)
+        if label.startswith("haar:p=1.5"):
+            assert got[-1] == 0.0  # N = 32: no rank is left past N
 
 
 def test_zero_frame_runs_the_operator_route():

@@ -321,6 +321,23 @@ def test_single_cell_amalgam_norm_equals_grid_norm(f):
 
 
 # ---------------------------------------------------------------------------
+# a 1-d array is a batch of one
+# ---------------------------------------------------------------------------
+
+
+def test_one_norm_has_the_bits_of_its_row_in_a_batch():
+    # off p = 1, 2 the last step is a power; numpy's scalar power rounds
+    # about one row in twenty differently from its array power
+    rows = np.random.default_rng(0).standard_normal((2000, 32))
+    grid, amalgam = GridSpace(3.0, 5), AmalgamSpace(3.0, 1.5, (-1, 2), 3)
+    for space in (grid, amalgam):
+        batch = space.norm(rows)
+        assert [space.norm(v) for v in rows] == batch.tolist()
+        # the typed grid_lp_norm and amalgam_norm
+        assert [space.element_norm(space.from_coordinates(v)) for v in rows] == batch.tolist()
+
+
+# ---------------------------------------------------------------------------
 # serialization round-trips
 # ---------------------------------------------------------------------------
 
