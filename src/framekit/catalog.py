@@ -365,15 +365,23 @@ def amalgam_frame(base: Frame, q: float, window: tuple[int, int]) -> Frame:
     def eval_batch(g: np.ndarray, N: int) -> np.ndarray:
         return _gather(base.eval_batch, g, N)
 
+    def synth_batch(coeffs: np.ndarray) -> np.ndarray:
+        return _scatter(base.synth_batch, coeffs)
+
+    def dual_synth_batch(coeffs: np.ndarray) -> np.ndarray:
+        return _scatter(base.dual_synth_batch, coeffs)
+
+    # Translates of a family with a_n = b_n keep a_n = b_n: one callable
+    # serves both roles, as on the base.
     return Frame(
         space=space,
         label=label,
         coeff_batch=coeff_batch,
-        # Translates of a family with a_n = b_n keep a_n = b_n: one callable
-        # serves both roles, as on the base.
         eval_batch=coeff_batch if base.eval_batch is base.coeff_batch else eval_batch,
-        synth_batch=lambda coeffs: _scatter(base.synth_batch, coeffs),
-        dual_synth_batch=lambda coeffs: _scatter(base.dual_synth_batch, coeffs),
+        synth_batch=synth_batch,
+        dual_synth_batch=(
+            synth_batch if base.dual_synth_batch is base.synth_batch else dual_synth_batch
+        ),
         full_truncation=int(ranks[-1]),
         covering=covering,
     )

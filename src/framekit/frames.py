@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, ClassVar, Iterator, Optional
 
@@ -205,6 +205,20 @@ class _Space:
     def ball_points(self, words: np.ndarray) -> np.ndarray:
         return self._unit(_normals(words)[:, : self.zero().size])
 
+    @cached_property
+    def extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(extreme_ball_points(), their norms), both read-only: built on
+        first use, once per descriptor, and set in one assignment."""
+        points = self._extreme_points()
+        norms = self.norm(points)
+        points.flags.writeable = norms.flags.writeable = False
+        return points, norms
+
+    def extreme_ball_points(self) -> np.ndarray:
+        """The deterministic unit-ball points the sweeps try first, one per
+        row; the same read-only array on every call."""
+        return self.extremes[0]
+
     @property
     def bidual_representable(self) -> bool:
         """Whether biduals are represented by the space's own elements: the
@@ -269,7 +283,7 @@ class SequenceSpace(_Space):
         np.put_along_axis(out, order[:, :_SEQ_SAMPLE_MAX_SUPPORT], vals, axis=1)
         return self._unit(out)
 
-    def extreme_ball_points(self) -> np.ndarray:
+    def _extreme_points(self) -> np.ndarray:
         """The signed unit vectors +-e_1, ..., +-e_6, one per row."""
         signed = itertools.product(range(_SEQ_EXTREME_INDICES), (1.0, -1.0))
         out = np.zeros((2 * _SEQ_EXTREME_INDICES, _SEQ_EXTREME_INDICES))
@@ -340,7 +354,7 @@ class DualSequenceSpace(_Space):
         vals = np.where(past, vals[:, -1:], vals)
         return _SUP_BALL_RADIUS * self._unit(vals)
 
-    def extreme_ball_points(self) -> np.ndarray:
+    def _extreme_points(self) -> np.ndarray:
         """One sign pattern per row, with a constant +-1 tail after 4 terms."""
         # The constant-tail all-ones pattern goes first: it is the canonical
         # witness the shrinking probe wants to see checked before anything else.
@@ -397,7 +411,7 @@ class GridSpace(_Space):
     def ball_key(self) -> tuple:
         return ("grid", self.level, self.p)
 
-    def extreme_ball_points(self) -> np.ndarray:
+    def _extreme_points(self) -> np.ndarray:
         """The normalised dyadic step directions, coarsest first, one per row."""
         return self._unit(np.array([
             dyadic_step_coefficients(self.level, n)
@@ -470,7 +484,7 @@ class AmalgamSpace(_Space):
     def ball_key(self) -> tuple:
         return ("amalgam", self.level, self.window, self.p, self.q)
 
-    def extreme_ball_points(self) -> np.ndarray:
+    def _extreme_points(self) -> np.ndarray:
         """Each cell's first grid extreme points, placed in that cell."""
         steps = GridSpace(self.p, self.level).extreme_ball_points()
         steps = steps[:_AMALGAM_EXTREME_ATOMS_PER_CELL]
@@ -535,6 +549,12 @@ class Frame:
     max_rank: Optional[int] = None
     full_truncation: Optional[int] = None
     covering: Callable = lambda x: None  # typed element -> truncation or None
+    # What the zero-pair scan has found so far: (ranks scanned, the first
+    # rank with a zero vector or functional, the first rank whose pair is
+    # not zero in both slots), inf where no scanned rank has it.  The tuple
+    # is replaced whole, never edited, so threads sharing the frame see one
+    # consistent record.
+    _zero_ranks: tuple = field(default=(0, math.inf, math.inf), init=False, repr=False)
 
 
 def _check_rank(F: Frame, n: int) -> None:
@@ -693,7 +713,8 @@ def besselian_sweep(
     Per swept pair this keeps only (||x||, ||xstar||, the besselian sums at
     each truncation of the increasing schedule), in ball_pair_sweep's order,
     so memory does not grow with the truncation.  Points go through the
-    operators and norms as matrices: the extreme points once each, the
+    operators and norms as matrices: the extreme points once each, with
+    the norms each descriptor keeps beside them (``space.extremes``), the
     random pairs a block at a time.  The sums are exactly rounded (bit for
     bit ``math.fsum``, see sums.prefix_sums): exactly rounded sums of
     nonnegative terms are monotone in N with no rounding caveats.
@@ -707,24 +728,24 @@ def besselian_sweep(
     space, dual = F.space, F.space.dual
     self_dual = dual == space
 
-    def measure(x, xstar):
-        """(coeffs, evals, ||x||, ||xstar||) of the rows x and xstar."""
-        coeffs, x_norms = F.coeff_batch(x, N), space.norm(x).tolist()
-        if xstar is x:
-            evals = coeffs if F.eval_batch is F.coeff_batch else F.eval_batch(x, N)
-            return coeffs, evals, x_norms, x_norms
-        return coeffs, F.eval_batch(xstar, N), x_norms, dual.norm(xstar).tolist()
+    def evaluate(x, xstar):
+        """(coeffs, evals) of the rows x and xstar."""
+        coeffs = F.coeff_batch(x, N)
+        if xstar is x and F.eval_batch is F.coeff_batch:
+            return coeffs, coeffs
+        return coeffs, F.eval_batch(xstar, N)
 
-    xs = space.extreme_ball_points()
-    coeffs, evals, x_norms, xstar_norms = measure(
-        xs, xs if self_dual else dual.extreme_ball_points()
-    )
-    pairs = itertools.product(x_norms, xstar_norms)
+    xs, x_norms = space.extremes
+    xstars, xstar_norms = (xs, x_norms) if self_dual else dual.extremes
+    coeffs, evals = evaluate(xs, xstars)
+    pairs = itertools.product(x_norms.tolist(), xstar_norms.tolist())
     rows = [(nx, nxs, s) for (nx, nxs), s in zip(pairs, _extreme_rows(coeffs, evals, schedule))]
     for b in bounds:
         x = _ball_block(space, seed, "ball", *b)
         xstar = x if self_dual else _ball_block(dual, seed, "ball", *b)
-        coeffs, evals, x_norms, xstar_norms = measure(x, xstar)
+        x_norms = space.norm(x).tolist()
+        xstar_norms = x_norms if xstar is x else dual.norm(xstar).tolist()
+        coeffs, evals = evaluate(x, xstar)
         rows.extend(zip(x_norms, xstar_norms, _prefix_rows(coeffs * evals, schedule)))
     return rows
 
@@ -1118,25 +1139,39 @@ def covering_truncation(F: Frame, x) -> Optional[int]:
 
 def _zero_pair_scan(F: Frame, upto: int) -> tuple[bool, bool]:
     """(some pair has a zero vector or functional, every pair is zero in both
-    slots) over the ranks up to min(upto, max_rank, _ZERO_SCAN_CAP), a block
-    of ranks at a time."""
-    horizon = min(upto, _ZERO_SCAN_CAP, F.max_rank or upto)
-    some, every = False, horizon >= 1
-    for n0 in range(0, horizon, _UNIT_BLOCK):
-        n1 = min(horizon, n0 + _UNIT_BLOCK)
-        units = _unit_rows(n0, n1, n1)
-        zero_a = ~F.synth_batch(units).any(axis=-1)
-        zero_b = ~F.dual_synth_batch(units).any(axis=-1)
-        some = some or bool((zero_a | zero_b).any())
-        every = every and bool((zero_a & zero_b).all())
-        if some and not every:
-            break
-    return some, every
+    slots) over the ranks up to h = min(upto, max_rank, _ZERO_SCAN_CAP).
+
+    Both answers follow from F's record of its first zero and first live
+    rank.  The record grows only when h lies past the ranks scanned while
+    one of the two is still unknown: the next ranks are synthesized a block
+    at a time, each rank once per frame, and the scan stops at h or at the
+    end of the block where both are known.  A self-dual family
+    (``dual_synth_batch is synth_batch``) is synthesized once per block.
+    """
+    h = min(upto, _ZERO_SCAN_CAP, F.max_rank or upto)
+    scanned, first_zero, first_live = F._zero_ranks
+    if h > scanned and math.inf in (first_zero, first_live):
+        for n0 in range(scanned, h, _UNIT_BLOCK):
+            scanned = min(h, n0 + _UNIT_BLOCK)
+            units = _unit_rows(n0, scanned, scanned)
+            live_a = F.synth_batch(units).any(axis=-1)
+            live_b = live_a
+            if F.dual_synth_batch is not F.synth_batch:
+                live_b = F.dual_synth_batch(units).any(axis=-1)
+            zero, live = np.flatnonzero(~(live_a & live_b)), np.flatnonzero(live_a | live_b)
+            if first_zero == math.inf and zero.size:
+                first_zero = n0 + int(zero[0]) + 1
+            if first_live == math.inf and live.size:
+                first_live = n0 + int(live[0]) + 1
+            if math.inf not in (first_zero, first_live):
+                break
+        object.__setattr__(F, "_zero_ranks", (scanned, first_zero, first_live))
+    return first_zero <= h, h >= 1 and first_live > h
 
 
 def frame_has_zero_elements(F: Frame, upto: int) -> bool:
     """True when some pair at rank <= upto has a zero vector or functional;
-    at most the first 512 ranks are scanned."""
+    at most the first 512 ranks are scanned, each once per frame."""
     return _zero_pair_scan(F, upto)[0]
 
 

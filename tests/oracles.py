@@ -124,3 +124,22 @@ def in_order_sum(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     sees its N terms, zeros included, in exactly the rank order given.
     """
     return np.add.reduce(coeffs[:, None] * rows, axis=0)
+
+
+def zero_pair_scan(F, upto: int, cap: int = 512, block: int = 64) -> tuple[bool, bool]:
+    """(some pair has a zero vector or functional, every pair is zero in both
+    slots) over the ranks up to min(upto, max_rank, cap), recomputed on every
+    call: both syntheses of the unit vectors, a block of ranks at a time from
+    rank 1, stopping after the first block that settles both answers."""
+    horizon = min(upto, cap, F.max_rank or upto)
+    some, every = False, horizon >= 1
+    for n0 in range(0, horizon, block):
+        n1 = min(horizon, n0 + block)
+        units = np.eye(n1)[n0:n1]
+        zero_a = ~F.synth_batch(units).any(axis=-1)
+        zero_b = ~F.dual_synth_batch(units).any(axis=-1)
+        some = some or bool((zero_a | zero_b).any())
+        every = every and bool((zero_a & zero_b).all())
+        if some and not every:
+            break
+    return some, every

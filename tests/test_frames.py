@@ -585,8 +585,11 @@ def test_self_dual_families_share_one_operator():
     ):
         assert F.eval_batch is F.coeff_batch
         assert dual_frame(F).eval_batch is dual_frame(F).coeff_batch
+        assert F.synth_batch is F.dual_synth_batch
+        assert dual_frame(F).synth_batch is dual_frame(F).dual_synth_batch
     for F in (L1, split, amalgam_frame(split, 1.5, (-1, 1))):
         assert F.eval_batch is not F.coeff_batch
+    assert L1.synth_batch is not L1.dual_synth_batch
 
 
 def test_dual_descriptors_keep_the_stream_keys():
@@ -1063,6 +1066,133 @@ def test_frame_zero_element_scan():
     A = frame_from_label("amalgam:p=2:q=2:J=3:window=-1,1")
     assert frame_has_zero_elements(A, 64)
     assert frame_has_zero_elements(zero_sequence_frame(), 8)
+
+
+def _masked_l1(label: str, dead, both: bool) -> Frame:
+    """l1-canonical with a_n = 0 for the ranks n in dead, and b_n = 0 too
+    when both."""
+    def mask(synth):
+        def masked(coeffs):
+            coeffs = np.array(coeffs, dtype=float)
+            coeffs[..., [n - 1 for n in dead if n <= coeffs.shape[-1]]] = 0.0
+            return synth(coeffs)
+        return masked
+
+    dual_synth = mask(L1.dual_synth_batch) if both else L1.dual_synth_batch
+    return dataclasses.replace(
+        L1, label=label, synth_batch=mask(L1.synth_batch), dual_synth_batch=dual_synth
+    )
+
+
+ZERO_SCAN_FRAMES = (
+    "l1-canonical",
+    "zero",
+    "haar:p=3:J=4",
+    "haar:p=2:J=10",
+    "amalgam:p=2:q=2:J=4:window=-1,1",
+    "amalgam:p=3:q=1.5:J=2:window=-3,1",
+)
+
+
+def _zero_scan_frames() -> list:
+    return [frame_from_label(label) for label in ZERO_SCAN_FRAMES] + [
+        _masked_l1("zero-vector-at-70", (70,), both=False),
+        _masked_l1("zero-pairs-to-64", range(1, 65), both=True),
+    ]
+
+
+def _rank_spies(F: Frame) -> tuple[Frame, tuple[list, list]]:
+    """A fresh copy of F whose syntheses record the rank of every unit row
+    they synthesize; a shared synthesis stays shared and records in the
+    first list."""
+    seen = ([], [])
+
+    def spy(synth, ranks):
+        def recorded(units):
+            ranks.extend((np.argmax(units, axis=-1) + 1).tolist())
+            return synth(units)
+        return recorded
+
+    synth = spy(F.synth_batch, seen[0])
+    dual_synth = synth
+    if F.dual_synth_batch is not F.synth_batch:
+        dual_synth = spy(F.dual_synth_batch, seen[1])
+    return dataclasses.replace(F, synth_batch=synth, dual_synth_batch=dual_synth), seen
+
+
+def test_zero_pair_scan_matches_the_block_scan_oracle():
+    uptos = range(601)
+    for F in _zero_scan_frames():
+        want = [oracles.zero_pair_scan(F, upto) for upto in uptos]
+        # dataclasses.replace gives a copy with an empty record
+        for order in (uptos, uptos[::-1]):
+            fresh = dataclasses.replace(F)
+            got = {upto: frames_module._zero_pair_scan(fresh, upto) for upto in order}
+            assert [got[upto] for upto in uptos] == want, (F.label, order)
+    masked = _zero_scan_frames()[-2:]
+    assert oracles.zero_pair_scan(masked[0], 69) == (False, False)
+    assert oracles.zero_pair_scan(masked[0], 70) == (True, False)
+    assert oracles.zero_pair_scan(masked[1], 64) == (True, True)
+    assert oracles.zero_pair_scan(masked[1], 65) == (True, False)
+
+
+def test_zero_pair_scan_synthesizes_each_rank_once():
+    for F in _zero_scan_frames():
+        spied, seen = _rank_spies(F)
+        for upto in (0, 1, 5, 64, 65, 70, 130, 600, 600, 10, 1000):
+            before = [len(ranks) for ranks in seen]
+            frames_module._zero_pair_scan(spied, upto)
+            oracle_frame, oracle_seen = _rank_spies(F)
+            oracles.zero_pair_scan(oracle_frame, upto)
+            for ranks, n, oracle_ranks in zip(seen, before, oracle_seen):
+                assert len(ranks) - n <= len(oracle_ranks), (F.label, upto)
+        for ranks in seen:
+            assert len(ranks) == len(set(ranks)), F.label
+    # a self-dual family is synthesized once per rank: l1 scans 512 ranks
+    # through each synthesis, Haar at J = 4 its 16 ranks through one
+    for label, counts in (("l1-canonical", [512, 512]), ("haar:p=3:J=4", [16, 0])):
+        spied, seen = _rank_spies(frame_from_label(label))
+        frames_module._zero_pair_scan(spied, 1000)
+        assert [len(ranks) for ranks in seen] == counts
+
+
+@pytest.mark.parametrize(
+    "space",
+    [SequenceSpace(), DualSequenceSpace(), GridSpace(3.0, 5), AmalgamSpace(3.0, 1.5, (-1, 1), 2)],
+    ids=lambda s: type(s).__name__,
+)
+def test_extreme_points_and_norms_are_built_once(space):
+    points, norms = space.extremes
+    assert space.extremes is space.extremes
+    assert space.extreme_ball_points() is points
+    assert space.extreme_ball_points() is space.extreme_ball_points()
+    for array in (points, norms):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    fresh = space._extreme_points()
+    assert fresh.shape == points.shape and fresh.tobytes() == points.tobytes()
+    assert np.asarray(space.norm(points)).tobytes() == norms.tobytes()
+
+
+def test_sweep_takes_the_extreme_norms_from_the_descriptors(monkeypatch):
+    calls = []
+    for cls in (SequenceSpace, DualSequenceSpace, GridSpace):
+        norm = cls.norm
+
+        def spy(*args, norm=norm, cls=cls):
+            calls.append(cls.__name__)
+            return norm(*args)
+
+        monkeypatch.setattr(cls, "norm", spy if cls is GridSpace else staticmethod(spy))
+    for label in ("l1-canonical", "haar:p=3:J=5", "haar:p=2:J=5"):
+        F = frame_from_label(label)
+        (_, x_norms), (_, xstar_norms) = F.space.extremes, F.space.dual.extremes
+        calls.clear()
+        rows = besselian_sweep(F, (4, 8), 0, 42)
+        assert calls == []
+        assert [(nx, nxs) for nx, nxs, _ in rows] == list(
+            itertools.product(x_norms.tolist(), xstar_norms.tolist())
+        )
 
 
 def test_derive_rng_is_keyed_and_stable():

@@ -286,6 +286,25 @@ def test_run_all_sweeps_each_spec_once(monkeypatch):
     ]
 
 
+def test_cold_run_all_on_shared_labels_writes_the_serial_bytes():
+    # Two specs per label share one frame, its descriptors and what they
+    # cache (extreme points and norms, zero-pair ranks); from a cold start
+    # the workers race to build them.
+    labels = ("l1-canonical", "haar:p=3:J=4", "amalgam:p=3:q=1.5:J=2:window=-3,1")
+    specs = [mini_spec(label, seed=seed) for seed in (3, 4) for label in labels]
+    frame_from_label.cache_clear()
+    serial = run_all(specs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+    try:
+        frame_from_label.cache_clear()
+        parallel = run_all(specs, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel.to_json() == serial.to_json()
+    assert parallel.to_csv() == serial.to_csv()
+
+
 def test_bundle_json_round_trip():
     bundle = run_all([mini_spec("l1-canonical", samples=10)], suites=("besselian",))
     back = ReportBundle.from_json_obj(json.loads(bundle.to_json()))
