@@ -17,13 +17,12 @@ from typing import Callable, Optional
 
 from .catalog import frame_from_label
 from .frames import (
-    besselian_sweep,
     clamped_tail,
     covering_truncation,
     estimate_frame_constant,
     seeded_ball_point,
     shrinking_tail,
-    sweep_constants,
+    sweep_arrays,
     synthesis_partial,
 )
 from .spaces import MAX_SEQ_INDEX
@@ -347,7 +346,7 @@ def cmd_tabulate(ns: argparse.Namespace) -> int:
             raise CliUsageError(f"samples must be >= 1, got {samples}")
         truncations = tuple(sorted(set(schedule)))
         constants = (
-            sweep_constants(besselian_sweep(F, truncations, samples, seed))
+            sweep_arrays(F, truncations, samples, seed)[2].max(axis=0).tolist()
             if truncations
             else []
         )

@@ -73,6 +73,7 @@ __all__ = [
     "coefficient_products",
     "besselian_sum",
     "besselian_sweep",
+    "sweep_arrays",
     "sweep_constants",
     "estimate_frame_constant",
     "dual_frame",
@@ -669,58 +670,62 @@ def _live_width(terms: np.ndarray) -> int:
     return int(live[-1]) + 1 if len(live) else 1
 
 
-def _prefix_rows(products: np.ndarray, schedule: tuple[int, ...]) -> list[tuple]:
-    """Exactly rounded prefix sums of |products| per row, at most
-    _PREFIX_CHUNK terms per call; products is overwritten.  Terms past the
-    last nonzero column are +0.0 and change no exactly rounded prefix sum:
-    they are cut."""
+def _prefix_rows(products: np.ndarray, schedule: tuple[int, ...], out: np.ndarray) -> None:
+    """Exactly rounded prefix sums of |products| per row, written to out (a
+    rows x len(schedule) array), at most _PREFIX_CHUNK terms per call;
+    products is overwritten.  Terms past the last nonzero column are +0.0
+    and change no exactly rounded prefix sum: they are cut."""
     terms = np.abs(products, out=products)
     w = _live_width(terms)
     terms, cut = terms[:, :w], tuple(min(n, w) for n in schedule)
     step = max(1, _PREFIX_CHUNK // w)
-    rows = []
     for i in range(0, len(terms), step):
-        rows.extend(map(tuple, sums.prefix_sums(terms[i : i + step], cut).tolist()))
-    return rows
+        out[i : i + step] = sums.prefix_sums(terms[i : i + step], cut)
 
 
-def _extreme_rows(coeffs: np.ndarray, evals: np.ndarray, schedule: tuple[int, ...]) -> list:
+def _extreme_rows(
+    coeffs: np.ndarray, evals: np.ndarray, schedule: tuple[int, ...], out: np.ndarray
+) -> None:
     """_prefix_rows of |b_n(x) xstar(a_n)| for every pair of a coefficient
-    row x and an evaluation row xstar, x-major as in ball_pair_sweep.
+    row x and an evaluation row xstar, into out x-major as ball_pair_sweep
+    yields them, at most _PREFIX_CHUNK terms (at least one pair) at a time.
 
     Finite factors are cut first, at the last column where some row of each
     is nonzero: every later product is +0.0.  A non-finite factor can make
-    a product NaN (inf * 0), so then the whole product is formed first.  The
-    outer product is built a chunk of x rows at a time, each chunk at most
-    _PREFIX_CHUNK terms (at least one x row).
+    a product NaN (inf * 0), so then the whole product is formed first.
+    When one array plays both roles (``coeffs is evals``), pair (j, i) has
+    pair (i, j)'s terms bit for bit: only the pairs i <= j are summed, and
+    their sums are mirrored.
     """
+    m, symmetric = len(evals), coeffs is evals
+    i, j = np.triu_indices(m) if symmetric else np.divmod(np.arange(len(coeffs) * m), m)
     if np.isfinite(coeffs).all() and np.isfinite(evals).all():
         w = min(_live_width(coeffs), _live_width(evals))
         coeffs, evals = coeffs[:, :w], evals[:, :w]
-    step = max(1, _PREFIX_CHUNK // max(1, evals.size))
-    rows = []
-    for i in range(0, len(coeffs), step):
-        products = coeffs[i : i + step, None] * evals
-        rows.extend(_prefix_rows(products.reshape(-1, evals.shape[-1]), schedule))
-    return rows
+    found = np.empty((len(i), len(schedule)))
+    step = max(1, _PREFIX_CHUNK // evals.shape[-1])
+    for k in range(0, len(i), step):
+        pairs = slice(k, k + step)
+        _prefix_rows(coeffs[i[pairs]] * evals[j[pairs]], schedule, found[pairs])
+    out[i * m + j] = found
+    if symmetric:
+        out[j * m + i] = found
 
 
-def besselian_sweep(
+def sweep_arrays(
     F: Frame, schedule: tuple[int, ...], samples: int, seed: int
-) -> list[tuple[float, float, tuple[float, ...]]]:
-    """Besselian sums over the unit-ball pair sweep, one pass for a schedule.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(||x||, ||xstar||, sums) over the unit-ball pair sweep, in
+    ball_pair_sweep's order: sums is a pairs x len(schedule) array of the
+    besselian sums at each truncation of the increasing schedule.
 
-    Per swept pair this keeps only (||x||, ||xstar||, the besselian sums at
-    each truncation of the increasing schedule), in ball_pair_sweep's order,
-    so memory does not grow with the truncation.  Points go through the
-    operators and norms as matrices: the extreme points once each, with
-    the norms each descriptor keeps beside them (``space.extremes``), the
-    random pairs a block at a time.  The sums are exactly rounded (bit for
-    bit ``math.fsum``, see sums.prefix_sums): exactly rounded sums of
-    nonnegative terms are monotone in N with no rounding caveats.
-    A self-dual ball (``space.dual == space``) is drawn and measured once
-    for x and xstar, and a family with a_n = b_n analysed once for both
-    roles; neither moves a bit.
+    Points go through the operators and norms as matrices: the extreme
+    points once each, with the norms each descriptor keeps beside them
+    (``space.extremes``), the random pairs a block at a time.  The sums are
+    exactly rounded (bit for bit ``math.fsum``, see sums.prefix_sums), so
+    monotone in N with no rounding caveats.  A self-dual ball is drawn and
+    measured once for x and xstar, and a family with a_n = b_n analysed once
+    for both roles; neither moves a bit.
     """
     bounds = _sample_blocks(samples)
     N = schedule[-1]
@@ -729,7 +734,6 @@ def besselian_sweep(
     self_dual = dual == space
 
     def evaluate(x, xstar):
-        """(coeffs, evals) of the rows x and xstar."""
         coeffs = F.coeff_batch(x, N)
         if xstar is x and F.eval_batch is F.coeff_batch:
             return coeffs, coeffs
@@ -737,22 +741,36 @@ def besselian_sweep(
 
     xs, x_norms = space.extremes
     xstars, xstar_norms = (xs, x_norms) if self_dual else dual.extremes
-    coeffs, evals = evaluate(xs, xstars)
-    pairs = itertools.product(x_norms.tolist(), xstar_norms.tolist())
-    rows = [(nx, nxs, s) for (nx, nxs), s in zip(pairs, _extreme_rows(coeffs, evals, schedule))]
-    for b in bounds:
-        x = _ball_block(space, seed, "ball", *b)
-        xstar = x if self_dual else _ball_block(dual, seed, "ball", *b)
-        x_norms = space.norm(x).tolist()
-        xstar_norms = x_norms if xstar is x else dual.norm(xstar).tolist()
+    m = len(xs) * len(xstars)
+    nx, nxs = np.empty(m + samples), np.empty(m + samples)
+    S = np.empty((m + samples, len(schedule)))
+    nx[:m], nxs[:m] = np.repeat(x_norms, len(xstars)), np.tile(xstar_norms, len(xs))
+    _extreme_rows(*evaluate(xs, xstars), schedule, S[:m])
+    for k0, k1 in bounds:
+        rows = slice(m + k0, m + k1)
+        x = _ball_block(space, seed, "ball", k0, k1)
+        xstar = x if self_dual else _ball_block(dual, seed, "ball", k0, k1)
+        nx[rows] = space.norm(x)
+        nxs[rows] = nx[rows] if xstar is x else dual.norm(xstar)
         coeffs, evals = evaluate(x, xstar)
-        rows.extend(zip(x_norms, xstar_norms, _prefix_rows(coeffs * evals, schedule)))
-    return rows
+        _prefix_rows(coeffs * evals, schedule, S[rows])
+    return nx, nxs, S
+
+
+def besselian_sweep(
+    F: Frame, schedule: tuple[int, ...], samples: int, seed: int
+) -> list[tuple[float, float, tuple[float, ...]]]:
+    """sweep_arrays as one (||x||, ||xstar||, the besselian sums at each
+    truncation of the schedule) row per swept pair, in ball_pair_sweep's
+    order."""
+    nx, nxs, S = sweep_arrays(F, schedule, samples, seed)
+    return list(zip(nx.tolist(), nxs.tolist(), map(tuple, S.tolist())))
 
 
 def sweep_constants(sweep) -> list[float]:
-    """Constant estimate per scheduled truncation: the max over swept pairs."""
-    return [max(column) for column in zip(*(sums for _nx, _nxs, sums in sweep))]
+    """Constant estimate per scheduled truncation: the max over the rows of
+    a besselian_sweep, NaN when some row is NaN there."""
+    return np.array([sums for _nx, _nxs, sums in sweep], ndmin=2).max(axis=0).tolist()
 
 
 def estimate_frame_constant(F: Frame, N: int, samples: int, seed: int) -> float:
@@ -760,11 +778,11 @@ def estimate_frame_constant(F: Frame, N: int, samples: int, seed: int) -> float:
 
     A lower bound for the frame constant at truncation N, nondecreasing in
     both N and the sample count (per-sample seeding keeps earlier samples
-    fixed as the budget grows).
+    fixed as the budget grows); NaN when some swept sum is NaN.
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
-    return sweep_constants(besselian_sweep(F, (N,), samples, seed))[0]
+    return float(sweep_arrays(F, (N,), samples, seed)[2].max())
 
 
 def dual_frame(F: Frame) -> Frame:
@@ -858,17 +876,22 @@ def _ordering_probe(
         rng.bit_generator.state = start
         perms[t] = rng.permutation(N)
         signs[t] = rng.integers(0, 2, size=N) * 2 - 1
-    bases = sums.in_order(coeffs[:, ranks] * values)
-    live, columns = values != 0.0, np.arange(values.shape[-1])
+    # The terms of every sum; a sign flip scales them by +-1, exactly.
+    products = coeffs[:, ranks] * values
+    bases, flat = sums.in_order(products), products.reshape(len(elements), ranks.size)
+    live, width = values != 0.0, values.shape[-1]
+    # position[t, perm[t, i]] = i: the place trial t draws each rank at.
+    position = np.empty_like(perms)
+    np.put_along_axis(position, perms, np.arange(N), axis=-1)
     deviations = flip_norms = np.zeros(len(elements))
     step = max(1, _PROBE_CHUNK // max(1, coeffs.shape[0] * values.size))
     for t0 in range(0, trials, step):
-        perm, sign = perms[t0 : t0 + step], signs[t0 : t0 + step]
-        # Each column's entries in the order perm draws their ranks.
-        position = np.argsort(perm, axis=-1)
-        drawn = np.argsort(np.where(live, position[:, ranks], N), axis=-2, kind="stable")
-        permuted = sums.in_order(coeffs[:, ranks[drawn, columns]] * values[drawn, columns])
-        flipped = sums.in_order((sign[:, None] * coeffs)[..., ranks] * values)
+        chunk = slice(t0, t0 + step)
+        # Each column's entries in the order the trial draws their ranks.
+        drawn_at = np.take(position[chunk], ranks, axis=1)
+        drawn = np.argsort(np.where(live, drawn_at, N), axis=-2, kind="stable")
+        permuted = sums.in_order(np.take(flat, drawn * width + np.arange(width), axis=1))
+        flipped = sums.in_order(np.take(signs[chunk], ranks, axis=1)[:, None] * products)
         deviations = np.maximum(
             deviations, F.space.norm(permuted - bases[:, None]).max(axis=1)
         )

@@ -19,7 +19,8 @@ __all__ = ["prefix_sums", "nonzero_columns", "columns_upto", "in_order"]
 
 def prefix_sums(terms: np.ndarray, schedule: tuple[int, ...]) -> np.ndarray:
     """math.fsum(row[:N]) for each row of the matrix terms and each N of the
-    schedule, bit for bit, as a (rows x len(schedule)) array.
+    schedule, bit for bit, as a (rows x len(schedule)) array.  Entries of
+    the schedule may repeat and come in any order.
 
     This is Sum2 (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005) on
     whole rows: running sums s_n by cumsum, each step's rounding error e_n
@@ -27,30 +28,41 @@ def prefix_sums(terms: np.ndarray, schedule: tuple[int, ...]) -> np.ndarray:
     exactly rounded sum when its rounding residual, plus the bound
     gamma_{N-1} sum |e_n| on the error of the computed error sum, stays
     strictly inside half the gap from r to its neighbour on each side; an
-    error sum of 0 means s_N is exact.  Entries left uncertified (exact
-    midpoints, non-finite values) go through math.fsum.
+    error sum of 0 means s_N is exact.  That bound holds for any order of
+    summation, so the error sums are taken one segment between distinct
+    truncations at a time, then summed over the segments.  Entries left
+    uncertified (exact midpoints, non-finite values) go through math.fsum.
     """
-    cols = np.asarray(schedule) - 1
+    # The error sums run over the segments between distinct truncations;
+    # reduceat needs increasing starts, since a start that does not
+    # increase yields a single term, not an empty sum.
+    ends = sorted(set(schedule))
+    slot = [ends.index(n) for n in schedule]
+    terms = np.ascontiguousarray(terms[:, : ends[-1]])
     with np.errstate(invalid="ignore", over="ignore"):
         s = np.cumsum(terms, axis=-1)
-        e, z = np.empty_like(s), np.empty_like(s)
-        e[:, 0] = z[:, 0] = 0.0
-        # TwoSum of (s_{n-1}, t_n) -> (s_n, e_n), in place.
-        np.subtract(s[:, 1:], s[:, :-1], out=z[:, 1:])
-        np.subtract(s[:, 1:], z[:, 1:], out=e[:, 1:])
-        np.subtract(s[:, :-1], e[:, 1:], out=e[:, 1:])
-        np.subtract(terms[:, 1:], z[:, 1:], out=z[:, 1:])
+        # TwoSum of (s_{n-1}, t_n) -> (s_n, e_n), in place, over the rows
+        # laid end to end; each row's first error is then set to 0.
+        flat_s, flat_t = s.reshape(-1), terms.reshape(-1)
+        e, z = np.empty_like(flat_s), np.empty_like(flat_s)
+        np.subtract(flat_s[1:], flat_s[:-1], out=z[1:])
+        np.subtract(flat_s[1:], z[1:], out=e[1:])
+        np.subtract(flat_s[:-1], e[1:], out=e[1:])
+        np.subtract(flat_t[1:], z[1:], out=z[1:])
         e += z
-        np.abs(e, out=z)
-        np.cumsum(e, axis=-1, out=e)
-        np.cumsum(z, axis=-1, out=z)
-        s, c, a = s[:, cols], e[:, cols], z[:, cols]
+        e, z = e.reshape(s.shape), z.reshape(s.shape)
+        e[:, 0] = 0.0
+        starts = [0] + ends[:-1]
+        c = np.cumsum(np.add.reduceat(e, starts, axis=-1), axis=-1)[:, slot]
+        a = np.cumsum(np.add.reduceat(np.abs(e, out=z), starts, axis=-1), axis=-1)[:, slot]
+        n = np.asarray(schedule)
+        s = s[:, n - 1]
         r = s + c
         w = r - s
         residual = (s - (r - w)) + (c - w)
         # gamma_{N-1} sum |e_n| <= 2 N 2^-53 a, a the computed sum of |e_n|;
         # the smallest subnormal covers the rounding of an underflow.
-        bound = a * ((cols + 1) * 2.0**-52) + 2.0**-1074
+        bound = a * (n * 2.0**-52) + 2.0**-1074
         above = (np.nextafter(r, math.inf) - r) * 0.5
         below = (r - np.nextafter(r, -math.inf)) * 0.5
         exact = (a == 0.0) | (

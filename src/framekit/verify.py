@@ -24,20 +24,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
 from . import __version__
 from .catalog import frame_from_label
 from .frames import (
-    Frame,
     FrameReport,
     ProbeConfig,
     ProbeResult,
-    besselian_sweep,
     covering_truncation,
     frame_has_zero_elements,
     reflexivity_probe,
     seeded_ball_point,
+    sweep_arrays,
     unconditional_sweep,
     validate_schedule,
 )
@@ -167,8 +164,8 @@ def default_specs() -> tuple[ExperimentSpec, ...]:
 
 
 class _SpecResults:
-    """The results that several suites of one spec read, each computed on
-    first use: the sweep's constants and margins, and the zero-pair flags.
+    """The results that several suites of one spec read: the frame, and the
+    sweep's constants and margins, computed on first use.
 
     run_all's task for a spec makes one and runs the spec's suites against
     it, on one thread, so no entry needs a lock; a suite called on its own
@@ -177,28 +174,18 @@ class _SpecResults:
 
     def __init__(self, spec: ExperimentSpec) -> None:
         self.spec = spec
-
-    @cached_property
-    def frame(self) -> Frame:
-        return frame_from_label(self.spec.label)
+        self.frame = frame_from_label(spec.label)
 
     @cached_property
     def sweep(self) -> tuple[list[float], list[float]]:
         """(constant, margin) per scheduled truncation, where the margin is
         the max of besselian_sum - L-hat ||x|| ||x*|| over the swept pairs."""
         spec = self.spec
-        rows = besselian_sweep(self.frame, spec.schedule, spec.samples, spec.seed)
-        nx, nxs, S = (np.array(column) for column in zip(*rows))
+        nx, nxs, S = sweep_arrays(self.frame, spec.schedule, spec.samples, spec.seed)
         lhat = S.max(axis=0)
         # (lhat * nx) * nxs is Python's left-to-right lhat * nx * nxs.
         margins = (S - lhat * nx[:, None] * nxs[:, None]).max(axis=0)
         return lhat.tolist(), margins.tolist()
-
-    @cached_property
-    def zero_flags(self) -> tuple[str, ...]:
-        """("zero-elements",) when a pair up to the last truncation is zero."""
-        any_zero = frame_has_zero_elements(self.frame, self.spec.schedule[-1])
-        return ("zero-elements",) if any_zero else ()
 
 
 # The results of the spec whose run_all task is running.  Only that task
@@ -230,7 +217,7 @@ def run_besselian_suite(spec: ExperimentSpec) -> FrameReport:
     shared = _results_for(spec)
     n_max = spec.schedule[-1]
     constants, margins = shared.sweep
-    flags = list(shared.zero_flags)
+    flags = ["zero-elements"] if frame_has_zero_elements(shared.frame, n_max) else []
 
     probes: list[ProbeResult] = []
     for N, lhat, margin in zip(spec.schedule, constants, margins):
@@ -297,7 +284,7 @@ def run_duality_suite(spec: ExperimentSpec) -> FrameReport:
         seed=spec.seed,
         samples=spec.samples,
         probes=tuple(probes),
-        flags=shared.zero_flags,
+        flags=("zero-elements",) if frame_has_zero_elements(shared.frame, n_max) else (),
     )
 
 
@@ -368,7 +355,7 @@ def run_unconditionality_suite(spec: ExperimentSpec) -> FrameReport:
         seed=spec.seed,
         samples=spec.uncond_elements,
         probes=tuple(probes),
-        flags=shared.zero_flags,
+        flags=("zero-elements",) if frame_has_zero_elements(F, spec.schedule[-1]) else (),
         notes=tuple(notes),
     )
 
@@ -432,9 +419,10 @@ def run_all(
     """Run the selected suites (default: all) over the specs.
 
     Each spec is one task, which runs the selected suites in order against
-    one _SpecResults, so the spec's unit-ball sweep and zero-pair scan are
-    computed once and shared by the suites that read them; they are dropped
-    when the task ends.  With workers > 1 the tasks run on a thread pool.
+    one _SpecResults, so the spec's unit-ball sweep is computed once and
+    shared by the suites that read it, and dropped when the task ends (each
+    frame records its own zero-pair scan).  With workers > 1 the tasks run
+    on a thread pool.
     Reports are sorted afterwards, and every random draw is keyed by (seed,
     purpose, index), so the bundle is byte-identical whatever the degree of
     parallelism.

@@ -143,3 +143,56 @@ def zero_pair_scan(F, upto: int, cap: int = 512, block: int = 64) -> tuple[bool,
         if some and not every:
             break
     return some, every
+
+
+def extreme_sums(F, schedule) -> np.ndarray:
+    """The besselian sums of every extreme pair (x, xstar), x-major, at each
+    truncation of the schedule: the whole outer product of the coefficient
+    rows and the evaluation rows, every column kept, each sum by math.fsum."""
+    N = schedule[-1]
+    coeffs = F.coeff_batch(F.space.extreme_ball_points(), N)
+    evals = F.eval_batch(F.space.dual.extreme_ball_points(), N)
+    with np.errstate(invalid="ignore"):
+        terms = np.abs(coeffs[:, None] * evals).reshape(-1, N).tolist()
+    return np.array([[math.fsum(row[:n]) for n in schedule] for row in terms])
+
+
+def ordering_probe(F, elements, N: int, trials: int, seed: int) -> list:
+    """(deviation, sign-flip norm) per element coordinate row, by fancy-index
+    gathers over the atoms' nonzero entries: each column lists the ranks
+    whose atom is nonzero there, ascending, padded with rank 0 and value 0;
+    the permuted sums gather the coefficients and values column by column in
+    the order each trial draws the ranks, the flipped sums scale the
+    coefficients by the signs before the gather.  Every sum adds its terms
+    one after the other."""
+    from framekit.frames import derive_rng
+
+    atoms = F.synth_batch(np.eye(N))
+    depth = int((atoms != 0.0).sum(axis=0).max(initial=0))
+    ranks = np.zeros((depth, atoms.shape[1]), dtype=np.intp)
+    values = np.zeros(ranks.shape)
+    for j in range(atoms.shape[1]):
+        nonzero = np.flatnonzero(atoms[:, j])
+        ranks[: len(nonzero), j], values[: len(nonzero), j] = nonzero, atoms[nonzero, j]
+
+    def in_order(terms):
+        out = np.zeros(terms.shape[:-2] + terms.shape[-1:])
+        for k in range(terms.shape[-2]):
+            out += terms[..., k, :]
+        return out
+
+    coeffs = np.array([F.coeff_batch(x, N) for x in elements])
+    perms, signs = np.empty((trials, N), dtype=np.intp), np.empty((trials, N))
+    for t in range(trials):
+        rng = derive_rng(seed, "unconditional", t)
+        perms[t] = rng.permutation(N)
+        signs[t] = rng.integers(0, 2, size=N) * 2 - 1
+    bases = in_order(coeffs[:, ranks] * values)
+    live, columns = values != 0.0, np.arange(values.shape[-1])
+    position = np.argsort(perms, axis=-1)
+    drawn = np.argsort(np.where(live, position[:, ranks], N), axis=-2, kind="stable")
+    permuted = in_order(coeffs[:, ranks[drawn, columns]] * values[drawn, columns])
+    flipped = in_order((signs[:, None] * coeffs)[..., ranks] * values)
+    deviations = F.space.norm(permuted - bases[:, None]).max(axis=1)
+    flips = F.space.norm(flipped).max(axis=0)
+    return list(zip(deviations.tolist(), flips.tolist()))

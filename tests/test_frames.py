@@ -557,6 +557,122 @@ def test_self_dual_sweeps_draw_and_analyse_once(monkeypatch):
         assert len(analyses) == 2 * (1 + blocks)
 
 
+def test_sweep_constants_propagate_a_nan_whatever_the_row_order():
+    # the rows of x = +-e_1 come first and stay finite; later rows are NaN
+    # past rank 29, and every reduction of the constant is NaN there
+    space = SequenceSpace()
+
+    def coeff_batch(x, N):
+        out = space.values(x, N)
+        out[..., 29:] = np.where(x[..., 1:2] != 0.0, math.inf, 0.0)
+        return out
+
+    F = dataclasses.replace(_frame_with_a_nan_column(), coeff_batch=coeff_batch)
+    schedule, samples = (4, 19, 30, 40), 10
+    with np.errstate(invalid="ignore"):
+        rows = besselian_sweep(F, schedule, samples, 3)
+        constant = estimate_frame_constant(F, 40, samples, 3)
+    sums = np.array([r[2] for r in rows])
+    assert np.flatnonzero(np.isnan(sums[:, -1]))[0] > 0
+    for order in (rows, rows[::-1]):
+        got = sweep_constants(order)
+        assert np.isnan(got).tolist() == [False, False, True, True]
+        assert got[:2] == sums[:, :2].max(axis=0).tolist()
+    assert math.isnan(constant)
+    finite_first = [(1.0, 1.0, (1.0,)), (1.0, 1.0, (math.nan,))]
+    for order in (finite_first, finite_first[::-1]):
+        assert math.isnan(sweep_constants(order)[0])
+
+
+def _inf_past(batch, rank):
+    """batch with every value past the rank infinite."""
+    def wrapped(values, N):
+        out = batch(values, N)
+        out[..., rank:] = math.inf
+        return out
+
+    return wrapped
+
+
+# The labels the probe and the extreme route are checked on against the
+# gathers and products that do every step in full.
+ORACLE_LABELS = (
+    "l1-canonical",
+    "zero",
+    "haar:p=2:J=8",
+    "haar:p=3:J=6",
+    "amalgam:p=2:q=2:J=4:window=-1,1",
+    "amalgam:p=3:q=1.5:J=2:window=-3,1",
+)
+
+
+def _non_finite_frames():
+    """The l1 frame with a NaN column, and Haar at p = 2 with one shared
+    analysis that is infinite past rank 20 (the symmetric extreme route)."""
+    haar = frame_from_label("haar:p=2:J=5")
+    shared = _inf_past(haar.coeff_batch, 20)
+    return (
+        _frame_with_a_nan_column(),
+        dataclasses.replace(haar, label="inf-haar", coeff_batch=shared, eval_batch=shared),
+    )
+
+
+def test_extreme_sums_match_the_full_product_oracle():
+    frames = [frame_from_label(label) for label in ORACLE_LABELS]
+    for F in frames + list(_non_finite_frames()):
+        schedule = spec_for_label(F.label).schedule if F in frames else (4, 19, 30)
+        with np.errstate(invalid="ignore"):
+            got = frames_module.sweep_arrays(F, schedule, 0, 1)[2]
+            want = oracles.extreme_sums(F, schedule)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True), F.label
+        assert _bits(got[~np.isnan(got)]) == _bits(want[~np.isnan(want)]), F.label
+
+
+def test_symmetric_extreme_route_only_when_one_array_plays_both_roles(monkeypatch):
+    # a_n = b_n on a self-dual ball sums each unordered extreme pair once;
+    # the same frame with two analysis callables sums every ordered pair,
+    # and both give the same bits
+    rows = []
+    prefix_sums = sums_module.prefix_sums
+
+    def spy(terms, cut):
+        rows.append(len(terms))
+        return prefix_sums(terms, cut)
+
+    monkeypatch.setattr(sums_module, "prefix_sums", spy)
+    for label in ("haar:p=2:J=8", "amalgam:p=2:q=2:J=4:window=-1,1"):
+        F = frame_from_label(label)
+        m = len(F.space.extreme_ball_points())
+        split = dataclasses.replace(F, eval_batch=lambda x, N, F=F: F.coeff_batch(x, N))
+        schedule = spec_for_label(label).schedule
+        rows.clear()
+        shared = frames_module.sweep_arrays(F, schedule, 0, 1)
+        assert sum(rows) == m * (m + 1) // 2
+        rows.clear()
+        mirrored = frames_module.sweep_arrays(split, schedule, 0, 1)
+        assert [_bits(v) for v in mirrored] == [_bits(v) for v in shared]
+        assert sum(rows) == m * m
+    F = frame_from_label("haar:p=3:J=6")  # a_n = b_n, but two balls
+    rows.clear()
+    frames_module.sweep_arrays(F, (4, 64), 0, 1)
+    assert sum(rows) == len(F.space.extreme_ball_points()) * len(F.space.dual.extreme_ball_points())
+
+
+def test_unconditional_sweep_matches_the_gather_oracle():
+    cases = [(frame_from_label(label), spec_for_label(label).schedule) for label in ORACLE_LABELS]
+    cases += [(F, (4, 19, 30)) for F in _non_finite_frames()]
+    for F, schedule in cases:
+        elements = [seeded_ball_point(F.space, 3, "elements", k) for k in range(3)]
+        coords = [F.space.coordinates(x) for x in elements]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _probe_pairs(F, elements, schedule, 7, 42)
+            want = [oracles.ordering_probe(F, coords, N, 7, 42) for N in schedule]
+        assert np.array_equal(got, want, equal_nan=True), F.label
+        finite = np.isfinite(got)
+        assert _bits(np.array(got)[finite]) == _bits(np.array(want)[finite]), F.label
+
+
 def test_ball_pair_sweep_points_own_their_coordinates():
     def buffers(element):
         if isinstance(element, GridFunction):

@@ -54,6 +54,30 @@ def test_prefix_sums_are_fsum_at_every_truncation(rows):
     assert _bits(got) == _bits(want)
 
 
+@st.composite
+def _cut_schedules(draw):
+    """Rows and a nondecreasing schedule that may repeat a truncation and
+    stop short of the row width, as the sweep's min(N, w) cuts do."""
+    rows = draw(st.lists(_prefix_rows(), min_size=1, max_size=4))
+    width = max(map(len, rows))
+    schedule = draw(st.lists(st.integers(1, width), min_size=1, max_size=6))
+    return rows, tuple(sorted(schedule))
+
+
+# A repeated truncation whose own last error is not 0: a segment sum
+# started at a repeated column would add that error twice.
+@example(case=([[1.0, 2.0**-53, 3.0, 2.0**-52, 7.0]], (1, 3, 3, 3)))
+@example(case=([[2.0**-60, 1.0, 2.0**-53, 1.0, 0.0, 5.0]], tuple(min(N, 4) for N in (2, 4, 16, 64))))
+@given(case=_cut_schedules())
+def test_prefix_sums_on_cut_schedules_are_fsum(case):
+    rows, schedule = case
+    width = max(map(len, rows))
+    terms = np.array([row + [0.0] * (width - len(row)) for row in rows])
+    got = prefix_sums(terms, schedule)
+    want = [[math.fsum(row[:N]) for N in schedule] for row in terms.tolist()]
+    assert _bits(got) == _bits(want)
+
+
 def test_prefix_sums_certify_most_entries_and_fall_back_on_midpoints(monkeypatch):
     calls = []
 

@@ -1,5 +1,6 @@
 """Experiment suites, report bundles, and their determinism contract."""
 
+import dataclasses
 import itertools
 import json
 import sys
@@ -232,44 +233,68 @@ def test_sweep_margins_match_the_per_pair_generator():
         ]
 
 
+def _scan_spied_frames(labels, synthesized):
+    """Fresh frames for the labels whose syntheses record (label, role,
+    rank) for every unit vector the zero-pair scan passes them."""
+    def counted(label, role, synth):
+        def wrapped(units):
+            if sys._getframe(1).f_code.co_name == "_zero_pair_scan":
+                ranks = units.argmax(axis=-1) + 1
+                synthesized.extend((label, role, int(n)) for n in ranks)
+            return synth(units)
+
+        return wrapped
+
+    frames = {}
+    for label in labels:
+        F = frame_from_label(label)
+        a = counted(label, "a", F.synth_batch)
+        b = a if F.dual_synth_batch is F.synth_batch else counted(label, "b", F.dual_synth_batch)
+        frames[label] = dataclasses.replace(F, synth_batch=a, dual_synth_batch=b)
+    return frames
+
+
 def test_run_all_sweeps_each_spec_once(monkeypatch):
-    calls = []
+    calls, synthesized, frames = [], [], {}
+    sweep_arrays = verify.sweep_arrays
 
-    def spy(name, fn):
-        def wrapped(*args):
-            calls.append((name, args[0].label))
-            return fn(*args)
+    def spy(*args):
+        calls.append(("sweep_arrays", args[0].label))
+        return sweep_arrays(*args)
 
-        monkeypatch.setattr(verify, name, wrapped)
-
-    for name in ("besselian_sweep", "frame_has_zero_elements"):
-        spy(name, getattr(verify, name))
+    monkeypatch.setattr(verify, "sweep_arrays", spy)
+    monkeypatch.setattr(verify, "frame_from_label", lambda label: frames[label])
     specs = [
         mini_spec("l1-canonical"),
         mini_spec("haar:p=2:J=3"),
         mini_spec("amalgam:p=2:q=2:J=2:window=-1,1"),
     ]
-    # the suites that read each shared result
-    reads = {
-        "besselian_sweep": {"besselian", "duality"},
-        "frame_has_zero_elements": {"besselian", "duality", "unconditionality"},
-    }
-    once = sorted((name, s.label) for s in specs for name in reads)
+    labels = [s.label for s in specs]
+    once = sorted(("sweep_arrays", label) for label in labels)
+
+    def run(suites=None):
+        # each run starts from frames that have scanned nothing; across the
+        # run no rank goes through one synthesis twice in the zero-pair scan
+        frames.update(_scan_spied_frames(labels, synthesized))
+        synthesized.clear()
+        bundle = run_all(specs, workers=4, suites=suites)
+        assert len(set(synthesized)) == len(synthesized)
+        assert {label for label, _role, _n in synthesized} == set(labels)
+        return bundle
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
     try:
-        # every selection: one of each per spec that its suites read, or none
+        # every selection: one sweep per spec if besselian or duality runs
         for k in range(1, len(SUITES) + 1):
             for suites in itertools.combinations(sorted(SUITES), k):
                 calls.clear()
-                run_all(specs, workers=4, suites=suites)
-                assert sorted(calls) == [
-                    c for c in once if reads[c[0]] & set(suites)
-                ], suites
+                run(suites)
+                assert sorted(calls) == (once if {"besselian", "duality"} & set(suites) else [])
         # nothing outlives the call: a second run computes everything again
         calls.clear()
-        first = run_all(specs, workers=4)
-        second = run_all(specs, workers=4)
+        first = run()
+        second = run()
         assert sorted(calls) == sorted(once + once)
     finally:
         sys.setswitchinterval(interval)
@@ -278,12 +303,7 @@ def test_run_all_sweeps_each_spec_once(monkeypatch):
     calls.clear()
     run_besselian_suite(specs[0])
     run_duality_suite(specs[0])
-    assert [c[0] for c in calls] == [
-        "besselian_sweep",
-        "frame_has_zero_elements",
-        "besselian_sweep",
-        "frame_has_zero_elements",
-    ]
+    assert [c[0] for c in calls] == ["sweep_arrays", "sweep_arrays"]
 
 
 def test_cold_run_all_on_shared_labels_writes_the_serial_bytes():
