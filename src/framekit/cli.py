@@ -38,6 +38,9 @@ __all__ = ["main", "CliUsageError"]
 
 _DEFAULT_SEED = 42
 _DEFAULT_SAMPLES = 2000
+# The sweep reserves (extreme pairs + samples) x (2 + schedule length)
+# floats before it draws, so larger budgets are refused up front.
+_MAX_SAMPLES = 10**6
 _DEFAULT_CONSTANT_N = 256
 _CURVES = ("residual", "constant", "shrinking-tail")
 
@@ -116,6 +119,13 @@ def _resolve_seed(ns, cfg) -> int:
     # FRAMEKIT_SEED overrides only the built-in default, never explicit flags
     # or config files.
     return _resolve(ns, cfg, "seed", _to_int, default=_DEFAULT_SEED, env="FRAMEKIT_SEED")
+
+
+def _resolve_samples(ns, cfg, default=_DEFAULT_SAMPLES):
+    samples = _resolve(ns, cfg, "samples", _to_int, default=default)
+    if samples is not None and not 1 <= samples <= _MAX_SAMPLES:
+        raise CliUsageError(f"samples must be in 1..{_MAX_SAMPLES}, got {samples}")
+    return samples
 
 
 def _require_frame(ns, cfg):
@@ -243,9 +253,7 @@ def cmd_constant(ns: argparse.Namespace) -> int:
         if F.max_rank is not None:
             n = min(n, F.max_rank)
     _check_truncation(F, n, 1)
-    samples = _resolve(ns, cfg, "samples", _to_int, default=_DEFAULT_SAMPLES)
-    if samples < 1:
-        raise CliUsageError(f"samples must be >= 1, got {samples}")
+    samples = _resolve_samples(ns, cfg)
     seed = _resolve_seed(ns, cfg)
 
     lhat = estimate_frame_constant(F, n, samples, seed)
@@ -279,7 +287,7 @@ def cmd_suite(ns: argparse.Namespace) -> int:
     label = _resolve(ns, cfg, "frame", str)
     labels = (label,) if label else DEFAULT_FRAME_LABELS
     overrides = {}
-    samples = _resolve(ns, cfg, "samples", _to_int)
+    samples = _resolve_samples(ns, cfg, default=None)
     if samples is not None:
         overrides["samples"] = samples
     overrides["seed"] = _resolve_seed(ns, cfg)
@@ -326,7 +334,7 @@ def cmd_tabulate(ns: argparse.Namespace) -> int:
             f"--curve must be one of {', '.join(_CURVES)}; got {curve!r}"
         )
     seed = _resolve_seed(ns, cfg)
-    samples = _resolve(ns, cfg, "samples", _to_int, default=_DEFAULT_SAMPLES)
+    samples = _resolve_samples(ns, cfg)
     schedule = _resolve(ns, cfg, "schedule", _parse_schedule)
     if schedule is None:
         schedule = spec_for_label(label).schedule
@@ -342,8 +350,6 @@ def cmd_tabulate(ns: argparse.Namespace) -> int:
         values = [space.element_norm(x - synthesis_partial(F, x, N)) for N in schedule]
     elif curve == "constant":
         # One sweep over the sorted truncations; rows keep the given order.
-        if samples < 1:
-            raise CliUsageError(f"samples must be >= 1, got {samples}")
         truncations = tuple(sorted(set(schedule)))
         constants = (
             sweep_arrays(F, truncations, samples, seed)[2].max(axis=0).tolist()
@@ -380,7 +386,7 @@ def cmd_tabulate(ns: argparse.Namespace) -> int:
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--frame", help="catalog frame label, e.g. haar:p=2:J=8")
     parser.add_argument("--n", help="truncation rank")
-    parser.add_argument("--samples", help="random sample budget")
+    parser.add_argument("--samples", help=f"random sample budget (at most {_MAX_SAMPLES})")
     parser.add_argument("--seed", help="base seed (FRAMEKIT_SEED overrides the default)")
     parser.add_argument("--out", help="output file (or directory for suite)")
     parser.add_argument("--format", help="artifact format: json or csv")

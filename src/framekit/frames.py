@@ -629,15 +629,22 @@ def besselian_sum(F: Frame, x, xstar, N: int) -> float:
     return float(l1_values_norm(coefficient_products(F, x, xstar, N)))
 
 
-# Random sweep pairs are drawn, evaluated and measured this many at a time.
-_SWEEP_BLOCK = 64
+# Sample blocks and probe chunks hold about this many values at a time.
+_BLOCK_VALUES = 1 << 15
 
 
-def _sample_blocks(samples: int) -> list[tuple[int, int]]:
-    """The sweep's sample ranges k0..k1-1, a block at a time."""
+def _block_rows(*widths: int) -> int:
+    """Rows per block when a row is as wide as the widest of widths: as many
+    as fit in _BLOCK_VALUES values, and at least one."""
+    return max(1, _BLOCK_VALUES // max(widths))
+
+
+def _sample_blocks(samples: int, *widths: int) -> list[tuple[int, int]]:
+    """The sample ranges k0..k1-1, _block_rows(*widths) samples at a time."""
     if samples < 0:
         raise ValueError(f"sample count must be >= 0, got {samples}")
-    return [(k, min(samples, k + _SWEEP_BLOCK)) for k in range(0, samples, _SWEEP_BLOCK)]
+    rows = _block_rows(*widths)
+    return [(k, min(samples, k + rows)) for k in range(0, samples, rows)]
 
 
 def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
@@ -653,7 +660,7 @@ def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
     extremes = itertools.product(space.extreme_ball_points(), dual.extreme_ball_points())
     draws = itertools.chain.from_iterable(
         zip(_ball_block(space, seed, "ball", *b), _ball_block(dual, seed, "ball", *b))
-        for b in _sample_blocks(samples)
+        for b in _sample_blocks(samples, space.draw_width, dual.draw_width)
     )
     for x, xstar in itertools.chain(extremes, draws):
         yield space.from_coordinates(x), dual.from_coordinates(xstar)
@@ -721,16 +728,17 @@ def sweep_arrays(
 
     Points go through the operators and norms as matrices: the extreme
     points once each, with the norms each descriptor keeps beside them
-    (``space.extremes``), the random pairs a block at a time.  The sums are
-    exactly rounded (bit for bit ``math.fsum``, see sums.prefix_sums), so
-    monotone in N with no rounding caveats.  A self-dual ball is drawn and
+    (``space.extremes``), the random pairs a block at a time, with N and
+    both draw widths setting the block's rows.  The sums are exactly
+    rounded (bit for bit ``math.fsum``, see sums.prefix_sums), so monotone
+    in N with no rounding caveats.  A self-dual ball is drawn and
     measured once for x and xstar, and a family with a_n = b_n analysed once
     for both roles; neither moves a bit.
     """
-    bounds = _sample_blocks(samples)
     N = schedule[-1]
-    _check_rank(F, N)
     space, dual = F.space, F.space.dual
+    bounds = _sample_blocks(samples, N, space.draw_width, dual.draw_width)
+    _check_rank(F, N)
     self_dual = dual == space
 
     def evaluate(x, xstar):
@@ -833,9 +841,11 @@ def unconditional_sweep(
 
     The atoms' nonzero entries, coordinate by coordinate, are found once, at
     the largest truncation, synthesizing a block of ranks at a time, and cut
-    down for the smaller ones.  Each trial's stream is derived once and
-    rewound for every truncation; its permutation and sign pattern are drawn
-    once per truncation and reused for every element.
+    down for the smaller ones.  A truncation where no coordinate has two
+    live atoms is order-free: no permutation or sign pattern can change its
+    norms, so none is drawn.  Where order can matter, each trial's stream
+    is derived once and rewound for every truncation; its permutation and
+    sign pattern are drawn once per truncation and reused for every element.
     """
     elements = [_coordinates(F.space, x) for x in elements]
     for N in schedule:
@@ -850,52 +860,58 @@ def unconditional_sweep(
         (n0, F.synth_batch(_unit_rows(n0, min(top, n0 + _UNIT_BLOCK), top)))
         for n0 in range(0, top, _UNIT_BLOCK)
     )
-    rngs = [derive_rng(seed, "unconditional", t) for t in range(trials)]
+    cuts = [sums.columns_upto(ranks, values, N) for N in schedule]
+    streams = trials if any(len(r) > 1 for r, _ in cuts) else 0
+    rngs = [derive_rng(seed, "unconditional", t) for t in range(streams)]
     starts = [rng.bit_generator.state for rng in rngs]
     return [
-        _ordering_probe(F, elements, N, rngs, starts, *sums.columns_upto(ranks, values, N))
-        for N in schedule
+        _ordering_probe(F, elements, N, trials, rngs, starts, *cut)
+        for N, cut in zip(schedule, cuts)
     ]
 
 
-# The probe takes its trials a chunk at a time, this many scaled entries.
-_PROBE_CHUNK = 1 << 14
-
-
 def _ordering_probe(
-    F: Frame, elements: list, N: int, rngs: list, starts: list,
+    F: Frame, elements: list, N: int, trials: int, rngs: list, starts: list,
     ranks: np.ndarray, values: np.ndarray,
 ) -> list[UnconditionalResult]:
     # Each sum adds only the atoms' nonzero entries, in the trial's order;
     # the zero terms left out could change only the sign of a zero sum.
     # Trial t draws from the start of its stream at every truncation.
     coeffs = np.reshape([F.coeff_batch(x, N) for x in elements], (len(elements), N))
-    trials = len(rngs)
-    perms, signs = np.empty((trials, N), dtype=np.intp), np.empty((trials, N))
-    for t, (rng, start) in enumerate(zip(rngs, starts)):
-        rng.bit_generator.state = start
-        perms[t] = rng.permutation(N)
-        signs[t] = rng.integers(0, 2, size=N) * 2 - 1
     # The terms of every sum; a sign flip scales them by +-1, exactly.
     products = coeffs[:, ranks] * values
-    bases, flat = sums.in_order(products), products.reshape(len(elements), ranks.size)
-    live, width = values != 0.0, values.shape[-1]
-    # position[t, perm[t, i]] = i: the place trial t draws each rank at.
-    position = np.empty_like(perms)
-    np.put_along_axis(position, perms, np.arange(N), axis=-1)
-    deviations = flip_norms = np.zeros(len(elements))
-    step = max(1, _PROBE_CHUNK // max(1, coeffs.shape[0] * values.size))
-    for t0 in range(0, trials, step):
-        chunk = slice(t0, t0 + step)
-        # Each column's entries in the order the trial draws their ranks.
-        drawn_at = np.take(position[chunk], ranks, axis=1)
-        drawn = np.argsort(np.where(live, drawn_at, N), axis=-2, kind="stable")
-        permuted = sums.in_order(np.take(flat, drawn * width + np.arange(width), axis=1))
-        flipped = sums.in_order(np.take(signs[chunk], ranks, axis=1)[:, None] * products)
-        deviations = np.maximum(
-            deviations, F.space.norm(permuted - bases[:, None]).max(axis=1)
-        )
-        flip_norms = np.maximum(flip_norms, F.space.norm(flipped).max(axis=0))
+    bases = sums.in_order(products)
+    if len(ranks) <= 1:
+        # At most one live atom per coordinate: every order adds each
+        # coordinate's one term alike, so permuted - bases is bases - bases
+        # bit for bit, NaN and inf included.  Every descriptor's norm is a
+        # lattice norm, a function of |values| (each takes np.abs first),
+        # so every sign pattern has the norm of bases.
+        deviations, flip_norms = F.space.norm(bases - bases), F.space.norm(bases)
+    else:
+        perms, signs = np.empty((trials, N), dtype=np.intp), np.empty((trials, N))
+        for t, (rng, start) in enumerate(zip(rngs, starts)):
+            rng.bit_generator.state = start
+            perms[t] = rng.permutation(N)
+            signs[t] = rng.integers(0, 2, size=N) * 2 - 1
+        flat = products.reshape(len(elements), ranks.size)
+        live, width = values != 0.0, values.shape[-1]
+        # position[t, perm[t, i]] = i: the place trial t draws each rank at.
+        position = np.empty_like(perms)
+        np.put_along_axis(position, perms, np.arange(N), axis=-1)
+        deviations = flip_norms = np.zeros(len(elements))
+        step = max(1, _BLOCK_VALUES // max(1, len(elements) * values.size))
+        for t0 in range(0, trials, step):
+            chunk = slice(t0, t0 + step)
+            # Each column's entries in the order the trial draws their ranks.
+            drawn_at = np.take(position[chunk], ranks, axis=1)
+            drawn = np.argsort(np.where(live, drawn_at, N), axis=-2, kind="stable")
+            permuted = sums.in_order(np.take(flat, drawn * width + np.arange(width), axis=1))
+            flipped = sums.in_order(np.take(signs[chunk], ranks, axis=1)[:, None] * products)
+            deviations = np.maximum(
+                deviations, F.space.norm(permuted - bases[:, None]).max(axis=1)
+            )
+            flip_norms = np.maximum(flip_norms, F.space.norm(flipped).max(axis=0))
     return [
         UnconditionalResult(
             truncation=N, trials=trials, deviation=float(dev), sign_flip_norm=float(flip)
@@ -1249,10 +1265,11 @@ def reflexivity_probe(
     def run_leg(name: str, ball, purpose: str, analysis, synthesis) -> tuple[str, float]:
         # Deterministic extreme points first, then seeded random draws, each
         # block through one analysis out to the largest horizon that is used.
-        blocks = [ball.extreme_ball_points()[:_EXTREME_CANDIDATES]] + [
-            _ball_block(ball, cfg.seed, purpose, *b) for b in _sample_blocks(cfg.samples)
-        ]
         top = max((M for N, M in zip(schedule, horizons) if M > N), default=None)
+        blocks = [ball.extreme_ball_points()[:_EXTREME_CANDIDATES]] + [
+            _ball_block(ball, cfg.seed, purpose, *b)
+            for b in _sample_blocks(cfg.samples, ball.draw_width, top or 1)
+        ]
         coeffs = [analysis(block, top) for block in blocks] if top else []
         values = []
         for N, M in zip(schedule, horizons):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import framekit.cli as cli
 import framekit.verify as verify
 from framekit.catalog import frame_from_label
 from framekit.cli import main
@@ -348,6 +349,30 @@ def test_unbounded_frames_cap_cli_truncations(tmp_path, capsys):
     elem = seq_file(tmp_path, [(65536, 1.0)])
     assert main(["expand", "--frame", "l1-canonical", "--input", elem, "--n", "65536"]) == 0
     assert json.loads((tmp_path / "expand.json").read_text())["residual"] == 0.0
+
+
+def test_cli_sample_budgets_are_capped(tmp_path, capsys, monkeypatch):
+    # the sweep reserves its result arrays before it draws, so a budget past
+    # the cap, like one below 1, is a usage error before any sweep, suite or
+    # estimate runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("frame work ran")
+
+    for name in ("estimate_frame_constant", "sweep_arrays", "run_all"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert cli._MAX_SAMPLES == 10**6
+    for bad in (str(cli._MAX_SAMPLES + 1), "0"):
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text(f"samples = {bad}\n", encoding="utf-8")
+        for argv in (
+            ["constant", "--frame", "l1-canonical", "--n", "4", "--samples", bad],
+            ["constant", "--frame", "l1-canonical", "--n", "4", "--config", str(cfg)],
+            ["suite", "all", "--frame", "l1-canonical", "--samples", bad],
+            ["suite", "besselian", "--samples", bad],
+            ["tabulate", "--frame", "l1-canonical", "--curve", "constant", "--samples", bad],
+        ):
+            assert main(argv) == 1, argv
+            assert f"samples must be in 1..1000000, got {bad}" in capsys.readouterr().err
 
 
 def test_cli_truncations_are_capped_on_every_unbounded_frame(tmp_path, capsys):

@@ -280,11 +280,17 @@ STREAM_SPACES = (
 )
 
 
+def _sweep_block_rows(F, N: int) -> int:
+    """Samples per block of F's sweep to truncation N."""
+    return frames_module._block_rows(N, F.space.draw_width, F.space.dual.draw_width)
+
+
 def test_sweep_rows_are_prefixes_across_block_sizes():
-    block = frames_module._SWEEP_BLOCK
     for label in DEFAULT_FRAME_LABELS + ("haar:p=3:J=5",):
         F = frame_from_label(label)
         schedule = spec_for_label(label).schedule
+        block = _sweep_block_rows(F, schedule[-1])
+        assert 1 < block < 2000
         full = besselian_sweep(F, schedule, 2000, 7)
         extremes = len(full) - 2000
         for samples in (1, block - 1, block, block + 1):
@@ -376,6 +382,23 @@ def test_besselian_sweep_memory_stays_small():
         assert peak < 5 * 2**20, (label, peak)
 
 
+def test_sweep_blocks_are_sized_by_values():
+    # at the finest grid a block is 8 rows of 4096 values, so the sweep holds
+    # a few block-sized arrays (words, points, coefficients, products and
+    # their sums' temporaries), not 64 rows of each
+    F = frame_from_label("haar:p=3:J=12")
+    schedule = (4, 16, 64, 256)
+    assert _sweep_block_rows(F, schedule[-1]) == 8
+    frames_module.sweep_arrays(F, schedule, 1, 1)  # the extreme points, once
+    tracemalloc.start()
+    try:
+        frames_module.sweep_arrays(F, schedule, 300, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * frames_module._BLOCK_VALUES * 8, peak
+
+
 # ---------------------------------------------------------------------------
 # the sweep skips work whose result it already holds, and no bit moves
 # ---------------------------------------------------------------------------
@@ -392,7 +415,6 @@ def test_sweep_rows_are_besselian_sums_past_the_cut(monkeypatch):
         return prefix_sums(terms, schedule)
 
     monkeypatch.setattr(sums_module, "prefix_sums", spy)
-    samples = frames_module._SWEEP_BLOCK + 6
     cases = (
         ("haar:p=3:J=7", (1, 3, 16, 40, 128)),
         ("l1-canonical", (2, 5, 24, 40)),
@@ -400,6 +422,7 @@ def test_sweep_rows_are_besselian_sums_past_the_cut(monkeypatch):
     )
     for label, schedule in cases:
         F = frame_from_label(label)
+        samples = _sweep_block_rows(F, schedule[-1]) + 6  # two sample blocks
         calls.clear()
         rows = besselian_sweep(F, schedule, samples, 5)
         pairs = list(ball_pair_sweep(F.space, samples, 5))
@@ -416,8 +439,10 @@ def test_sweep_rows_are_besselian_sums_past_the_cut(monkeypatch):
             assert any(schedule[0] < w < schedule[-1] for w in widths)
         if label.startswith("haar"):
             # the 32 x 32 extreme pairs in two chunks of 16 x rows, their
-            # factors cut at rank 32, then one call per sample block
-            assert widths == [16, 32, 128, 128]
+            # factors cut at rank 32, then the sample blocks of 256 and 6
+            # rows, 128 rows of 128 terms per call
+            assert samples == 262
+            assert widths == [16, 32, 128, 128, 128]
 
 
 def _frame_with_a_nan_column() -> Frame:
@@ -514,7 +539,6 @@ def test_self_dual_sweeps_draw_and_analyse_once(monkeypatch):
 
     monkeypatch.setattr(frames_module, "_stream_words", spy)
     blocks = 3
-    samples = (blocks - 1) * frames_module._SWEEP_BLOCK + 1
     cases = (
         ("haar:p=2:J=5", 1),
         ("amalgam:p=2:q=2:J=2:window=-1,1", 1),
@@ -524,6 +548,7 @@ def test_self_dual_sweeps_draw_and_analyse_once(monkeypatch):
     for label, per_block in cases:
         F = frame_from_label(label)
         space, dual = F.space, F.space.dual
+        samples = (blocks - 1) * _sweep_block_rows(F, 16) + 1
         draws.clear()
         rows = besselian_sweep(F, (4, 16), samples, 3)
         assert len(draws) == blocks * per_block
@@ -544,6 +569,7 @@ def test_self_dual_sweeps_draw_and_analyse_once(monkeypatch):
 
     for label in ("haar:p=2:J=5", "amalgam:p=2:q=2:J=2:window=-1,1"):
         F = frame_from_label(label)
+        samples = (blocks - 1) * _sweep_block_rows(F, 16) + 1
         one = counted(F.coeff_batch)
         shared = dataclasses.replace(F, coeff_batch=one, eval_batch=one)
         split = dataclasses.replace(
@@ -685,7 +711,8 @@ def test_ball_pair_sweep_points_own_their_coordinates():
         AmalgamSpace(2.0, 2.0, (-1, 1), 2),
         AmalgamSpace(3.0, 1.5, (-1, 1), 2),
     ):
-        for x, xstar in ball_pair_sweep(space, frames_module._SWEEP_BLOCK + 3, 2):
+        block = frames_module._block_rows(space.draw_width, space.dual.draw_width)
+        for x, xstar in ball_pair_sweep(space, block + 3, 2):
             for a in buffers(x):
                 assert not any(np.shares_memory(a, b) for b in buffers(xstar))
 
@@ -828,7 +855,10 @@ def test_unconditional_sweep_matches_per_truncation_probes():
 def test_unconditional_sweep_draws_each_trial_once(monkeypatch):
     # one stream per trial, rewound for each truncation; one permutation and
     # sign pattern per (trial, truncation), shared by every element, with
-    # results equal to per-element probes bit for bit
+    # results equal to per-element probes bit for bit.  The l1 atoms have
+    # disjoint supports, so no truncation can be reordered and no stream is
+    # derived at all.
+    streams = {"l1-canonical": 0}
     for label in DEFAULT_FRAME_LABELS:
         F = frame_from_label(label)
         elements = [seeded_ball_point(F.space, 3, "elements", k) for k in range(3)]
@@ -842,7 +872,7 @@ def test_unconditional_sweep_draws_each_trial_once(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(frames_module, "derive_rng", counted)
             results = unconditional_sweep(F, elements, schedule, 5, 42)
-        assert len(calls) == 5
+        assert len(calls) == streams.get(label, 5), label
         assert results == [
             [unconditional_probe(F, x, N, 5, 42) for x in elements] for N in schedule
         ]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from framekit.frames import (
     AmalgamSpace,
@@ -335,6 +336,42 @@ def test_one_norm_has_the_bits_of_its_row_in_a_batch():
         assert [space.norm(v) for v in rows] == batch.tolist()
         # the typed grid_lp_norm and amalgam_norm
         assert [space.element_norm(space.from_coordinates(v)) for v in rows] == batch.tolist()
+
+
+# Each descriptor with its dual: grid norms at p = 1.5, 2 and 3 and both
+# amalgam exponent pairs.
+LATTICE_SPACES = tuple(
+    space
+    for base in (
+        SequenceSpace(),
+        *(GridSpace(p, 3) for p in (1.5, 2.0, 3.0)),
+        AmalgamSpace(3.0, 1.5, (-1, 1), 2),
+    )
+    for space in (base, base.dual)
+)
+
+lattice_entries = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, width=64),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_descriptor_norms_are_lattice_norms(data):
+    # norm(values * signs) has the bits of norm(values) for every +-1 sign
+    # pattern, zeros, NaN and inf included: each norm is a function of
+    # |values|.  The unconditionality probe's order-free route relies on it.
+    for space in LATTICE_SPACES:
+        width = space.zero().size
+        if isinstance(space, (SequenceSpace, DualSequenceSpace)):
+            width = data.draw(st.integers(min_value=1, max_value=30))
+        shape = (data.draw(st.integers(min_value=1, max_value=3)), width)
+        values = data.draw(arrays(np.float64, shape, elements=lattice_entries))
+        signs = data.draw(arrays(np.float64, shape, elements=st.sampled_from([-1.0, 1.0])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            flipped, want = space.norm(values * signs), space.norm(values)
+        assert flipped.view(np.uint64).tolist() == want.view(np.uint64).tolist(), space
 
 
 # ---------------------------------------------------------------------------
