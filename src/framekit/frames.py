@@ -670,22 +670,32 @@ def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
 _PREFIX_CHUNK = 1 << 14
 
 
-def _live_width(terms: np.ndarray) -> int:
-    """Columns up to and including the last one holding a nonzero entry;
-    at least 1."""
-    live = np.flatnonzero(terms.any(axis=0))
-    return int(live[-1]) + 1 if len(live) else 1
+def _live_columns(schedule: tuple[int, ...], *factors: np.ndarray) -> tuple[list, tuple]:
+    """(factors, cut): the factors cut to column 0 and every column where
+    some row of each factor is nonzero (NaN and inf count as nonzero), and
+    each truncation N of the schedule as the number of those columns
+    before rank N (never 0, since column 0 is kept)."""
+    live = (factors[0] != 0.0).any(axis=0)
+    for f in factors[1:]:
+        live &= (f != 0.0).any(axis=0)
+    live[0] = True
+    columns = np.flatnonzero(live)
+    cut = tuple(np.searchsorted(columns, schedule).tolist())
+    if columns[-1] == len(columns) - 1:  # a leading run: views, no copies
+        return [f[:, : len(columns)] for f in factors], cut
+    return [f[:, columns] for f in factors], cut
 
 
 def _prefix_rows(products: np.ndarray, schedule: tuple[int, ...], out: np.ndarray) -> None:
     """Exactly rounded prefix sums of |products| per row, written to out (a
     rows x len(schedule) array), at most _PREFIX_CHUNK terms per call;
-    products is overwritten.  Terms past the last nonzero column are +0.0
-    and change no exactly rounded prefix sum: they are cut."""
-    terms = np.abs(products, out=products)
-    w = _live_width(terms)
-    terms, cut = terms[:, :w], tuple(min(n, w) for n in schedule)
-    step = max(1, _PREFIX_CHUNK // w)
+    products is overwritten.
+
+    Only the live columns are summed (_live_columns): the others hold +0.0
+    in every row, and a +0.0 term changes no exactly rounded sum.
+    """
+    (terms,), cut = _live_columns(schedule, np.abs(products, out=products))
+    step = max(1, _PREFIX_CHUNK // terms.shape[-1])
     for i in range(0, len(terms), step):
         out[i : i + step] = sums.prefix_sums(terms[i : i + step], cut)
 
@@ -697,18 +707,17 @@ def _extreme_rows(
     row x and an evaluation row xstar, into out x-major as ball_pair_sweep
     yields them, at most _PREFIX_CHUNK terms (at least one pair) at a time.
 
-    Finite factors are cut first, at the last column where some row of each
-    is nonzero: every later product is +0.0.  A non-finite factor can make
-    a product NaN (inf * 0), so then the whole product is formed first.
-    When one array plays both roles (``coeffs is evals``), pair (j, i) has
-    pair (i, j)'s terms bit for bit: only the pairs i <= j are summed, and
-    their sums are mirrored.
+    Finite factors are cut first to their live columns (_live_columns):
+    every other product is +0.0.  A non-finite factor can make a product
+    NaN (inf * 0), so then the whole product is formed first.  When one
+    array plays both roles (``coeffs is evals``), pair (j, i) has pair
+    (i, j)'s terms bit for bit: only the pairs i <= j are summed, and their
+    sums are mirrored.
     """
     m, symmetric = len(evals), coeffs is evals
     i, j = np.triu_indices(m) if symmetric else np.divmod(np.arange(len(coeffs) * m), m)
     if np.isfinite(coeffs).all() and np.isfinite(evals).all():
-        w = min(_live_width(coeffs), _live_width(evals))
-        coeffs, evals = coeffs[:, :w], evals[:, :w]
+        (coeffs, evals), schedule = _live_columns(schedule, coeffs, evals)
     found = np.empty((len(i), len(schedule)))
     step = max(1, _PREFIX_CHUNK // evals.shape[-1])
     for k in range(0, len(i), step):
@@ -834,7 +843,8 @@ class UnconditionalResult:
 
 
 def unconditional_sweep(
-    F: Frame, elements, schedule: tuple[int, ...], trials: int, seed: int
+    F: Frame, elements, schedule: tuple[int, ...], trials: int, seed: int,
+    draws: Optional[dict] = None,
 ) -> list[list[UnconditionalResult]]:
     """unconditional_probe for every element at every truncation of the
     schedule: one list of results per truncation, in the elements' order.
@@ -843,9 +853,13 @@ def unconditional_sweep(
     the largest truncation, synthesizing a block of ranks at a time, and cut
     down for the smaller ones.  A truncation where no coordinate has two
     live atoms is order-free: no permutation or sign pattern can change its
-    norms, so none is drawn.  Where order can matter, each trial's stream
-    is derived once and rewound for every truncation; its permutation and
-    sign pattern are drawn once per truncation and reused for every element.
+    norms, so none is drawn.  Where order can matter, the trials' draws at
+    truncation N come from draws, a table mapping (seed, trials, N) to
+    read-only (position, signs) arrays (_trial_draws), which verify.run_all
+    shares between a run's specs.  For the truncations missing from it,
+    each trial's stream is derived once and rewound for each, and the draws
+    are added.  One permutation and sign pattern per (trial, truncation)
+    serve every element.
     """
     elements = [_coordinates(F.space, x) for x in elements]
     for N in schedule:
@@ -861,22 +875,45 @@ def unconditional_sweep(
         for n0 in range(0, top, _UNIT_BLOCK)
     )
     cuts = [sums.columns_upto(ranks, values, N) for N in schedule]
-    streams = trials if any(len(r) > 1 for r, _ in cuts) else 0
-    rngs = [derive_rng(seed, "unconditional", t) for t in range(streams)]
-    starts = [rng.bit_generator.state for rng in rngs]
+    draws = {} if draws is None else draws
+    missing = {
+        N for N, (r, _) in zip(schedule, cuts) if len(r) > 1 and (seed, trials, N) not in draws
+    }
+    if missing:
+        rngs = [derive_rng(seed, "unconditional", t) for t in range(trials)]
+        starts = [rng.bit_generator.state for rng in rngs]
+        for N in missing:
+            # Another task of the run may have added the same key meanwhile:
+            # an entry is a function of its key, and setdefault keeps the
+            # first, so the race needs no lock.
+            draws.setdefault((seed, trials, N), _trial_draws(rngs, starts, N))
     return [
-        _ordering_probe(F, elements, N, trials, rngs, starts, *cut)
+        _ordering_probe(F, elements, N, trials, draws.get((seed, trials, N)), *cut)
         for N, cut in zip(schedule, cuts)
     ]
 
 
+def _trial_draws(rngs: list, starts: list, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(position, signs), two read-only trials x N arrays: trial t draws its
+    permutation perm and then its signs from the start of its stream, and
+    position[t, perm[i]] = i is the place it draws each rank at."""
+    perms, signs = np.empty((len(rngs), N), dtype=np.intp), np.empty((len(rngs), N))
+    for t, (rng, start) in enumerate(zip(rngs, starts)):
+        rng.bit_generator.state = start
+        perms[t] = rng.permutation(N)
+        signs[t] = rng.integers(0, 2, size=N) * 2 - 1
+    position = np.empty_like(perms)
+    np.put_along_axis(position, perms, np.arange(N), axis=-1)
+    position.flags.writeable = signs.flags.writeable = False
+    return position, signs
+
+
 def _ordering_probe(
-    F: Frame, elements: list, N: int, trials: int, rngs: list, starts: list,
+    F: Frame, elements: list, N: int, trials: int, trial_draws: Optional[tuple],
     ranks: np.ndarray, values: np.ndarray,
 ) -> list[UnconditionalResult]:
     # Each sum adds only the atoms' nonzero entries, in the trial's order;
     # the zero terms left out could change only the sign of a zero sum.
-    # Trial t draws from the start of its stream at every truncation.
     coeffs = np.reshape([F.coeff_batch(x, N) for x in elements], (len(elements), N))
     # The terms of every sum; a sign flip scales them by +-1, exactly.
     products = coeffs[:, ranks] * values
@@ -889,16 +926,9 @@ def _ordering_probe(
         # so every sign pattern has the norm of bases.
         deviations, flip_norms = F.space.norm(bases - bases), F.space.norm(bases)
     else:
-        perms, signs = np.empty((trials, N), dtype=np.intp), np.empty((trials, N))
-        for t, (rng, start) in enumerate(zip(rngs, starts)):
-            rng.bit_generator.state = start
-            perms[t] = rng.permutation(N)
-            signs[t] = rng.integers(0, 2, size=N) * 2 - 1
+        position, signs = trial_draws
         flat = products.reshape(len(elements), ranks.size)
         live, width = values != 0.0, values.shape[-1]
-        # position[t, perm[t, i]] = i: the place trial t draws each rank at.
-        position = np.empty_like(perms)
-        np.put_along_axis(position, perms, np.arange(N), axis=-1)
         deviations = flip_norms = np.zeros(len(elements))
         step = max(1, _BLOCK_VALUES // max(1, len(elements) * values.size))
         for t0 in range(0, trials, step):

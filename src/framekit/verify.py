@@ -165,16 +165,21 @@ def default_specs() -> tuple[ExperimentSpec, ...]:
 
 class _SpecResults:
     """The results that several suites of one spec read: the frame, and the
-    sweep's constants and margins, computed on first use.
+    sweep's constants and margins, computed on first use; and draws, the
+    run's table of the unconditionality probe's trial draws (see
+    frames.unconditional_sweep).
 
     run_all's task for a spec makes one and runs the spec's suites against
-    it, on one thread, so no entry needs a lock; a suite called on its own
-    makes its own and so computes its own.
+    it, on one thread, so no entry needs a lock (the draw table, shared by
+    the run's tasks, only gains entries that are functions of their keys);
+    a suite called on its own makes its own and so computes its own, with a
+    table of its own.
     """
 
-    def __init__(self, spec: ExperimentSpec) -> None:
+    def __init__(self, spec: ExperimentSpec, draws: Optional[dict] = None) -> None:
         self.spec = spec
         self.frame = frame_from_label(spec.label)
+        self.draws = {} if draws is None else draws
 
     @cached_property
     def sweep(self) -> tuple[list[float], list[float]]:
@@ -332,7 +337,9 @@ def run_unconditionality_suite(spec: ExperimentSpec) -> FrameReport:
     schedule = tuple(
         N for N in spec.schedule if F.max_rank is None or N <= F.max_rank
     )
-    per_truncation = unconditional_sweep(F, elements, schedule, spec.trials, spec.seed)
+    per_truncation = unconditional_sweep(
+        F, elements, schedule, spec.trials, spec.seed, shared.draws
+    )
     for N, results in zip(schedule, per_truncation):
         deviation = max(r.deviation for r in results)
         flip = max(r.sign_flip_norm for r in results)
@@ -421,8 +428,11 @@ def run_all(
     Each spec is one task, which runs the selected suites in order against
     one _SpecResults, so the spec's unit-ball sweep is computed once and
     shared by the suites that read it, and dropped when the task ends (each
-    frame records its own zero-pair scan).  With workers > 1 the tasks run
-    on a thread pool.
+    frame records its own zero-pair scan).  Every task gets the run's one
+    table of trial draws, so specs with the same seed and trials draw each
+    truncation's permutations and signs once; the table holds only
+    read-only arrays, and is dropped when the run ends.  With workers > 1
+    the tasks run on a thread pool.
     Reports are sorted afterwards, and every random draw is keyed by (seed,
     purpose, index), so the bundle is byte-identical whatever the degree of
     parallelism.
@@ -433,8 +443,8 @@ def run_all(
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
 
-    def run_spec(spec):
-        _SPEC_RESULTS.set(_SpecResults(spec))  # in this task's own context
+    def run_spec(spec, draws):
+        _SPEC_RESULTS.set(_SpecResults(spec, draws))  # in this task's own context
         reports = []
         for name in names:
             start = time.perf_counter()
@@ -447,8 +457,10 @@ def run_all(
             )
         return reports
 
+    draws: dict = {}
+
     def task(spec):
-        return contextvars.copy_context().run(run_spec, spec)
+        return contextvars.copy_context().run(run_spec, spec, draws)
 
     if workers <= 1:
         per_spec = [task(spec) for spec in specs]

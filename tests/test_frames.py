@@ -405,13 +405,15 @@ def test_sweep_blocks_are_sized_by_values():
 
 
 def test_sweep_rows_are_besselian_sums_past_the_cut(monkeypatch):
-    # the prefix sums stop at the last column holding a nonzero term, and
-    # every row is still besselian_sum over the matching ball_pair_sweep pair
+    # the prefix sums take only the live columns (column 0 and every column
+    # holding a nonzero term), each truncation cut to the live columns
+    # before it, and every row is still besselian_sum over the matching
+    # ball_pair_sweep pair
     calls = []
     prefix_sums = sums_module.prefix_sums
 
     def spy(terms, schedule):
-        calls.append((terms.shape[1], schedule))
+        calls.append((terms.shape[1], tuple(schedule)))
         return prefix_sums(terms, schedule)
 
     monkeypatch.setattr(sums_module, "prefix_sums", spy)
@@ -430,19 +432,28 @@ def test_sweep_rows_are_besselian_sums_past_the_cut(monkeypatch):
         for (_nx, _nxs, got), (x, xstar) in zip(rows, pairs):
             assert got == tuple(besselian_sum(F, x, xstar, N) for N in schedule)
         for w, cut in calls:
-            assert cut == tuple(min(N, w) for N in schedule)
+            # column 0 is kept, so no truncation is cut to an empty sum
+            assert 1 <= cut[0] and list(cut) == sorted(cut) and cut[-1] <= w
+            assert all(c <= N for c, N in zip(cut, schedule))
         widths = [w for w, _ in calls]
         if label == "zero":
             assert set(widths) == {1}
+            assert {cut for _, cut in calls} == {(1, 1)}
         else:
             # some chunks are cut with schedule entries below and above the cut
             assert any(schedule[0] < w < schedule[-1] for w in widths)
         if label.startswith("haar"):
             # the 32 x 32 extreme pairs in two chunks of 16 x rows, their
-            # factors cut at rank 32, then the sample blocks of 256 and 6
-            # rows, 128 rows of 128 terms per call
+            # factors gathered to ranks 1..32; the first chunk is live on
+            # ranks 1..16, the second on rank 1 and ranks 17..32 (so ranks
+            # 3 and 16 keep one column there); then the sample blocks of
+            # 256 and 6 rows, 128 rows of 128 terms per call
             assert samples == 262
-            assert widths == [16, 32, 128, 128, 128]
+            assert calls == [
+                (16, (1, 3, 16, 16, 16)),
+                (17, (1, 1, 1, 17, 17)),
+                *[(128, schedule)] * 3,
+            ]
 
 
 def _frame_with_a_nan_column() -> Frame:
@@ -469,11 +480,11 @@ def _frame_with_a_nan_column() -> Frame:
 def test_sweep_with_a_non_finite_factor_forms_the_products_first(monkeypatch):
     # cutting the factors at rank 19 would drop the inf * 0 = NaN terms
     F, schedule, samples = _frame_with_a_nan_column(), (4, 19, 30, 40), 10
-    widths = []
+    calls = []
     prefix_sums = sums_module.prefix_sums
 
     def spy(terms, cut):
-        widths.append(terms.shape[1])
+        calls.append((np.flatnonzero(np.isnan(terms).any(axis=0)), terms.shape[1], tuple(cut)))
         return prefix_sums(terms, cut)
 
     monkeypatch.setattr(sums_module, "prefix_sums", spy)
@@ -484,7 +495,103 @@ def test_sweep_with_a_non_finite_factor_forms_the_products_first(monkeypatch):
     got = [list(row) for _nx, _nxs, row in rows]
     assert np.array_equal(got, want, equal_nan=True)
     assert np.isnan(got).any(axis=0).tolist() == [False, False, True, True]
-    assert set(widths) == {40}
+    # the zero products at ranks 20..29 are dropped, the NaN products at
+    # ranks 30..40 all kept, as the last 11 columns of every call
+    assert len(calls) == 2
+    for nan_columns, w, cut in calls:
+        assert w < 40 and nan_columns.tolist() == list(range(w - 11, w))
+        assert cut[2:] == (w - 10, w)
+
+
+def _frame_with_a_nan_after_zero_columns() -> Frame:
+    """l1-canonical with every coefficient at ranks 9..30 zero, every
+    coefficient at rank 31 infinite and every evaluation past rank 8 zero:
+    the products at ranks 9..30 and past 31 are 0, at rank 31 inf * 0."""
+    space = SequenceSpace()
+
+    def coeff_batch(x, N):
+        out = space.values(x, N)
+        out[..., 8:30] = 0.0
+        out[..., 30:31] = math.inf
+        return out
+
+    def eval_batch(xstar, N):
+        out = space.dual.values(xstar, N)
+        out[..., 8:] = 0.0
+        return out
+
+    return dataclasses.replace(
+        canonical_l1_frame(), label="nan-after-zeros", coeff_batch=coeff_batch,
+        eval_batch=eval_batch,
+    )
+
+
+def test_sweep_sums_only_the_live_columns(monkeypatch):
+    # every sweep row is per-pair besselian_sum bit for bit, NaN included,
+    # while the prefix sums see column 0 and the columns holding a nonzero
+    # term only
+    calls = []
+    prefix_sums = sums_module.prefix_sums
+
+    def spy(terms, cut):
+        calls.append((terms.copy(), tuple(cut)))
+        return prefix_sums(terms, cut)
+
+    monkeypatch.setattr(sums_module, "prefix_sums", spy)
+    cases = (
+        (frame_from_label("amalgam:p=2:q=2:J=4:window=-1,1"), None, 300),
+        (frame_from_label("amalgam:p=3:q=1.5:J=2:window=-3,1"), None, 300),
+        (_frame_with_a_nan_after_zero_columns(), (4, 8, 30, 31, 40), 20),
+        (frame_from_label("zero"), (1, 4, 16), 20),
+    )
+    for F, schedule, samples in cases:
+        schedule = schedule or spec_for_label(F.label).schedule
+        calls.clear()
+        with np.errstate(invalid="ignore"):
+            _nx, _nxs, got = frames_module.sweep_arrays(F, schedule, samples, 5)
+            want = [
+                [besselian_sum(F, x, xstar, N) for N in schedule]
+                for x, xstar in ball_pair_sweep(F.space, samples, 5)
+            ]
+        assert np.array_equal(got, want, equal_nan=True), F.label
+        assert _bits(got[~np.isnan(got)]) == _bits(np.array(want)[~np.isnan(want)]), F.label
+        for terms, cut in calls:
+            # no column but column 0 is zero in every row
+            assert terms[:, 1:].any(axis=0).all(), F.label
+            assert cut[0] >= 1 and cut[-1] <= terms.shape[1]
+        if F.label == "zero":
+            assert {(terms.shape[1], cut) for terms, cut in calls} == {(1, (1, 1, 1))}
+        if F.label == "nan-after-zeros":
+            # ranks 9..30 are dropped, and rank 31's NaN survives the gather
+            # as the last kept column
+            for terms, cut in calls:
+                w = terms.shape[1]
+                assert w <= 9 and np.isnan(terms[:, -1]).all()
+                assert not np.isnan(terms[:, :-1]).any()
+                assert cut[2:] == (w - 1, w, w)
+            assert np.isnan(got[:, 3:]).all() and not np.isnan(got[:, :3]).any()
+
+
+def test_default_amalgam_sums_48_sample_and_24_extreme_columns(monkeypatch):
+    # the default amalgam has 274 ranks, most of them zero pairs: the
+    # extreme pairs are summed over 24 columns, the 2,000 samples over 48
+    widths = []
+    prefix_sums = sums_module.prefix_sums
+
+    def spy(terms, cut):
+        widths.append((len(terms), terms.shape[1]))
+        return prefix_sums(terms, cut)
+
+    monkeypatch.setattr(sums_module, "prefix_sums", spy)
+    label = "amalgam:p=2:q=2:J=4:window=-1,1"
+    F, spec = frame_from_label(label), spec_for_label(label)
+    assert spec.schedule[-1] == 274 and spec.samples == 2000
+    m = len(F.space.extreme_ball_points())
+    frames_module.sweep_arrays(F, spec.schedule, spec.samples, spec.seed)
+    extreme, samples = widths[:1], widths[1:]
+    assert extreme == [(m * (m + 1) // 2, 24)]
+    assert {w for _rows, w in samples} == {48}
+    assert sum(rows for rows, _w in samples) == spec.samples
 
 
 def test_sweep_prefix_sums_take_at_most_one_chunk(monkeypatch):
@@ -876,6 +983,44 @@ def test_unconditional_sweep_draws_each_trial_once(monkeypatch):
         assert results == [
             [unconditional_probe(F, x, N, 5, 42) for x in elements] for N in schedule
         ]
+
+
+def test_unconditional_sweep_reads_and_fills_a_draw_table(monkeypatch):
+    # a table keyed by (seed, trials, N) holds each ordered truncation's
+    # read-only (position, signs); a sweep derives the trial streams only
+    # for truncations missing from it, and the results never move
+    calls = []
+
+    def counted(seed, *keys, original=frames_module.derive_rng):
+        calls.append(keys)
+        return original(seed, *keys)
+
+    monkeypatch.setattr(frames_module, "derive_rng", counted)
+    haar, amalgam = frame_from_label("haar:p=2:J=8"), frame_from_label(DEFAULT_FRAME_LABELS[2])
+    table = {}
+    for F, schedule, streams in (
+        (haar, (4, 16, 64), 5),  # all three missing
+        (amalgam, (4, 16, 64, 274), 5),  # 274 missing: the streams once
+        (haar, (4, 64), 0),
+        (L1, (4, 64), 0),  # order-free: no lookup, no draw
+    ):
+        elements = [seeded_ball_point(F.space, 3, "elements", k) for k in range(3)]
+        calls.clear()
+        got = unconditional_sweep(F, elements, schedule, 5, 42, table)
+        assert len(calls) == streams, F.label
+        calls.clear()
+        assert got == unconditional_sweep(F, elements, schedule, 5, 42), F.label
+    assert sorted(table) == [(42, 5, N) for N in (4, 16, 64, 274)]
+    for N, (position, signs) in ((key[2], value) for key, value in table.items()):
+        assert position.shape == signs.shape == (5, N)
+        assert not position.flags.writeable and not signs.flags.writeable
+        assert (np.sort(position, axis=1) == np.arange(N)).all()
+        assert set(np.unique(signs)) <= {-1.0, 1.0}
+    # another seed or trial count is another key
+    x = seeded_ball_point(haar.space, 3, "elements", 0)
+    unconditional_sweep(haar, (x,), (4,), 6, 42, table)
+    unconditional_sweep(haar, (x,), (4,), 5, 43, table)
+    assert {(42, 6, 4), (43, 5, 4)} <= set(table)
 
 
 def _bits(values) -> list:

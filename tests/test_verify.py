@@ -5,8 +5,10 @@ import itertools
 import json
 import sys
 
+import numpy as np
 import pytest
 
+import framekit.frames as frames_module
 import framekit.verify as verify
 from framekit.catalog import frame_from_label
 from framekit.frames import besselian_sweep, sweep_constants
@@ -323,6 +325,70 @@ def test_cold_run_all_on_shared_labels_writes_the_serial_bytes():
         sys.setswitchinterval(interval)
     assert parallel.to_json() == serial.to_json()
     assert parallel.to_csv() == serial.to_csv()
+
+
+def test_run_all_draws_each_trial_once_per_run(monkeypatch):
+    # Haar and the amalgam share the seed, 50 trials and N = 4, 16, 64,
+    # 256: one table per run holds their draws, so a run draws 200 (trial,
+    # truncation) pairs for Haar and 50 more for the amalgam's N = 274, and
+    # derives 50 streams for each
+    draws, streams, tables = [], [], []
+    trial_draws, derive_rng = frames_module._trial_draws, frames_module.derive_rng
+    unconditional_sweep = verify.unconditional_sweep
+
+    def drawn(rngs, starts, N):
+        draws.append(len(rngs))
+        return trial_draws(rngs, starts, N)
+
+    def derived(seed, *keys):
+        streams.append(keys[0])
+        return derive_rng(seed, *keys)
+
+    def sweep(*args):
+        tables.append(args[-1])
+        return unconditional_sweep(*args)
+
+    monkeypatch.setattr(frames_module, "_trial_draws", drawn)
+    monkeypatch.setattr(frames_module, "derive_rng", derived)
+    monkeypatch.setattr(verify, "unconditional_sweep", sweep)
+    specs = default_specs()
+    first = run_all(specs)
+    assert sum(draws) == 250
+    assert streams.count("unconditional") == 100
+    # one table for every spec of the run, holding read-only arrays only
+    assert len(tables) == len(specs) and all(t is tables[0] for t in tables)
+    assert len(tables[0]) == 5
+    for position, signs in tables[0].values():
+        assert type(position) is type(signs) is np.ndarray
+        assert not position.flags.writeable and not signs.flags.writeable
+    # no table outlives its run: a second run draws everything again
+    first_table = tables[0]
+    draws.clear()
+    streams.clear()
+    tables.clear()
+    second = run_all(specs)
+    assert sum(draws) == 250 and streams.count("unconditional") == 100
+    assert len(tables) == len(specs) and tables[0] is not first_table
+    assert second.to_json() == first.to_json()
+
+
+def test_shared_draws_give_the_serial_bytes_on_any_worker_count():
+    # the tasks race to fill one table; whichever task draws a truncation,
+    # every report keeps the bytes of one worker and of specs run alone
+    specs = default_specs()
+    serial = run_all(specs)
+    alone = [run_all([spec]) for spec in specs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+    try:
+        two = run_all(specs, workers=2)
+        many = run_all(specs + specs, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert two.to_json() == serial.to_json() and two.to_csv() == serial.to_csv()
+    assert many.reports[::2] == serial.reports
+    by_spec = {(r.suite, r.label): r for bundle in alone for r in bundle.reports}
+    assert [by_spec[(r.suite, r.label)] for r in serial.reports] == list(serial.reports)
 
 
 def test_bundle_json_round_trip():
