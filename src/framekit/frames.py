@@ -707,25 +707,25 @@ def _extreme_rows(
     row x and an evaluation row xstar, into out x-major as ball_pair_sweep
     yields them, at most _PREFIX_CHUNK terms (at least one pair) at a time.
 
-    Finite factors are cut first to their live columns (_live_columns):
-    every other product is +0.0.  A non-finite factor can make a product
-    NaN (inf * 0), so then the whole product is formed first.  When one
-    array plays both roles (``coeffs is evals``), pair (j, i) has pair
-    (i, j)'s terms bit for bit: only the pairs i <= j are summed, and their
-    sums are mirrored.
+    Finite factors are cut first to their live columns (_live_columns),
+    and only the pairs sharing one are summed (counted by a product of 0/1
+    masks, exact): every other pair's terms, and so its sums, are +0.0.  A
+    non-finite factor can make a product NaN (inf * 0), so then every
+    pair's whole product is formed.
     """
-    m, symmetric = len(evals), coeffs is evals
-    i, j = np.triu_indices(m) if symmetric else np.divmod(np.arange(len(coeffs) * m), m)
+    m = len(evals)
     if np.isfinite(coeffs).all() and np.isfinite(evals).all():
         (coeffs, evals), schedule = _live_columns(schedule, coeffs, evals)
+        i, j = np.nonzero((coeffs != 0.0).astype(float) @ (evals != 0.0).astype(float).T)
+    else:
+        i, j = np.divmod(np.arange(len(coeffs) * m), m)
     found = np.empty((len(i), len(schedule)))
     step = max(1, _PREFIX_CHUNK // evals.shape[-1])
     for k in range(0, len(i), step):
         pairs = slice(k, k + step)
         _prefix_rows(coeffs[i[pairs]] * evals[j[pairs]], schedule, found[pairs])
+    out.fill(0.0)
     out[i * m + j] = found
-    if symmetric:
-        out[j * m + i] = found
 
 
 def sweep_arrays(

@@ -18,18 +18,18 @@ __all__ = ["prefix_sums", "nonzero_columns", "columns_upto", "in_order"]
 
 
 def prefix_sums(terms: np.ndarray, schedule: tuple[int, ...]) -> np.ndarray:
-    """math.fsum(row[:N]) for each row of the matrix terms and each N of the
-    schedule, bit for bit, as a (rows x len(schedule)) array.  Entries of
-    the schedule may repeat and come in any order.
+    """math.fsum(row[:N]) for each row of the nonnegative matrix terms (the
+    sweep's |products|) and each N of the schedule, bit for bit, as a (rows
+    x len(schedule)) array; the schedule may repeat and be in any order.
 
     This is Sum2 (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005) on
     whole rows: running sums s_n by cumsum, each step's rounding error e_n
-    exactly by TwoSum, and r = fl(s_N + sum e_n).  r is certified to be the
-    exactly rounded sum when its rounding residual, plus the bound
-    gamma_{N-1} sum |e_n| on the error of the computed error sum, stays
-    strictly inside half the gap from r to its neighbour on each side; an
-    error sum of 0 means s_N is exact.  That bound holds for any order of
-    summation, so the error sums are taken one segment between distinct
+    exactly by TwoSum, and r = fl(s_N + sum e_n).  r is certified exactly
+    rounded when its rounding residual, plus the bound gamma_{N-1} N 2^-53
+    s_N >= gamma_{N-1} sum |e_n| (the terms are nonnegative, so s_n <= s_N)
+    on the computed error sum's error, stays strictly inside half the gap
+    from r to its neighbour on each side.  That bound holds for any order
+    of summation, so the error sums are taken one segment between distinct
     truncations at a time, then summed over the segments.  Entries left
     uncertified (exact midpoints, non-finite values) go through math.fsum.
     """
@@ -50,18 +50,18 @@ def prefix_sums(terms: np.ndarray, schedule: tuple[int, ...]) -> np.ndarray:
         np.subtract(flat_s[:-1], e[1:], out=e[1:])
         np.subtract(flat_t[1:], z[1:], out=z[1:])
         e += z
-        e, z = e.reshape(s.shape), z.reshape(s.shape)
+        e = e.reshape(s.shape)
         e[:, 0] = 0.0
         starts = [0] + ends[:-1]
         c = np.cumsum(np.add.reduceat(e, starts, axis=-1), axis=-1)[:, slot]
-        a = np.cumsum(np.add.reduceat(np.abs(e, out=z), starts, axis=-1), axis=-1)[:, slot]
         n = np.asarray(schedule)
         s = s[:, n - 1]
         r = s + c
         w = r - s
         residual = (s - (r - w)) + (c - w)
-        # gamma_{N-1} sum |e_n| <= 2 N 2^-53 a, a the computed sum of |e_n|;
-        # the smallest subnormal covers the rounding of an underflow.
+        # gamma_{N-1} sum |e_n| <= 2 N 2^-53 a; a is 0 only if s_N <= 2^-1022,
+        # where every running sum is exact; 2^-1074 covers an underflow.
+        a = s * (n * 2.0**-53)
         bound = a * (n * 2.0**-52) + 2.0**-1074
         above = (np.nextafter(r, math.inf) - r) * 0.5
         below = (r - np.nextafter(r, -math.inf)) * 0.5

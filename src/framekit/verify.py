@@ -21,7 +21,6 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from . import __version__
@@ -173,24 +172,28 @@ class _SpecResults:
     it, on one thread, so no entry needs a lock (the draw table, shared by
     the run's tasks, only gains entries that are functions of their keys);
     a suite called on its own makes its own and so computes its own, with a
-    table of its own.
+    table of its own.  (functools.cached_property would serialize the
+    tasks' sweeps: before Python 3.12 it holds one lock for all instances.)
     """
 
     def __init__(self, spec: ExperimentSpec, draws: Optional[dict] = None) -> None:
         self.spec = spec
         self.frame = frame_from_label(spec.label)
         self.draws = {} if draws is None else draws
+        self._sweep: Optional[tuple[list[float], list[float]]] = None
 
-    @cached_property
+    @property
     def sweep(self) -> tuple[list[float], list[float]]:
         """(constant, margin) per scheduled truncation, where the margin is
         the max of besselian_sum - L-hat ||x|| ||x*|| over the swept pairs."""
-        spec = self.spec
-        nx, nxs, S = sweep_arrays(self.frame, spec.schedule, spec.samples, spec.seed)
-        lhat = S.max(axis=0)
-        # (lhat * nx) * nxs is Python's left-to-right lhat * nx * nxs.
-        margins = (S - lhat * nx[:, None] * nxs[:, None]).max(axis=0)
-        return lhat.tolist(), margins.tolist()
+        if self._sweep is None:
+            spec = self.spec
+            nx, nxs, S = sweep_arrays(self.frame, spec.schedule, spec.samples, spec.seed)
+            lhat = S.max(axis=0)
+            # (lhat * nx) * nxs is Python's left-to-right lhat * nx * nxs.
+            margins = (S - lhat * nx[:, None] * nxs[:, None]).max(axis=0)
+            self._sweep = lhat.tolist(), margins.tolist()
+        return self._sweep
 
 
 # The results of the spec whose run_all task is running.  Only that task
@@ -375,6 +378,21 @@ SUITES: dict[str, Callable[[ExperimentSpec], FrameReport]] = {
 }
 
 
+def _failed_report(spec: ExperimentSpec, suite: str, exc: Exception) -> FrameReport:
+    """The report of a suite that raised exc: one failed suite-error row."""
+    n_max = spec.schedule[-1]
+    return FrameReport(
+        label=spec.label,
+        suite=suite,
+        truncation=n_max,
+        constant=0.0,
+        seed=spec.seed,
+        samples=spec.samples,
+        probes=(ProbeResult("suite-error", n_max, 0.0, passed=False),),
+        notes=(f"{type(exc).__name__}: {exc}",),
+    )
+
+
 # ---------------------------------------------------------------------------
 # bundles
 # ---------------------------------------------------------------------------
@@ -432,7 +450,8 @@ def run_all(
     table of trial draws, so specs with the same seed and trials draw each
     truncation's permutations and signs once; the table holds only
     read-only arrays, and is dropped when the run ends.  With workers > 1
-    the tasks run on a thread pool.
+    the tasks run on a thread pool.  A suite that raises an Exception gives
+    a failed report (_failed_report), and the other suites still run.
     Reports are sorted afterwards, and every random draw is keyed by (seed,
     purpose, index), so the bundle is byte-identical whatever the degree of
     parallelism.
@@ -448,7 +467,11 @@ def run_all(
         reports = []
         for name in names:
             start = time.perf_counter()
-            reports.append(SUITES[name](spec))
+            try:
+                reports.append(SUITES[name](spec))
+            except Exception as exc:
+                log.exception("suite %s on %s raised", name, spec.label)
+                reports.append(_failed_report(spec, name, exc))
             log.info(
                 "suite %s on %s finished in %.3f s",
                 name,

@@ -443,17 +443,12 @@ def test_sweep_rows_are_besselian_sums_past_the_cut(monkeypatch):
             # some chunks are cut with schedule entries below and above the cut
             assert any(schedule[0] < w < schedule[-1] for w in widths)
         if label.startswith("haar"):
-            # the 32 x 32 extreme pairs in two chunks of 16 x rows, their
-            # factors gathered to ranks 1..32; the first chunk is live on
-            # ranks 1..16, the second on rank 1 and ranks 17..32 (so ranks
-            # 3 and 16 keep one column there); then the sample blocks of
-            # 256 and 6 rows, 128 rows of 128 terms per call
+            # of the 32 x 32 extreme pairs only the 32 sharing a live column
+            # (rank 1..32) are summed, in one call, their factors gathered to
+            # ranks 1..32; then the sample blocks of 256 and 6 rows, 128
+            # rows of 128 terms per call
             assert samples == 262
-            assert calls == [
-                (16, (1, 3, 16, 16, 16)),
-                (17, (1, 1, 1, 17, 17)),
-                *[(128, schedule)] * 3,
-            ]
+            assert calls == [(32, (1, 3, 16, 32, 32)), *[(128, schedule)] * 3]
 
 
 def _frame_with_a_nan_column() -> Frame:
@@ -573,8 +568,9 @@ def test_sweep_sums_only_the_live_columns(monkeypatch):
 
 
 def test_default_amalgam_sums_48_sample_and_24_extreme_columns(monkeypatch):
-    # the default amalgam has 274 ranks, most of them zero pairs: the
-    # extreme pairs are summed over 24 columns, the 2,000 samples over 48
+    # the default amalgam has 274 ranks, most of them zero pairs: the 24
+    # extreme pairs that share a live column are summed over 24 columns,
+    # the 2,000 samples over 48
     widths = []
     prefix_sums = sums_module.prefix_sums
 
@@ -589,7 +585,7 @@ def test_default_amalgam_sums_48_sample_and_24_extreme_columns(monkeypatch):
     m = len(F.space.extreme_ball_points())
     frames_module.sweep_arrays(F, spec.schedule, spec.samples, spec.seed)
     extreme, samples = widths[:1], widths[1:]
-    assert extreme == [(m * (m + 1) // 2, 24)]
+    assert extreme == [(m, 24)]
     assert {w for _rows, w in samples} == {48}
     assert sum(rows for rows, _w in samples) == spec.samples
 
@@ -741,7 +737,7 @@ ORACLE_LABELS = (
 
 def _non_finite_frames():
     """The l1 frame with a NaN column, and Haar at p = 2 with one shared
-    analysis that is infinite past rank 20 (the symmetric extreme route)."""
+    analysis that is infinite past rank 20 (every extreme product formed)."""
     haar = frame_from_label("haar:p=2:J=5")
     shared = _inf_past(haar.coeff_batch, 20)
     return (
@@ -762,10 +758,10 @@ def test_extreme_sums_match_the_full_product_oracle():
         assert _bits(got[~np.isnan(got)]) == _bits(want[~np.isnan(want)]), F.label
 
 
-def test_symmetric_extreme_route_only_when_one_array_plays_both_roles(monkeypatch):
-    # a_n = b_n on a self-dual ball sums each unordered extreme pair once;
-    # the same frame with two analysis callables sums every ordered pair,
-    # and both give the same bits
+def test_shared_and_split_analyses_sum_the_same_extreme_pairs(monkeypatch):
+    # a_n = b_n on a self-dual ball analyses the extreme points once for
+    # both roles; the same frame with two analysis callables sums the same
+    # pairs, the m sharing a live column, and both give the same bits
     rows = []
     prefix_sums = sums_module.prefix_sums
 
@@ -781,15 +777,57 @@ def test_symmetric_extreme_route_only_when_one_array_plays_both_roles(monkeypatc
         schedule = spec_for_label(label).schedule
         rows.clear()
         shared = frames_module.sweep_arrays(F, schedule, 0, 1)
-        assert sum(rows) == m * (m + 1) // 2
+        assert sum(rows) == m
         rows.clear()
-        mirrored = frames_module.sweep_arrays(split, schedule, 0, 1)
-        assert [_bits(v) for v in mirrored] == [_bits(v) for v in shared]
-        assert sum(rows) == m * m
+        separate = frames_module.sweep_arrays(split, schedule, 0, 1)
+        assert [_bits(v) for v in separate] == [_bits(v) for v in shared]
+        assert sum(rows) == m
     F = frame_from_label("haar:p=3:J=6")  # a_n = b_n, but two balls
     rows.clear()
     frames_module.sweep_arrays(F, (4, 64), 0, 1)
-    assert sum(rows) == len(F.space.extreme_ball_points()) * len(F.space.dual.extreme_ball_points())
+    assert sum(rows) == len(F.space.extreme_ball_points()) == 32
+
+
+def _mixed_ranks(batch):
+    """batch with half of each rank's value added to the next rank's."""
+    def wrapped(values, N):
+        out = batch(values, N)
+        out[..., 1:] += 0.5 * out[..., :-1]
+        return out
+
+    return wrapped
+
+
+def test_extreme_pairs_sharing_several_live_columns_are_besselian_sums(monkeypatch):
+    # with neighbouring ranks mixed in both analyses, extreme point k is
+    # nonzero at ranks k and k + 1 (the last at rank m = N only): pair
+    # (k, k) shares two live columns, pairs (k, k +- 1) and (m, m) one, and
+    # every sweep row is still besselian_sum
+    terms = []
+    prefix_sums = sums_module.prefix_sums
+
+    def spy(block, cut):
+        terms.append(block.copy())
+        return prefix_sums(block, cut)
+
+    monkeypatch.setattr(sums_module, "prefix_sums", spy)
+    schedule, samples = (2, 5, 16, 32), 20
+    for label in ("haar:p=2:J=5", "haar:p=3:J=5"):
+        haar = frame_from_label(label)
+        mixed = _mixed_ranks(haar.coeff_batch)
+        F = dataclasses.replace(haar, label="mixed", coeff_batch=mixed, eval_batch=mixed)
+        m = len(F.space.extreme_ball_points())
+        assert m == schedule[-1]
+        terms.clear()
+        _nx, _nxs, got = frames_module.sweep_arrays(F, schedule, samples, 4)
+        want = [
+            [besselian_sum(F, x, xstar, N) for N in schedule]
+            for x, xstar in ball_pair_sweep(F.space, samples, 4)
+        ]
+        assert _bits(got) == _bits(want), label
+        extreme = np.concatenate(terms[:-1])  # the last call is the samples'
+        assert len(extreme) == 3 * m - 2, label
+        assert np.bincount((extreme != 0.0).sum(axis=1)).tolist() == [0, 2 * m - 1, m - 1]
 
 
 def test_unconditional_sweep_matches_the_gather_oracle():

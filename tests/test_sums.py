@@ -44,6 +44,13 @@ _PAST_THE_MIDPOINT = [1.0] + [float.fromhex(h) for h in (
 @example(rows=[[1.0, 2.0**-53]])
 @example(rows=[[1.0, 2.0**-53, 2.0**-53, 0.0, 2.0**-106]])
 @example(rows=[[2.0**-1074, 2.0**-1074, 0.0], [2.0**-1022, 2.0**-1074, 2.0**60]])
+# The error bound N 2^-53 s_N at the smallest normal: it underflows to 0
+# at one term and is a few subnormals wide past it, where sums round.
+@example(rows=[
+    [2.0**-1022 - 2.0**-1074, 2.0**-1074], [2.0**-1022], [2.0**-1021, 2.0**-1074, 2.0**-1074],
+])
+# Rows of subnormals only, exact below 2^-1021 and rounded above it.
+@example(rows=[[2.0**-1074] * 5, [2.0**-1022 - 2.0**-1074] * 3, [2.0**-1030, 2.0**-1074] * 4])
 @given(rows=st.lists(_prefix_rows(), min_size=1, max_size=4))
 def test_prefix_sums_are_fsum_at_every_truncation(rows):
     width = max(map(len, rows))
@@ -68,6 +75,10 @@ def _cut_schedules(draw):
 # started at a repeated column would add that error twice.
 @example(case=([[1.0, 2.0**-53, 3.0, 2.0**-52, 7.0]], (1, 3, 3, 3)))
 @example(case=([[2.0**-60, 1.0, 2.0**-53, 1.0, 0.0, 5.0]], tuple(min(N, 4) for N in (2, 4, 16, 64))))
+# Rows as long as the sweep's chunk, 2^14 terms: one that rounds at every
+# step and ends on an exact midpoint, and one whose errors do not cancel.
+@example(case=([[1.0] + [2.0**-53] * (2**14 - 1)], (1, 2**13, 2**14 - 1, 2**14)))
+@example(case=([[1.0, 0.75 * 2.0**-52] * 2**13], (2, 2**10, 2**14)))
 @given(case=_cut_schedules())
 def test_prefix_sums_on_cut_schedules_are_fsum(case):
     rows, schedule = case

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import framekit.frames as frames_module
 import framekit.verify as verify
 from framekit.catalog import frame_from_label
+from framekit.cli import main
 from framekit.frames import besselian_sweep, sweep_constants
 from framekit.frames import dual_frame, estimate_frame_constant
 from framekit.verify import (
@@ -389,6 +391,56 @@ def test_shared_draws_give_the_serial_bytes_on_any_worker_count():
     assert many.reports[::2] == serial.reports
     by_spec = {(r.suite, r.label): r for bundle in alone for r in bundle.reports}
     assert [by_spec[(r.suite, r.label)] for r in serial.reports] == list(serial.reports)
+
+
+def test_run_all_sweeps_specs_concurrently(monkeypatch):
+    # each spec's sweep waits for the other's: the barrier breaks unless
+    # the two tasks sweep at the same time, and the duality suite reads the
+    # besselian suite's sweep without sweeping again
+    barrier = threading.Barrier(2, timeout=10)
+    sweep_arrays = verify.sweep_arrays
+
+    def waiting(*args):
+        barrier.wait()
+        return sweep_arrays(*args)
+
+    specs = [mini_spec("l1-canonical"), mini_spec("haar:p=2:J=4")]
+    suites = ("besselian", "duality")
+    serial = run_all(specs, suites=suites)
+    monkeypatch.setattr(verify, "sweep_arrays", waiting)
+    parallel = run_all(specs, workers=2, suites=suites)
+    assert not barrier.broken
+    assert parallel.to_json() == serial.to_json()
+
+
+def test_a_suite_that_raises_gives_a_failed_report(monkeypatch, tmp_path):
+    specs = [mini_spec("l1-canonical"), mini_spec("haar:p=2:J=4")]
+    intact = run_all(specs)
+
+    def boom(spec):
+        raise RuntimeError(f"no probe for {spec.label}")
+
+    monkeypatch.setitem(SUITES, "james", boom)
+    bundles = [run_all(specs, workers=w) for w in (1, 2)]
+    assert bundles[0].to_json() == bundles[1].to_json()
+    assert bundles[0].to_csv() == bundles[1].to_csv()
+    failed = [r for r in bundles[0].reports if r.suite == "james"]
+    assert [r.label for r in failed] == sorted(s.label for s in specs)
+    for report in failed:
+        assert [(p.name, p.passed) for p in report.probes] == [("suite-error", False)]
+        assert report.notes == (f"RuntimeError: no probe for {report.label}",)
+    # the other suites' reports are kept as they were
+    kept = [r for r in bundles[0].reports if r.suite != "james"]
+    assert kept == [r for r in intact.reports if r.suite != "james"]
+    assert not bundles[0].all_pass()
+    # the bundle is still written, and the run exits 2
+    argv = ["suite", "all", "--frame", "l1-canonical", "--samples", "15", "--out"]
+    assert main(argv + [str(tmp_path / "w1")]) == 2
+    assert main(argv + [str(tmp_path / "w2"), "--workers", "2"]) == 2
+    for name in ("report.json", "report.csv"):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+    report = json.loads((tmp_path / "w1" / "report.json").read_text())["reports"]
+    assert [r["suite"] for r in report if r["notes"]] == ["james"]
 
 
 def test_bundle_json_round_trip():
