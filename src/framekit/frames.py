@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, ClassVar, Iterator, Optional
 
 import numpy as np
@@ -168,11 +167,30 @@ _SEQ_SAMPLE_MAX_INDEX = 24
 _SEQ_SAMPLE_MAX_SUPPORT = 8
 _SEQ_EXTREME_INDICES = 6
 _SEQ_SIGN_PREFIX = 4
-_GRID_EXTREME_ATOMS = 32
+# The grid's extreme points are the dyadic steps of this level and coarser.
+_GRID_EXTREME_LEVEL = 5
 _AMALGAM_EXTREME_ATOMS_PER_CELL = 8
 # The sup-norm sampler stays strictly inside the ball so random draws can
 # never beat the exact extreme-point value 1 by a rounding ulp.
 _SUP_BALL_RADIUS = 0.99
+
+
+def _memo(build: Callable) -> property:
+    """A read-only property built on first use and kept in the instance's
+    __dict__.  Unlike functools.cached_property it takes no lock (on Python
+    3.11 one lock per property serializes every instance's cold build), so
+    threads build different instances' values side by side.  Threads racing
+    on one instance may each build it; all of them get the first value
+    stored (dict.setdefault)."""
+    key = "_" + build.__name__
+
+    def get(self):
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            return self.__dict__.setdefault(key, build(self))
+
+    return property(get, doc=build.__doc__)
 
 
 class _Space:
@@ -206,14 +224,20 @@ class _Space:
     def ball_points(self, words: np.ndarray) -> np.ndarray:
         return self._unit(_normals(words)[:, : self.zero().size])
 
-    @cached_property
-    def extremes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(extreme_ball_points(), their norms), both read-only: built on
-        first use, once per descriptor, and set in one assignment."""
+    @_memo
+    def extremes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(extreme_ball_points(), their norms, the rows the frame operators
+        analyse for them), all read-only: built on first use, once per
+        descriptor, and set in one assignment."""
         points = self._extreme_points()
         norms = self.norm(points)
         points.flags.writeable = norms.flags.writeable = False
-        return points, norms
+        return points, norms, self._own_level(points)
+
+    def _own_level(self, points: np.ndarray) -> np.ndarray:
+        """The rows the operators analyse for the extreme points: the
+        points themselves."""
+        return points
 
     def extreme_ball_points(self) -> np.ndarray:
         """The deterministic unit-ball points the sweeps try first, one per
@@ -262,7 +286,7 @@ class SequenceSpace(_Space):
         out[..., :k] = coords[..., :k]
         return out
 
-    @cached_property
+    @_memo
     def dual(self) -> "DualSequenceSpace":
         return DualSequenceSpace()
 
@@ -334,7 +358,7 @@ class DualSequenceSpace(_Space):
         values = np.asarray(values, dtype=float)
         return np.concatenate((values, np.zeros(values.shape[:-1] + (1,))), axis=-1)
 
-    @cached_property
+    @_memo
     def dual(self) -> SequenceSpace:
         return SequenceSpace()
 
@@ -404,7 +428,7 @@ class GridSpace(_Space):
     def from_coordinates(self, values: np.ndarray) -> GridFunction:
         return GridFunction(self.level, values)
 
-    @cached_property
+    @_memo
     def dual(self) -> "GridSpace":
         return GridSpace(conjugate_exponent(self.p), self.level)
 
@@ -416,8 +440,14 @@ class GridSpace(_Space):
         """The normalised dyadic step directions, coarsest first, one per row."""
         return self._unit(np.array([
             dyadic_step_coefficients(self.level, n)
-            for n in range(1, min(2**self.level, _GRID_EXTREME_ATOMS) + 1)
+            for n in range(1, 2 ** min(self.level, _GRID_EXTREME_LEVEL) + 1)
         ]))
+
+    def _own_level(self, points: np.ndarray) -> np.ndarray:
+        """The extreme points on the level L = min(J, 5) they live on: a
+        strided view of the level-J points, one value per level-L cell, which
+        the operators analyse as the level-J function it refines to."""
+        return points[:, :: 2 ** max(0, self.level - _GRID_EXTREME_LEVEL)]
 
 
 @dataclass(frozen=True)
@@ -475,7 +505,7 @@ class AmalgamSpace(_Space):
         cells = enumerate(self.cells(values), start=self.window[0])
         return AmalgamFunction(self.window, {m: GridFunction(self.level, c) for m, c in cells})
 
-    @cached_property
+    @_memo
     def dual(self) -> "AmalgamSpace":
         return AmalgamSpace(
             conjugate_exponent(self.p), conjugate_exponent(self.q), self.window, self.level
@@ -535,6 +565,9 @@ class Frame:
     sum c_n b_n, n = 1..len(c).  They must be deterministic and linear, so the
     rank-n pair is the synthesis of the n-th unit coefficient vector.
     ``eval_batch is coeff_batch`` states that a_n = b_n.
+    Operators on a GridSpace of level J also take a row of 2^L values,
+    L <= J, as the level-J function it refines to, and still return N
+    columns: the sweep analyses the grid's extreme points that way.
     ``max_rank`` bounds the representable ranks (None = every rank is valid).
     ``full_truncation`` is the rank horizon after which every representable
     element of the space is reconstructed exactly, when such a horizon exists.
@@ -736,9 +769,9 @@ def sweep_arrays(
     besselian sums at each truncation of the increasing schedule.
 
     Points go through the operators and norms as matrices: the extreme
-    points once each, with the norms each descriptor keeps beside them
-    (``space.extremes``), the random pairs a block at a time, with N and
-    both draw widths setting the block's rows.  The sums are exactly
+    points once each, as the rows and with the norms each descriptor keeps
+    beside them (``space.extremes``), the random pairs a block at a time,
+    with N and both draw widths setting the block's rows.  The sums are exactly
     rounded (bit for bit ``math.fsum``, see sums.prefix_sums), so monotone
     in N with no rounding caveats.  A self-dual ball is drawn and
     measured once for x and xstar, and a family with a_n = b_n analysed once
@@ -756,8 +789,8 @@ def sweep_arrays(
             return coeffs, coeffs
         return coeffs, F.eval_batch(xstar, N)
 
-    xs, x_norms = space.extremes
-    xstars, xstar_norms = (xs, x_norms) if self_dual else dual.extremes
+    _, x_norms, xs = space.extremes
+    _, xstar_norms, xstars = space.extremes if self_dual else dual.extremes
     m = len(xs) * len(xstars)
     nx, nxs = np.empty(m + samples), np.empty(m + samples)
     S = np.empty((m + samples, len(schedule)))

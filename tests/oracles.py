@@ -145,6 +145,21 @@ def zero_pair_scan(F, upto: int, cap: int = 512, block: int = 64) -> tuple[bool,
     return some, every
 
 
+def haar_pyramid(f: np.ndarray) -> np.ndarray:
+    """Every normalized Haar coefficient of the grid values f (2^J of them on
+    the last axis): the whole Mallat pyramid, each generation's differences
+    scaled by its height 2^((m-1)/2), and all 2^J integrals scaled by the
+    cell width 2^-J at the end."""
+    sums = np.asarray(f, dtype=float)
+    J = sums.shape[-1].bit_length() - 1
+    pieces = []
+    for m in range(J, 0, -1):
+        left, right = sums[..., 0::2], sums[..., 1::2]
+        pieces.insert(0, (left - right) * 2.0 ** (0.5 * (m - 1)))
+        sums = left + right
+    return np.concatenate([sums] + pieces, axis=-1) * 2.0**-J
+
+
 def extreme_sums(F, schedule) -> np.ndarray:
     """The besselian sums of every extreme pair (x, xstar), x-major, at each
     truncation of the schedule: the whole outer product of the coefficient

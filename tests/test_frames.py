@@ -5,13 +5,17 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import framekit.catalog as catalog_module
 import framekit.frames as frames_module
 import framekit.sums as sums_module
 from framekit.catalog import (
@@ -63,6 +67,7 @@ from framekit.spaces import (
     GridFunction,
     SeqVector,
     amalgam_norm,
+    conjugate_exponent,
     grid_lp_norm,
     linf_norm,
     lp_norm,
@@ -1491,16 +1496,96 @@ def test_zero_pair_scan_synthesizes_each_rank_once():
     ids=lambda s: type(s).__name__,
 )
 def test_extreme_points_and_norms_are_built_once(space):
-    points, norms = space.extremes
+    points, norms, rows = space.extremes
     assert space.extremes is space.extremes
     assert space.extreme_ball_points() is points
     assert space.extreme_ball_points() is space.extreme_ball_points()
-    for array in (points, norms):
+    assert rows is points or rows.base is points
+    for array in (points, norms, rows):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
     fresh = space._extreme_points()
     assert fresh.shape == points.shape and fresh.tobytes() == points.tobytes()
     assert np.asarray(space.norm(points)).tobytes() == norms.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 6.0, 50.0])
+def test_grid_extreme_rows_are_the_points_on_their_own_level(p):
+    # the rows are a view of the level-J points, one value per level-min(J, 5)
+    # cell; refined, and analysed, they give the points' bits on both balls
+    for J in range(1, 13):
+        F = haar_frame(p, J)
+        for space, batch in ((F.space, F.coeff_batch), (F.space.dual, F.eval_batch)):
+            points, _norms, rows = space.extremes
+            L = min(J, 5)
+            assert rows.shape == (2**L, 2**L) and np.shares_memory(rows, points)
+            assert np.repeat(rows, 2 ** (J - L), axis=-1).tobytes() == points.tobytes()
+            assert batch(rows, 2**J).tobytes() == batch(points, 2**J).tobytes(), (p, J)
+
+
+def test_sweep_analyses_the_extreme_rows_and_full_width_samples(monkeypatch):
+    widths = []
+    analysis = catalog_module._haar_analysis
+
+    def spy(f, N):
+        widths.append(np.shape(f))
+        return analysis(f, N)
+
+    monkeypatch.setattr(catalog_module, "_haar_analysis", spy)
+    F = frame_from_label("haar:p=3:J=11")
+    want = oracles.extreme_sums(F, (4, 64, 2048))
+    widths.clear()
+    got = frames_module.sweep_arrays(F, (4, 64, 2048), 8, 1)[2]
+    # the extreme rows of each ball, 32 cells wide, then one block of
+    # samples per ball at the full 2^11 width
+    assert widths == [(32, 32), (32, 32), (8, 2048), (8, 2048)]
+    assert _bits(got[: len(want)]) == _bits(want)
+
+
+def test_cold_extreme_points_and_duals_build_side_by_side():
+    # each descriptor's first build waits for the other's: the barrier
+    # breaks if one lock runs them one after the other
+    grids = [GridSpace(3.0, 5), GridSpace(1.5, 6)]
+    barrier = threading.Barrier(2, timeout=5)
+
+    def waiting(build):
+        def wrapped(*args):
+            barrier.wait()
+            return build(*args)
+
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as patch, ThreadPoolExecutor(2) as pool:
+
+        def on_both(name):
+            futures = [pool.submit(getattr, g, name) for g in grids]
+            return [f.result(timeout=30) for f in futures]
+
+        patch.setattr(GridSpace, "_extreme_points", waiting(GridSpace._extreme_points))
+        extremes = on_both("extremes")
+        patch.setattr(frames_module, "conjugate_exponent", waiting(conjugate_exponent))
+        duals = on_both("dual")
+    assert not barrier.broken
+    assert all(g.extremes is e and g.dual is d for g, e, d in zip(grids, extremes, duals))
+    assert [d.p for d in duals] == [1.5, 3.0]
+
+
+def test_threads_racing_on_a_cold_descriptor_all_get_its_first_value():
+    # more threads than cores, switching often: whoever builds, every
+    # thread reads the one stored value, and it stays put
+    spaces = [GridSpace(p, J) for p in (1.5, 3.0) for J in (4, 8)] + [
+        SequenceSpace(), DualSequenceSpace(), AmalgamSpace(3.0, 1.5, (-1, 1), 2)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            seen = list(pool.map(lambda _: [(s.extremes, s.dual) for s in spaces], range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, s in enumerate(spaces):
+        assert all(row[k][0] is s.extremes and row[k][1] is s.dual for row in seen)
+        assert s.extreme_ball_points() is s.extremes[0]
 
 
 def test_sweep_takes_the_extreme_norms_from_the_descriptors(monkeypatch):
@@ -1515,7 +1600,7 @@ def test_sweep_takes_the_extreme_norms_from_the_descriptors(monkeypatch):
         monkeypatch.setattr(cls, "norm", spy if cls is GridSpace else staticmethod(spy))
     for label in ("l1-canonical", "haar:p=3:J=5", "haar:p=2:J=5"):
         F = frame_from_label(label)
-        (_, x_norms), (_, xstar_norms) = F.space.extremes, F.space.dual.extremes
+        (_, x_norms, _), (_, xstar_norms, _) = F.space.extremes, F.space.dual.extremes
         calls.clear()
         rows = besselian_sweep(F, (4, 8), 0, 42)
         assert calls == []
