@@ -26,6 +26,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -64,6 +65,7 @@ __all__ = [
     "UnconditionalResult",
     "derive_rng",
     "seeded_ball_point",
+    "seeded_ball_points",
     "ball_pair_sweep",
     "frame_pair",
     "analysis_coefficient",
@@ -121,20 +123,28 @@ def derive_rng(seed: int, *keys) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(seed, *keys))))
 
 
-def _stream_words(space, seed: int, purpose: str, k0: int, k1: int) -> np.ndarray:
-    """Words [k0 w, k1 w) of the ball's stream, as a (k1 - k0) x w matrix.
+def _ball_blocks(space, seed: int, purpose: str, bounds: list) -> Iterator[np.ndarray]:
+    """Coordinates of the seeded unit-ball points k0..k1-1, one block of
+    rows per range (k0, k1) of bounds, which must follow each other
+    (each k0 is the k1 before it).
 
     Each (seed, purpose, ball) has one counter-based Philox stream, and its
     sample k is the fixed-width slice of words [k w, (k+1) w), w =
     space.draw_width.  Philox yields four 64-bit words per counter value, so
-    the slice is reached by setting the counter, not by drawing up to it.
+    the first slice is reached by setting the counter, not by drawing up to
+    it; the key is hashed and the counter set once, and each later block
+    continues the stream (the generator buffers a counter that a block
+    boundary splits).  No block's words are kept past its points.
     """
-    start, width = k0 * space.draw_width, (k1 - k0) * space.draw_width
-    bits = np.random.Philox(
-        key=_entropy(seed, purpose, *space.ball_key), counter=start // 4
-    )
-    words = bits.random_raw(start % 4 + width)[start % 4 :]
-    return words.reshape(k1 - k0, space.draw_width)
+    if not bounds:
+        return
+    width = space.draw_width
+    start = bounds[0][0] * width
+    bits = np.random.Philox(key=_entropy(seed, purpose, *space.ball_key), counter=start // 4)
+    if start % 4:
+        bits.random_raw(start % 4)
+    for k0, k1 in bounds:
+        yield space.ball_points(bits.random_raw((k1 - k0) * width).reshape(k1 - k0, width))
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -482,7 +492,8 @@ class AmalgamSpace(_Space):
 
     def cells(self, values: np.ndarray) -> np.ndarray:
         """values with the last axis split into (cells, 2^J)."""
-        return np.reshape(values, np.shape(values)[:-1] + (-1, 2**self.level))
+        cell = 2**self.level
+        return np.reshape(values, np.shape(values)[:-1] + (np.shape(values)[-1] // cell, cell))
 
     def norm(self, values: np.ndarray):
         return amalgam_values_norm(self.cells(values), self.p, self.q, self.level)
@@ -528,7 +539,7 @@ class AmalgamSpace(_Space):
 
 def _ball_block(space, seed: int, purpose: str, k0: int, k1: int) -> np.ndarray:
     """Coordinates of the seeded unit-ball points k0..k1-1, one per row."""
-    return space.ball_points(_stream_words(space, seed, purpose, k0, k1))
+    return next(_ball_blocks(space, seed, purpose, [(k0, k1)]))
 
 
 def _ball_point(space, seed: int, purpose: str, k: int) -> np.ndarray:
@@ -545,6 +556,12 @@ def seeded_ball_point(space, seed: int, purpose: str, k: int):
     depends on how many other draws were made.
     """
     return space.from_coordinates(_ball_point(space, seed, purpose, k))
+
+
+def seeded_ball_points(space, seed: int, purpose: str, count: int) -> list:
+    """seeded_ball_point(space, seed, purpose, k) for k = 0..count-1, drawn
+    as one block."""
+    return [space.from_coordinates(row) for row in _ball_block(space, seed, purpose, 0, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -691,10 +708,10 @@ def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
     """
     dual = space.dual
     extremes = itertools.product(space.extreme_ball_points(), dual.extreme_ball_points())
-    draws = itertools.chain.from_iterable(
-        zip(_ball_block(space, seed, "ball", *b), _ball_block(dual, seed, "ball", *b))
-        for b in _sample_blocks(samples, space.draw_width, dual.draw_width)
-    )
+    bounds = _sample_blocks(samples, space.draw_width, dual.draw_width)
+    x_blocks = _ball_blocks(space, seed, "ball", bounds)
+    xstar_blocks = _ball_blocks(dual, seed, "ball", bounds)
+    draws = itertools.chain.from_iterable(map(zip, x_blocks, xstar_blocks))
     for x, xstar in itertools.chain(extremes, draws):
         yield space.from_coordinates(x), dual.from_coordinates(xstar)
 
@@ -771,7 +788,8 @@ def sweep_arrays(
     Points go through the operators and norms as matrices: the extreme
     points once each, as the rows and with the norms each descriptor keeps
     beside them (``space.extremes``), the random pairs a block at a time,
-    with N and both draw widths setting the block's rows.  The sums are exactly
+    with N and both draw widths setting the block's rows and each ball's
+    blocks continuing one keyed stream (_ball_blocks).  The sums are exactly
     rounded (bit for bit ``math.fsum``, see sums.prefix_sums), so monotone
     in N with no rounding caveats.  A self-dual ball is drawn and
     measured once for x and xstar, and a family with a_n = b_n analysed once
@@ -796,10 +814,11 @@ def sweep_arrays(
     S = np.empty((m + samples, len(schedule)))
     nx[:m], nxs[:m] = np.repeat(x_norms, len(xstars)), np.tile(xstar_norms, len(xs))
     _extreme_rows(*evaluate(xs, xstars), schedule, S[:m])
-    for k0, k1 in bounds:
+    x_blocks = _ball_blocks(space, seed, "ball", bounds)
+    xstar_blocks = None if self_dual else _ball_blocks(dual, seed, "ball", bounds)
+    for (k0, k1), x in zip(bounds, x_blocks):
         rows = slice(m + k0, m + k1)
-        x = _ball_block(space, seed, "ball", k0, k1)
-        xstar = x if self_dual else _ball_block(dual, seed, "ball", k0, k1)
+        xstar = x if self_dual else next(xstar_blocks)
         nx[rows] = space.norm(x)
         nxs[rows] = nx[rows] if xstar is x else dual.norm(xstar)
         coeffs, evals = evaluate(x, xstar)
@@ -884,15 +903,16 @@ def unconditional_sweep(
 
     The atoms' nonzero entries, coordinate by coordinate, are found once, at
     the largest truncation, synthesizing a block of ranks at a time, and cut
-    down for the smaller ones.  A truncation where no coordinate has two
-    live atoms is order-free: no permutation or sign pattern can change its
-    norms, so none is drawn.  Where order can matter, the trials' draws at
-    truncation N come from draws, a table mapping (seed, trials, N) to
-    read-only (position, signs) arrays (_trial_draws), which verify.run_all
-    shares between a run's specs.  For the truncations missing from it,
-    each trial's stream is derived once and rewound for each, and the draws
-    are added.  One permutation and sign pattern per (trial, truncation)
-    serve every element.
+    down for the smaller ones.  Each element is analysed once there too: its
+    analysis at rank N is the first N columns of that.  A truncation where
+    no coordinate has two live atoms is order-free: no permutation or sign
+    pattern can change its norms, so none is drawn.  Where order can
+    matter, the trials' draws at truncation N come from draws, a table
+    mapping (seed, trials, N) to read-only (position, signs) arrays
+    (_trial_draws), which verify.run_all shares between a run's specs.  For
+    the truncations missing from it, each trial's stream is derived once and
+    rewound for each, and the draws are added.  One permutation and sign
+    pattern per (trial, truncation) serve every element.
     """
     elements = [_coordinates(F.space, x) for x in elements]
     for N in schedule:
@@ -920,8 +940,9 @@ def unconditional_sweep(
             # an entry is a function of its key, and setdefault keeps the
             # first, so the race needs no lock.
             draws.setdefault((seed, trials, N), _trial_draws(rngs, starts, N))
+    coeffs = np.reshape([F.coeff_batch(x, top) for x in elements], (len(elements), top))
     return [
-        _ordering_probe(F, elements, N, trials, draws.get((seed, trials, N)), *cut)
+        _ordering_probe(F, coeffs[:, :N], trials, draws.get((seed, trials, N)), *cut)
         for N, cut in zip(schedule, cuts)
     ]
 
@@ -942,12 +963,13 @@ def _trial_draws(rngs: list, starts: list, N: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _ordering_probe(
-    F: Frame, elements: list, N: int, trials: int, trial_draws: Optional[tuple],
+    F: Frame, coeffs: np.ndarray, trials: int, trial_draws: Optional[tuple],
     ranks: np.ndarray, values: np.ndarray,
 ) -> list[UnconditionalResult]:
+    # coeffs holds each element's analysis to the truncation N, one per row.
     # Each sum adds only the atoms' nonzero entries, in the trial's order;
     # the zero terms left out could change only the sign of a zero sum.
-    coeffs = np.reshape([F.coeff_batch(x, N) for x in elements], (len(elements), N))
+    count, N = coeffs.shape
     # The terms of every sum; a sign flip scales them by +-1, exactly.
     products = coeffs[:, ranks] * values
     bases = sums.in_order(products)
@@ -960,10 +982,10 @@ def _ordering_probe(
         deviations, flip_norms = F.space.norm(bases - bases), F.space.norm(bases)
     else:
         position, signs = trial_draws
-        flat = products.reshape(len(elements), ranks.size)
+        flat = products.reshape(count, ranks.size)
         live, width = values != 0.0, values.shape[-1]
-        deviations = flip_norms = np.zeros(len(elements))
-        step = max(1, _BLOCK_VALUES // max(1, len(elements) * values.size))
+        deviations = flip_norms = np.zeros(count)
+        step = max(1, _BLOCK_VALUES // max(1, count * values.size))
         for t0 in range(0, trials, step):
             chunk = slice(t0, t0 + step)
             # Each column's entries in the order the trial draws their ranks.
@@ -1198,6 +1220,10 @@ VERDICT_DEGENERATE = "degenerate"
 _HORIZON_FACTOR = 2
 # Deterministic extreme points tried ahead of each leg's random candidates.
 _EXTREME_CANDIDATES = 4
+# A leg's tail arrays hold at most this many values (128 KiB): past that,
+# glibc's allocator maps fresh pages for every truncation's temporaries,
+# which cost more than the calls that larger arrays save.
+_TAIL_VALUES = 1 << 14
 # Zero-pair scans stop at this rank: they synthesize the pairs a block of
 # ranks at a time, and the catalog's zero pairs show up within the first
 # few ranks.
@@ -1328,17 +1354,27 @@ def reflexivity_probe(
     def run_leg(name: str, ball, purpose: str, analysis, synthesis) -> tuple[str, float]:
         # Deterministic extreme points first, then seeded random draws, each
         # block through one analysis out to the largest horizon that is used.
+        # Their rows make one coefficient array, whose tails each truncation
+        # takes in one call while rows x M fits in _TAIL_VALUES, and that
+        # many values' rows at a time past it.  np.maximum keeps a NaN tail
+        # of any candidate, which makes the leg's row NaN (ProbeResult then
+        # raises).
         top = max((M for N, M in zip(schedule, horizons) if M > N), default=None)
-        blocks = [ball.extreme_ball_points()[:_EXTREME_CANDIDATES]] + [
-            _ball_block(ball, cfg.seed, purpose, *b)
-            for b in _sample_blocks(cfg.samples, ball.draw_width, top or 1)
-        ]
-        coeffs = [analysis(block, top) for block in blocks] if top else []
+        if top:
+            blocks = [ball.extreme_ball_points()[:_EXTREME_CANDIDATES]]
+            blocks += _ball_blocks(
+                ball, cfg.seed, purpose, _sample_blocks(cfg.samples, ball.draw_width, top)
+            )
+            coeffs = np.concatenate([analysis(block, top) for block in blocks])
         values = []
         for N, M in zip(schedule, horizons):
             worst = 0.0  # as clamped_tail, when no rank is left past N
             if M > N:
-                worst = float(max(_tail_norms(c, synthesis, ball.norm, N, M).max() for c in coeffs))
+                step = max(1, _TAIL_VALUES // M)
+                worst = float(functools.reduce(np.maximum, [
+                    _tail_norms(coeffs[i : i + step], synthesis, ball.norm, N, M).max()
+                    for i in range(0, len(coeffs), step)
+                ]))
             values.append(worst)
             probes.append(ProbeResult(f"{name}-tail", N, worst))
         first, last = values[0], values[-1]

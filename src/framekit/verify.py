@@ -32,7 +32,7 @@ from .frames import (
     covering_truncation,
     frame_has_zero_elements,
     reflexivity_probe,
-    seeded_ball_point,
+    seeded_ball_points,
     sweep_arrays,
     unconditional_sweep,
     validate_schedule,
@@ -322,10 +322,7 @@ def run_unconditionality_suite(spec: ExperimentSpec) -> FrameReport:
     """
     shared = _results_for(spec)
     F = shared.frame
-    elements = [
-        seeded_ball_point(F.space, spec.seed, "uncond-element", k)
-        for k in range(spec.uncond_elements)
-    ]
+    elements = seeded_ball_points(F.space, spec.seed, "uncond-element", spec.uncond_elements)
     coverings = [covering_truncation(F, x) for x in elements]
     cover_all: Optional[int] = None
     if all(c is not None for c in coverings):

@@ -111,6 +111,12 @@ def l1_extreme_point_sup(max_index: int, prefix_len: int) -> float:
     return best
 
 
+def stream_words(key: int, start: int, stop: int) -> np.ndarray:
+    """Words start..stop-1 of the Philox stream with this key, drawn from
+    its first word on: no counter is set and no block continues another."""
+    return np.random.Philox(key=key).random_raw(stop)[start:]
+
+
 def dense_lp_norm(values: np.ndarray, p: float, cell_measure: float) -> float:
     """(sum |v|^p * cell_measure)^(1/p) computed directly."""
     return float((np.sum(np.abs(values) ** p) * cell_measure) ** (1.0 / p))

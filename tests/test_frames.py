@@ -8,6 +8,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import framekit.catalog as catalog_module
 import framekit.frames as frames_module
 import framekit.sums as sums_module
+import framekit.verify as verify_module
 from framekit.catalog import (
     amalgam_frame,
     canonical_l1_frame,
@@ -54,6 +56,7 @@ from framekit.frames import (
     frame_pair,
     reflexivity_probe,
     seeded_ball_point,
+    seeded_ball_points,
     shrinking_tail,
     sweep_constants,
     synthesis_partial,
@@ -335,6 +338,55 @@ def test_ball_samplers_keep_their_invariants():
         block = frames_module._ball_block(space, 5, "ball", 0, 4096)
         assert np.all(np.abs(space.norm(block) - 1.0) <= 1e-12)
         assert np.isfinite(block).all()
+
+
+def test_one_stream_per_ball_is_the_per_block_draws_bit_for_bit():
+    # a ball's consecutive blocks continue one keyed stream, and each block
+    # has the bits of its words drawn from the stream's first word, wherever
+    # a block boundary splits one of Philox's four-word counters
+    sweep = frames_module._sample_blocks(500, 300, 33, 26)
+    assert (SequenceSpace().draw_width, DualSequenceSpace().draw_width) == (33, 26)
+    assert sweep[:2] == [(0, 109), (109, 218)]  # the l1 sweep to N = 300
+    cases = (
+        sweep,
+        [(k0, min(500, k0 + 109)) for k0 in range(5, 500, 109)],  # k0 > 0 first
+        [(k, k + 1) for k in range(3, 12)],  # one-row blocks
+        [],  # zero samples
+    )
+    for space in STREAM_SPACES:
+        w = space.draw_width
+        key = frames_module._entropy(9, "ball", *space.ball_key)
+        if w in (33, 26):
+            assert any(k0 * w % 4 for k0, _ in sweep[1:])
+        for bounds in cases:
+            got = list(frames_module._ball_blocks(space, 9, "ball", bounds))
+            assert len(got) == len(bounds)
+            for (k0, k1), block in zip(bounds, got):
+                words = oracles.stream_words(key, k0 * w, k1 * w).reshape(k1 - k0, w)
+                assert _bits(block) == _bits(space.ball_points(words))
+                assert _bits(block) == _bits(frames_module._ball_block(space, 9, "ball", k0, k1))
+        assert len(frames_module._ball_block(space, 9, "ball", 4, 4)) == 0
+        assert seeded_ball_points(space, 9, "ball", 0) == []
+        assert seeded_ball_points(space, 9, "ball", 3) == [
+            seeded_ball_point(space, 9, "ball", k) for k in range(3)
+        ]
+
+
+def test_ball_streams_keep_no_words_past_their_points(monkeypatch):
+    # a suspended stream holds its bit generator, never a block's words
+    space = GridSpace(3.0, 12)
+    words_seen = []
+    ball_points = GridSpace.ball_points
+
+    def spy(self, words):
+        words_seen.extend(weakref.ref(a) for a in (words, words.base) if a is not None)
+        return ball_points(self, words)
+
+    monkeypatch.setattr(GridSpace, "ball_points", spy)
+    bounds = frames_module._sample_blocks(40, space.draw_width)
+    assert len(bounds) > 2
+    for block in frames_module._ball_blocks(space, 1, "ball", bounds):
+        assert words_seen and all(ref() is None for ref in words_seen)
 
 
 def test_batched_operators_match_the_oracles():
@@ -636,16 +688,18 @@ def test_extreme_rows_keep_ball_pair_sweep_order(monkeypatch):
 
 
 def test_self_dual_sweeps_draw_and_analyse_once(monkeypatch):
-    # a self-dual ball draws each block once; a family with a_n = b_n runs
-    # one analysis for both roles; neither moves a bit of any row
+    # each ball's blocks come from one keyed stream per sweep, and a
+    # self-dual ball draws one stream for both roles; a family with
+    # a_n = b_n runs one analysis for both roles; neither moves a bit of
+    # any row
     draws = []
-    stream_words = frames_module._stream_words
+    ball_blocks = frames_module._ball_blocks
 
-    def spy(space, *args):
-        draws.append(space)
-        return stream_words(space, *args)
+    def spy(space, seed, purpose, bounds):
+        draws.append((space, len(bounds)))
+        return ball_blocks(space, seed, purpose, bounds)
 
-    monkeypatch.setattr(frames_module, "_stream_words", spy)
+    monkeypatch.setattr(frames_module, "_ball_blocks", spy)
     blocks = 3
     cases = (
         ("haar:p=2:J=5", 1),
@@ -659,7 +713,7 @@ def test_self_dual_sweeps_draw_and_analyse_once(monkeypatch):
         samples = (blocks - 1) * _sweep_block_rows(F, 16) + 1
         draws.clear()
         rows = besselian_sweep(F, (4, 16), samples, 3)
-        assert len(draws) == blocks * per_block
+        assert draws == [(space, blocks), (dual, blocks)][:per_block]
         assert (dual == space) == (per_block == 1)
         # the random pairs' norms are those of the two sides' own draws
         nx = space.norm(frames_module._ball_block(space, 3, "ball", 0, samples))
@@ -1002,6 +1056,40 @@ def test_unconditional_sweep_matches_per_truncation_probes():
         ]
 
 
+def test_unconditional_sweep_analyses_each_element_once():
+    # one analysis per element, at the largest truncation, sliced for the
+    # others: the results are the per-truncation probes bit for bit, with
+    # l1 elements of different lengths and schedules given out of order
+    l1_elements = [
+        SeqVector.from_pairs([(1, 0.5)]),
+        SeqVector.from_pairs([(3, -0.25), (17, 0.75)]),
+        seeded_ball_point(L1.space, 3, "elements", 0),
+    ]
+    assert len({len(L1.space.coordinates(x)) for x in l1_elements}) == 3
+    cases = [(L1, l1_elements, (16, 4, 40, 9))]
+    for label, schedule in (
+        ("haar:p=3:J=5", (32, 4, 16)),
+        ("amalgam:p=3:q=1.5:J=2:window=-3,1", (16, 45, 4)),
+    ):
+        F = frame_from_label(label)
+        cases.append((F, [seeded_ball_point(F.space, 3, "elements", k) for k in range(3)], schedule))
+    for F, elements, schedule in cases:
+        calls = []
+
+        def counted(values, N, batch=F.coeff_batch):
+            calls.append(N)
+            return batch(values, N)
+
+        got = _probe_pairs(dataclasses.replace(F, coeff_batch=counted), elements, schedule, 5, 42)
+        assert calls == [max(schedule)] * len(elements), F.label
+        want = [
+            [(r.deviation, r.sign_flip_norm) for r in
+             (unconditional_probe(F, x, N, 5, 42) for x in elements)]
+            for N in schedule
+        ]
+        assert _bits(got) == _bits(want), F.label
+
+
 def test_unconditional_sweep_draws_each_trial_once(monkeypatch):
     # one stream per trial, rewound for each truncation; one permutation and
     # sign pattern per (trial, truncation), shared by every element, with
@@ -1286,6 +1374,42 @@ def test_probe_legs_are_the_typed_tails_bit_for_bit():
             assert _bits(got) == _bits(want), (label, name)
         if label.startswith("haar:p=1.5"):
             assert got[-1] == 0.0  # N = 32: no rank is left past N
+
+
+def _l1_with_nan_dual_tails(rows: str) -> Frame:
+    """l1-canonical whose dual synthesis writes NaN into the rows of the
+    extreme candidates (rows="extreme") or of every other candidate
+    (rows="sampled").  The extreme candidates are sign patterns, so their
+    nonzero tail coefficients are +-1; the sampled ones have sup norm 0.99."""
+    F = canonical_l1_frame()
+
+    def dual_synth_batch(coeffs):
+        out = F.dual_synth_batch(coeffs)
+        extreme = np.abs(coeffs).max(axis=-1) == 1.0
+        out[extreme == (rows == "extreme")] = np.nan
+        return out
+
+    return dataclasses.replace(F, label=f"nan-{rows}-tails", dual_synth_batch=dual_synth_batch)
+
+
+def test_a_nan_tail_raises_whichever_candidate_holds_it(monkeypatch):
+    # every candidate's tail is one row of one array, so a NaN tail of a
+    # sampled candidate reaches its row as one of an extreme candidate does,
+    # and run_all reports the suite as failed
+    message = "probe 'shrinking-tail' produced non-finite nan"
+    # at N = 2048 the tails are taken 4 rows at a time, one array for the
+    # extreme candidates and one for the sampled ones
+    assert frames_module._TAIL_VALUES // 4096 == 4
+    for rows in ("extreme", "sampled"):
+        F = _l1_with_nan_dual_tails(rows)
+        for schedule in ((4, 16), (2048,)):
+            with pytest.raises(ValueError, match=message):
+                reflexivity_probe(F, ProbeConfig(schedule=schedule, samples=4, seed=42))
+        monkeypatch.setattr(verify_module, "frame_from_label", lambda label, F=F: F)
+        spec = verify_module.ExperimentSpec("l1-canonical", schedule=(4, 16), probe_samples=4)
+        (report,) = verify_module.run_all([spec], suites=("james",)).reports
+        assert [(p.name, p.passed) for p in report.probes] == [("suite-error", False)]
+        assert report.notes == (f"ValueError: {message}",)
 
 
 def test_zero_frame_runs_the_operator_route():

@@ -15,6 +15,7 @@ from framekit.catalog import frame_from_label
 from framekit.cli import main
 from framekit.frames import besselian_sweep, sweep_constants
 from framekit.frames import dual_frame, estimate_frame_constant
+from framekit.frames import seeded_ball_point, unconditional_sweep
 from framekit.verify import (
     DEFAULT_FRAME_LABELS,
     SUITES,
@@ -441,6 +442,32 @@ def test_a_suite_that_raises_gives_a_failed_report(monkeypatch, tmp_path):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
     report = json.loads((tmp_path / "w1" / "report.json").read_text())["reports"]
     assert [r["suite"] for r in report if r["notes"]] == ["james"]
+
+
+def test_the_unconditionality_suite_draws_its_elements_as_one_block(monkeypatch):
+    # rows 0..E-1 of the "uncond-element" stream, one draw, and each is the
+    # element seeded_ball_point gives for its index
+    seen, draws = [], []
+
+    def sweep(F, elements, *args):
+        seen.append(list(elements))
+        return unconditional_sweep(F, elements, *args)
+
+    def ball_blocks(space, seed, purpose, bounds, original=frames_module._ball_blocks):
+        draws.append((purpose, list(bounds)))
+        return original(space, seed, purpose, bounds)
+
+    monkeypatch.setattr(verify, "unconditional_sweep", sweep)
+    monkeypatch.setattr(frames_module, "_ball_blocks", ball_blocks)
+    for label in DEFAULT_FRAME_LABELS:
+        spec = mini_spec(label, uncond_elements=5, seed=11)
+        F = frame_from_label(label)
+        draws.clear()
+        run_unconditionality_suite(spec)
+        assert draws == [("uncond-element", [(0, 5)])], label
+        assert seen.pop() == [
+            seeded_ball_point(F.space, 11, "uncond-element", k) for k in range(5)
+        ], label
 
 
 def test_bundle_json_round_trip():
