@@ -27,7 +27,6 @@ from .spaces import (  # noqa: E402
 from .frames import (  # noqa: E402
     Frame,
     FrameReport,
-    ProbeConfig,
     ProbeResult,
     analysis_coefficient,
     besselian_sum,
@@ -85,7 +84,6 @@ __all__ = [
     "unconditional_deviation",
     "reflexivity_probe",
     "derive_rng",
-    "ProbeConfig",
     "ProbeResult",
     "FrameReport",
     # catalog

@@ -29,8 +29,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterator, Optional
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterator, Optional
 
 import numpy as np
 
@@ -52,6 +52,9 @@ from .spaces import (
     sup_values_norm,
 )
 
+if TYPE_CHECKING:  # verify imports this module
+    from .verify import ExperimentSpec
+
 __all__ = [
     "DualRepresentationError",
     "SequenceSpace",
@@ -61,7 +64,7 @@ __all__ = [
     "Frame",
     "ProbeResult",
     "FrameReport",
-    "ProbeConfig",
+    "JsonRecord",
     "UnconditionalResult",
     "derive_rng",
     "seeded_ball_point",
@@ -73,9 +76,7 @@ __all__ = [
     "coefficient_sequence",
     "coefficient_products",
     "besselian_sum",
-    "besselian_sweep",
     "sweep_arrays",
-    "sweep_constants",
     "estimate_frame_constant",
     "dual_frame",
     "unconditional_probe",
@@ -88,7 +89,6 @@ __all__ = [
     "reflexivity_probe",
     "covering_truncation",
     "frame_has_zero_elements",
-    "validate_schedule",
 ]
 
 
@@ -180,6 +180,9 @@ _SEQ_SIGN_PREFIX = 4
 # The grid's extreme points are the dyadic steps of this level and coarser.
 _GRID_EXTREME_LEVEL = 5
 _AMALGAM_EXTREME_ATOMS_PER_CELL = 8
+# Cap on an amalgam ball's extreme points, (cells x atoms) rows of cells x
+# 2^J values, checked before anything is allocated: 2^23 values (64 MiB).
+_AMALGAM_EXTREME_VALUES = 1 << 23
 # The sup-norm sampler stays strictly inside the ball so random draws can
 # never beat the exact extreme-point value 1 by a rounding ulp.
 _SUP_BALL_RADIUS = 0.99
@@ -482,6 +485,14 @@ class AmalgamSpace(_Space):
         object.__setattr__(self, "window", (int(lo), int(hi)))
         if self.level < 0:
             raise ValueError(f"grid level must be >= 0, got {self.level}")
+        cells = int(hi) - int(lo) + 1
+        atoms = min(_AMALGAM_EXTREME_ATOMS_PER_CELL, 2 ** min(self.level, _GRID_EXTREME_LEVEL))
+        rows, width = cells * atoms, cells * 2**self.level
+        if rows * width > _AMALGAM_EXTREME_VALUES:
+            raise ValueError(
+                f"amalgam extreme points hold at most {_AMALGAM_EXTREME_VALUES} values, "
+                f"got {rows} x {width} (window {self.window}, J={self.level})"
+            )
 
     def describe(self) -> str:
         lo, hi = self.window
@@ -826,22 +837,6 @@ def sweep_arrays(
     return nx, nxs, S
 
 
-def besselian_sweep(
-    F: Frame, schedule: tuple[int, ...], samples: int, seed: int
-) -> list[tuple[float, float, tuple[float, ...]]]:
-    """sweep_arrays as one (||x||, ||xstar||, the besselian sums at each
-    truncation of the schedule) row per swept pair, in ball_pair_sweep's
-    order."""
-    nx, nxs, S = sweep_arrays(F, schedule, samples, seed)
-    return list(zip(nx.tolist(), nxs.tolist(), map(tuple, S.tolist())))
-
-
-def sweep_constants(sweep) -> list[float]:
-    """Constant estimate per scheduled truncation: the max over the rows of
-    a besselian_sweep, NaN when some row is NaN there."""
-    return np.array([sums for _nx, _nxs, sums in sweep], ndmin=2).max(axis=0).tolist()
-
-
 def estimate_frame_constant(F: Frame, N: int, samples: int, seed: int) -> float:
     """Max of besselian_sum over the deterministic unit-ball pair sweep.
 
@@ -1090,8 +1085,22 @@ def duality_constant_check(
 # ---------------------------------------------------------------------------
 
 
+class JsonRecord:
+    """A frozen dataclass serialized field by field: ``to_json_obj`` maps
+    each field's name to its value, and ``from_json_obj`` passes the same
+    keys back to the constructor, whose __post_init__ restores the types.
+    A missing key raises KeyError; other keys are ignored."""
+
+    def to_json_obj(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_json_obj(cls, obj):
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+
+
 @dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(JsonRecord):
     """One measured figure: (metric name, truncation, value, pass/fail).
 
     ``passed`` is None for purely informational rows (no pass criterion).
@@ -1113,28 +1122,9 @@ class ProbeResult:
         if not math.isfinite(self.value):
             raise ValueError(f"probe {self.name!r} produced non-finite {self.value}")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "truncation": self.truncation,
-            "value": self.value,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "ProbeResult":
-        return cls(
-            name=obj["name"],
-            truncation=int(obj["truncation"]),
-            value=float(obj["value"]),
-            passed=obj["passed"],
-            tolerance=obj["tolerance"],
-        )
-
 
 @dataclass(frozen=True)
-class FrameReport:
+class FrameReport(JsonRecord):
     """Everything one suite run measured on one frame.
 
     Reproducible from (label, truncation, seed, samples): no timestamps, no
@@ -1168,33 +1158,12 @@ class FrameReport:
         return all(p.passed is not False for p in self.probes)
 
     def to_json_obj(self) -> dict:
-        return {
-            "label": self.label,
-            "suite": self.suite,
-            "truncation": self.truncation,
-            "constant": self.constant,
-            "seed": self.seed,
-            "samples": self.samples,
-            "verdict": self.verdict,
-            "flags": list(self.flags),
-            "notes": list(self.notes),
-            "probes": [p.to_json_obj() for p in self.probes],
-        }
+        return {**super().to_json_obj(), "probes": [p.to_json_obj() for p in self.probes]}
 
     @classmethod
     def from_json_obj(cls, obj) -> "FrameReport":
-        return cls(
-            label=obj["label"],
-            suite=obj["suite"],
-            truncation=int(obj["truncation"]),
-            constant=float(obj["constant"]),
-            seed=int(obj["seed"]),
-            samples=int(obj["samples"]),
-            probes=tuple(ProbeResult.from_json_obj(p) for p in obj["probes"]),
-            verdict=obj["verdict"],
-            flags=tuple(obj["flags"]),
-            notes=tuple(obj["notes"]),
-        )
+        probes = [ProbeResult.from_json_obj(p) for p in obj["probes"]]
+        return super().from_json_obj({**obj, "probes": probes})
 
     def csv_rows(self) -> list[list[str]]:
         rows = []
@@ -1228,34 +1197,6 @@ _TAIL_VALUES = 1 << 14
 # ranks at a time, and the catalog's zero pairs show up within the first
 # few ranks.
 _ZERO_SCAN_CAP = 512
-
-
-def validate_schedule(schedule) -> tuple[int, ...]:
-    """The schedule as a tuple of ints; it must be a nonempty, strictly
-    increasing sequence of positive truncations."""
-    sched = tuple(int(n) for n in schedule)
-    if not sched or any(n < 1 for n in sched):
-        raise ValueError(f"schedule must hold positive truncations, got {sched}")
-    if any(a >= b for a, b in zip(sched, sched[1:])):
-        raise ValueError(f"schedule must be strictly increasing, got {sched}")
-    return sched
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Settings for reflexivity_probe."""
-
-    schedule: tuple[int, ...] = (4, 16, 64, 256)
-    samples: int = 8  # random candidates per leg
-    seed: int = 42
-    tail_tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "schedule", validate_schedule(self.schedule))
-        if self.samples < 0:
-            raise ValueError(f"samples must be >= 0, got {self.samples}")
-        if self.tail_tol <= 0:
-            raise ValueError(f"tail tolerance must be positive, got {self.tail_tol}")
 
 
 def covering_truncation(F: Frame, x) -> Optional[int]:
@@ -1319,9 +1260,7 @@ def clamped_tail(tail_fn, F: Frame, candidate, N: int, M: int) -> float:
     return tail_fn(F, candidate, N, M)
 
 
-def reflexivity_probe(
-    F: Frame, config: ProbeConfig = ProbeConfig(), suite: str = "reflexivity"
-) -> FrameReport:
+def reflexivity_probe(F: Frame, spec: ExperimentSpec) -> FrameReport:
     """Decay evidence for the shrinking and boundedly-complete properties.
 
     For each scheduled truncation N the probe measures the worst tail norm
@@ -1332,10 +1271,11 @@ def reflexivity_probe(
     frame's full truncation (before it, the tail may still vanish, and the
     leg stays undecided with a note); anything in between is inconclusive.
     Frames that are identically zero up to the probe horizon are flagged
-    degenerate.
+    degenerate.  The spec gives the schedule, the random candidates per leg
+    (probe_samples), the seed and the tail tolerance; the report is the
+    James suite's.
     """
-    cfg = config
-    schedule = cfg.schedule
+    schedule = spec.schedule
     space = F.space
 
     probes: list[ProbeResult] = []
@@ -1363,7 +1303,7 @@ def reflexivity_probe(
         if top:
             blocks = [ball.extreme_ball_points()[:_EXTREME_CANDIDATES]]
             blocks += _ball_blocks(
-                ball, cfg.seed, purpose, _sample_blocks(cfg.samples, ball.draw_width, top)
+                ball, spec.seed, purpose, _sample_blocks(spec.probe_samples, ball.draw_width, top)
             )
             coeffs = np.concatenate([analysis(block, top) for block in blocks])
         values = []
@@ -1378,7 +1318,7 @@ def reflexivity_probe(
             values.append(worst)
             probes.append(ProbeResult(f"{name}-tail", N, worst))
         first, last = values[0], values[-1]
-        if last <= cfg.tail_tol:
+        if last <= spec.tail_tol:
             return "ok", last
         if last < 0.5 * first:
             return "undecided", last
@@ -1432,11 +1372,11 @@ def reflexivity_probe(
 
     return FrameReport(
         label=F.label,
-        suite=suite,
+        suite="james",
         truncation=schedule[-1],
         constant=0.0,
-        seed=cfg.seed,
-        samples=cfg.samples,
+        seed=spec.seed,
+        samples=spec.probe_samples,
         probes=tuple(probes),
         verdict=verdict,
         flags=tuple(flags),

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from . import __version__
 from .catalog import frame_from_label
 from .frames import (
     FrameReport,
-    ProbeConfig,
+    JsonRecord,
     ProbeResult,
     covering_truncation,
     frame_has_zero_elements,
@@ -35,7 +36,6 @@ from .frames import (
     seeded_ball_points,
     sweep_arrays,
     unconditional_sweep,
-    validate_schedule,
 )
 
 __all__ = [
@@ -68,8 +68,10 @@ _FULL_TRUNCATION_CAP = 1024
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything a suite needs to be reproducible."""
+class ExperimentSpec(JsonRecord):
+    """Everything a suite needs to be reproducible; the James suite reads
+    schedule, probe_samples (random candidates per probe leg), seed and
+    tail_tol."""
 
     label: str
     schedule: tuple[int, ...] = _DEFAULT_SCHEDULE
@@ -84,7 +86,12 @@ class ExperimentSpec:
     tail_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "schedule", validate_schedule(self.schedule))
+        schedule = tuple(int(n) for n in self.schedule)
+        if not schedule or any(n < 1 for n in schedule):
+            raise ValueError(f"schedule must hold positive truncations, got {schedule}")
+        if any(a >= b for a, b in zip(schedule, schedule[1:])):
+            raise ValueError(f"schedule must be strictly increasing, got {schedule}")
+        object.__setattr__(self, "schedule", schedule)
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.trials < 1:
@@ -96,39 +103,9 @@ class ExperimentSpec:
         if self.probe_samples < 0:
             raise ValueError(f"probe samples must be >= 0, got {self.probe_samples}")
         for name in ("abs_tol", "rel_tol", "deviation_tol", "tail_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "label": self.label,
-            "schedule": list(self.schedule),
-            "samples": self.samples,
-            "seed": self.seed,
-            "trials": self.trials,
-            "uncond_elements": self.uncond_elements,
-            "probe_samples": self.probe_samples,
-            "abs_tol": self.abs_tol,
-            "rel_tol": self.rel_tol,
-            "deviation_tol": self.deviation_tol,
-            "tail_tol": self.tail_tol,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "ExperimentSpec":
-        return cls(
-            label=obj["label"],
-            schedule=tuple(obj["schedule"]),
-            samples=int(obj["samples"]),
-            seed=int(obj["seed"]),
-            trials=int(obj["trials"]),
-            uncond_elements=int(obj["uncond_elements"]),
-            probe_samples=int(obj["probe_samples"]),
-            abs_tol=float(obj["abs_tol"]),
-            rel_tol=float(obj["rel_tol"]),
-            deviation_tol=float(obj["deviation_tol"]),
-            tail_tol=float(obj["tail_tol"]),
-        )
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"{name} must be positive and finite, got {tol}")
 
 
 def spec_for_label(label: str, **overrides) -> ExperimentSpec:
@@ -303,14 +280,7 @@ def run_james_suite(spec: ExperimentSpec) -> FrameReport:
     non-shrinking / non-boundedly-complete witness -- counts as a pass; only
     "inconclusive" fails the suite.
     """
-    F = frame_from_label(spec.label)
-    cfg = ProbeConfig(
-        schedule=spec.schedule,
-        samples=spec.probe_samples,
-        seed=spec.seed,
-        tail_tol=spec.tail_tol,
-    )
-    return reflexivity_probe(F, cfg, suite="james")
+    return reflexivity_probe(frame_from_label(spec.label), spec)
 
 
 def run_unconditionality_suite(spec: ExperimentSpec) -> FrameReport:

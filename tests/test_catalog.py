@@ -25,6 +25,7 @@ from framekit.catalog import (
     zero_sequence_frame,
 )
 from framekit.frames import (
+    AmalgamSpace,
     analysis_coefficient,
     besselian_sum,
     frame_pair,
@@ -485,6 +486,37 @@ def test_label_sizes_are_bounded_before_allocation():
         tracemalloc.stop()
     assert peak < 2**20
     assert amalgam_frame(haar_frame(2.0, 1), 2.0, (0, 255)).full_truncation > 0
+
+
+def test_amalgam_extreme_points_are_bounded_before_allocation():
+    # every sweep builds each amalgam ball's extreme points, cells x 8 atoms
+    # rows of cells x 2^J values: 2,048 x 2^20 values (16 GiB) at J = 12 on
+    # 256 cells, refused before anything is allocated
+    message = "extreme points hold at most 8388608 values"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            frame_from_label("amalgam:p=2:q=2:J=12:window=-128,127")
+        with pytest.raises(ValueError, match=message):
+            frame_from_label("amalgam:p=2:q=2:J=8:window=0,64")  # 520 x 16,640 values
+        with pytest.raises(ValueError, match=message):
+            amalgam_frame(haar_frame(3.0, 12), 1.5, (0, 16))  # 136 x 69,632 values
+        with pytest.raises(ValueError, match=message):
+            AmalgamSpace(2.0, 2.0, (-128, 127), 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # 64 cells at J = 8 and 16 at J = 12 hold exactly 2^23 values; 61
+    # cells at J = 8, the widest label in use, hold 488 x 15,616
+    assert frame_from_label("amalgam:p=2:q=2:J=8:window=0,63").space.window == (0, 63)
+    assert amalgam_frame(haar_frame(3.0, 12), 1.5, (0, 15)).space.window == (0, 15)
+    assert frame_from_label("amalgam:p=2:q=2:J=8:window=0,60").full_truncation > 0
+    # the cap counts the rows and values the extreme points have
+    for J, window in ((1, (0, 255)), (3, (-2, 2)), (6, (0, 1)), (12, (0, 1))):
+        cells = window[1] - window[0] + 1
+        points = AmalgamSpace(3.0, 1.5, window, J).extreme_ball_points()
+        assert points.shape == (cells * min(8, 2**J), cells * 2**J)
 
 
 def test_zero_frame_is_degenerate_but_constructible():

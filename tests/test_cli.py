@@ -407,6 +407,23 @@ def test_cli_truncations_are_capped_on_every_unbounded_frame(tmp_path, capsys):
     assert f"exceeds the truncation cap {top}" in capsys.readouterr().err
 
 
+def test_cli_refuses_amalgam_labels_with_oversized_extreme_points(capsys):
+    label = "amalgam:p=2:q=2:J=12:window=-128,127"
+    tracemalloc.start()
+    try:
+        for argv in (
+            ["suite", "besselian", "--frame", label, "--schedule", "4"],
+            ["constant", "--frame", label, "--n", "4", "--samples", "1"],
+            ["tabulate", "--frame", label, "--curve", "constant", "--schedule", "4"],
+        ):
+            assert main(argv) == 1, argv
+            assert "extreme points hold at most 8388608 values" in capsys.readouterr().err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_expand_residual_of_inputs_outside_the_model(tmp_path):
     # a grid finer than the frame's level and mass outside the amalgam
     # window: the residual is the typed norm of x - S_N x

@@ -37,12 +37,10 @@ from framekit.frames import (
     GridSpace,
     SequenceSpace,
     FrameReport,
-    ProbeConfig,
     ProbeResult,
     analysis_coefficient,
     ball_pair_sweep,
     besselian_sum,
-    besselian_sweep,
     boundedly_complete_tail,
     clamped_tail,
     coefficient_products,
@@ -58,7 +56,6 @@ from framekit.frames import (
     seeded_ball_point,
     seeded_ball_points,
     shrinking_tail,
-    sweep_constants,
     synthesis_partial,
     unconditional_deviation,
     unconditional_probe,
@@ -76,7 +73,7 @@ from framekit.spaces import (
     lp_norm,
 )
 
-from framekit.verify import DEFAULT_FRAME_LABELS, spec_for_label
+from framekit.verify import DEFAULT_FRAME_LABELS, ExperimentSpec, spec_for_label
 
 import oracles
 
@@ -288,6 +285,16 @@ STREAM_SPACES = (
 )
 
 
+def _same_sweep(a, b) -> bool:
+    """Two sweep_arrays results hold the same bits."""
+    return all(_bits(u) == _bits(v) for u, v in zip(a, b, strict=True))
+
+
+def _sorted_rows(nx, nxs, sums) -> list:
+    """A sweep's (||x||, ||xstar||, sums) rows, sorted."""
+    return sorted(zip(nx.tolist(), nxs.tolist(), map(tuple, sums.tolist())))
+
+
 def _sweep_block_rows(F, N: int) -> int:
     """Samples per block of F's sweep to truncation N."""
     return frames_module._block_rows(N, F.space.draw_width, F.space.dual.draw_width)
@@ -299,10 +306,11 @@ def test_sweep_rows_are_prefixes_across_block_sizes():
         schedule = spec_for_label(label).schedule
         block = _sweep_block_rows(F, schedule[-1])
         assert 1 < block < 2000
-        full = besselian_sweep(F, schedule, 2000, 7)
-        extremes = len(full) - 2000
+        full = frames_module.sweep_arrays(F, schedule, 2000, 7)
+        extremes = len(full[0]) - 2000
         for samples in (1, block - 1, block, block + 1):
-            assert besselian_sweep(F, schedule, samples, 7) == full[: extremes + samples]
+            got = frames_module.sweep_arrays(F, schedule, samples, 7)
+            assert _same_sweep(got, [a[: extremes + samples] for a in full])
 
 
 def test_seeded_ball_point_is_row_k_of_every_block():
@@ -432,7 +440,7 @@ def test_besselian_sweep_memory_stays_small():
         spec = spec_for_label(label)
         tracemalloc.start()
         try:
-            besselian_sweep(F, spec.schedule, spec.samples, spec.seed)
+            frames_module.sweep_arrays(F, spec.schedule, spec.samples, spec.seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -483,11 +491,11 @@ def test_sweep_rows_are_besselian_sums_past_the_cut(monkeypatch):
         F = frame_from_label(label)
         samples = _sweep_block_rows(F, schedule[-1]) + 6  # two sample blocks
         calls.clear()
-        rows = besselian_sweep(F, schedule, samples, 5)
+        S = frames_module.sweep_arrays(F, schedule, samples, 5)[2]
         pairs = list(ball_pair_sweep(F.space, samples, 5))
-        assert len(rows) == len(pairs)
-        for (_nx, _nxs, got), (x, xstar) in zip(rows, pairs):
-            assert got == tuple(besselian_sum(F, x, xstar, N) for N in schedule)
+        assert len(S) == len(pairs)
+        for got, (x, xstar) in zip(S.tolist(), pairs):
+            assert got == [besselian_sum(F, x, xstar, N) for N in schedule]
         for w, cut in calls:
             # column 0 is kept, so no truncation is cut to an empty sum
             assert 1 <= cut[0] and list(cut) == sorted(cut) and cut[-1] <= w
@@ -541,10 +549,9 @@ def test_sweep_with_a_non_finite_factor_forms_the_products_first(monkeypatch):
 
     monkeypatch.setattr(sums_module, "prefix_sums", spy)
     with np.errstate(invalid="ignore"):
-        rows = besselian_sweep(F, schedule, samples, 3)
+        got = frames_module.sweep_arrays(F, schedule, samples, 3)[2]
         pairs = list(ball_pair_sweep(F.space, samples, 3))
         want = [[besselian_sum(F, x, xs, N) for N in schedule] for x, xs in pairs]
-    got = [list(row) for _nx, _nxs, row in rows]
     assert np.array_equal(got, want, equal_nan=True)
     assert np.isnan(got).any(axis=0).tolist() == [False, False, True, True]
     # the zero products at ranks 20..29 are dropped, the NaN products at
@@ -659,16 +666,17 @@ def test_sweep_prefix_sums_take_at_most_one_chunk(monkeypatch):
     chunk = frames_module._PREFIX_CHUNK
     cases = (("haar:p=3:J=11", (32, 2048)), ("l1-canonical", (4, 256, 4096)))
     for label, schedule in cases:
-        besselian_sweep(frame_from_label(label), schedule, 70, 5)
+        frames_module.sweep_arrays(frame_from_label(label), schedule, 70, 5)
     for label in DEFAULT_FRAME_LABELS:
-        besselian_sweep(frame_from_label(label), spec_for_label(label).schedule, 70, 5)
+        schedule = spec_for_label(label).schedule
+        frames_module.sweep_arrays(frame_from_label(label), schedule, 70, 5)
     assert sizes and max(sizes) <= chunk
     # a smaller chunk splits the extreme product across x rows; rows stay put
     F, schedule = frame_from_label("amalgam:p=3:q=1.5:J=2:window=-3,1"), (4, 16, 64)
-    full = besselian_sweep(F, schedule, 70, 5)
+    full = frames_module.sweep_arrays(F, schedule, 70, 5)
     sizes.clear()
     monkeypatch.setattr(frames_module, "_PREFIX_CHUNK", 500)
-    assert besselian_sweep(F, schedule, 70, 5) == full
+    assert _same_sweep(frames_module.sweep_arrays(F, schedule, 70, 5), full)
     assert max(sizes) <= 500
 
 
@@ -679,12 +687,13 @@ def test_extreme_rows_keep_ball_pair_sweep_order(monkeypatch):
     xs, xstars = F.space.extreme_ball_points(), F.space.dual.extreme_ball_points()
     pairs = list(itertools.islice(ball_pair_sweep(F.space, 0, 1), len(xs) * len(xstars)))
     want = [
-        (lp_norm(x, 1.0), linf_norm(xstar), tuple(besselian_sum(F, x, xstar, N) for N in schedule))
-        for x, xstar in pairs
+        [lp_norm(x, 1.0) for x, _ in pairs],
+        [linf_norm(xstar) for _, xstar in pairs],
+        [[besselian_sum(F, x, xstar, N) for N in schedule] for x, xstar in pairs],
     ]
     for chunk in (frames_module._PREFIX_CHUNK, 500, 1):
         monkeypatch.setattr(frames_module, "_PREFIX_CHUNK", chunk)
-        assert besselian_sweep(F, schedule, 0, 1) == want
+        assert [a.tolist() for a in frames_module.sweep_arrays(F, schedule, 0, 1)] == want
 
 
 def test_self_dual_sweeps_draw_and_analyse_once(monkeypatch):
@@ -712,13 +721,14 @@ def test_self_dual_sweeps_draw_and_analyse_once(monkeypatch):
         space, dual = F.space, F.space.dual
         samples = (blocks - 1) * _sweep_block_rows(F, 16) + 1
         draws.clear()
-        rows = besselian_sweep(F, (4, 16), samples, 3)
+        got_nx, got_nxs, _ = frames_module.sweep_arrays(F, (4, 16), samples, 3)
         assert draws == [(space, blocks), (dual, blocks)][:per_block]
         assert (dual == space) == (per_block == 1)
         # the random pairs' norms are those of the two sides' own draws
         nx = space.norm(frames_module._ball_block(space, 3, "ball", 0, samples))
         nxs = dual.norm(frames_module._ball_block(dual, 3, "ball", 0, samples))
-        assert [r[:2] for r in rows[-samples:]] == list(zip(nx.tolist(), nxs.tolist()))
+        assert got_nx[-samples:].tolist() == nx.tolist()
+        assert got_nxs[-samples:].tolist() == nxs.tolist()
 
     analyses = []
 
@@ -738,14 +748,14 @@ def test_self_dual_sweeps_draw_and_analyse_once(monkeypatch):
             F, coeff_batch=counted(F.coeff_batch), eval_batch=counted(F.eval_batch)
         )
         analyses.clear()
-        rows = besselian_sweep(shared, (4, 16), samples, 3)
+        rows = frames_module.sweep_arrays(shared, (4, 16), samples, 3)
         assert len(analyses) == 1 + blocks  # the extreme points, then each block
         analyses.clear()
-        assert besselian_sweep(split, (4, 16), samples, 3) == rows
+        assert _same_sweep(frames_module.sweep_arrays(split, (4, 16), samples, 3), rows)
         assert len(analyses) == 2 * (1 + blocks)
 
 
-def test_sweep_constants_propagate_a_nan_whatever_the_row_order():
+def test_sweep_constants_propagate_a_nan_whatever_the_row_order(monkeypatch):
     # the rows of x = +-e_1 come first and stay finite; later rows are NaN
     # past rank 29, and every reduction of the constant is NaN there
     space = SequenceSpace()
@@ -757,19 +767,21 @@ def test_sweep_constants_propagate_a_nan_whatever_the_row_order():
 
     F = dataclasses.replace(_frame_with_a_nan_column(), coeff_batch=coeff_batch)
     schedule, samples = (4, 19, 30, 40), 10
+    monkeypatch.setattr(verify_module, "frame_from_label", lambda label: F)
+    spec = ExperimentSpec("l1-canonical", schedule=schedule, samples=samples, seed=3)
     with np.errstate(invalid="ignore"):
-        rows = besselian_sweep(F, schedule, samples, 3)
+        sums = frames_module.sweep_arrays(F, schedule, samples, 3)[2]
         constant = estimate_frame_constant(F, 40, samples, 3)
-    sums = np.array([r[2] for r in rows])
+        constants, _margins = verify_module._SpecResults(spec).sweep
     assert np.flatnonzero(np.isnan(sums[:, -1]))[0] > 0
-    for order in (rows, rows[::-1]):
-        got = sweep_constants(order)
+    finite = [max(column) for column in sums[:, :2].T.tolist()]
+    for got in (sums.max(axis=0), sums[::-1].max(axis=0), np.array(constants)):
         assert np.isnan(got).tolist() == [False, False, True, True]
-        assert got[:2] == sums[:, :2].max(axis=0).tolist()
+        assert got[:2].tolist() == finite
     assert math.isnan(constant)
-    finite_first = [(1.0, 1.0, (1.0,)), (1.0, 1.0, (math.nan,))]
+    finite_first = np.array([[1.0], [math.nan]])
     for order in (finite_first, finite_first[::-1]):
-        assert math.isnan(sweep_constants(order)[0])
+        assert math.isnan(order.max(axis=0)[0])
 
 
 def _inf_past(batch, rank):
@@ -1020,12 +1032,12 @@ def test_dual_frame_sweep_mirrors_the_frame_sweep():
         "amalgam:p=3:q=1.5:J=2:window=-3,1",
     ):
         F = frame_from_label(label)
-        primal = besselian_sweep(F, (4, 8), 20, 42)
-        dual = besselian_sweep(dual_frame(F), (4, 8), 20, 42)
-        assert sweep_constants(dual) == sweep_constants(primal)
-        assert len(primal) == len(list(ball_pair_sweep(F.space, 20, 42)))
+        nx, nxs, sums = frames_module.sweep_arrays(F, (4, 8), 20, 42)
+        dual = frames_module.sweep_arrays(dual_frame(F), (4, 8), 20, 42)
+        assert dual[2].max(axis=0).tolist() == sums.max(axis=0).tolist()
+        assert len(sums) == len(list(ball_pair_sweep(F.space, 20, 42)))
         # row by row: the same pairs with the roles of the two balls swapped
-        assert sorted(dual) == sorted((nxs, nx, sums) for nx, nxs, sums in primal)
+        assert _sorted_rows(*dual) == _sorted_rows(nxs, nx, sums)
 
 
 def test_duality_estimates_mirror_exactly_on_catalog_frames():
@@ -1307,7 +1319,8 @@ def test_boundedly_complete_tail_examples():
 
 
 def test_probe_haar_consistent_with_reflexive():
-    report = reflexivity_probe(HAAR4, ProbeConfig(schedule=(4, 16), samples=4))
+    spec = ExperimentSpec(HAAR4.label, schedule=(4, 16), probe_samples=4)
+    report = reflexivity_probe(HAAR4, spec)
     assert report.verdict == "consistent with reflexive"
     assert report.all_pass()
     finals = [
@@ -1319,7 +1332,8 @@ def test_probe_haar_consistent_with_reflexive():
 
 
 def test_probe_l1_finds_non_shrinking_witness():
-    report = reflexivity_probe(L1, ProbeConfig(schedule=(4, 16, 64), samples=4))
+    spec = ExperimentSpec(L1.label, schedule=(4, 16, 64), probe_samples=4)
+    report = reflexivity_probe(L1, spec)
     assert report.verdict == "non-shrinking witness found"
     assert report.all_pass()  # a conclusive witness is a successful probe
     tails = [p.value for p in report.probes if p.name == "shrinking-tail"]
@@ -1331,22 +1345,22 @@ def test_probe_stall_before_full_truncation_is_no_witness():
     # white-noise candidates on the orthonormal Haar basis have tails that
     # grow until the schedule reaches 2^J; a stall before that proves nothing
     F = haar_frame(2.0, 8)
-    report = reflexivity_probe(F, ProbeConfig(schedule=(4, 16, 64, 128)))
+    report = reflexivity_probe(F, ExperimentSpec(F.label, schedule=(4, 16, 64, 128)))
     assert report.verdict == "inconclusive"
     assert any("before the full truncation 256" in n for n in report.notes)
-    full = reflexivity_probe(F, ProbeConfig(schedule=(4, 16, 64, 256)))
+    full = reflexivity_probe(F, ExperimentSpec(F.label, schedule=(4, 16, 64, 256)))
     assert full.verdict == "consistent with reflexive"
 
 
-def _typed_leg(F, ball, purpose: str, tail_fn, cfg: ProbeConfig) -> list:
+def _typed_leg(F, ball, purpose: str, tail_fn, spec: ExperimentSpec) -> list:
     """Each scheduled truncation's max over the probe's candidates, typed
     elements one at a time, of clamped_tail(tail_fn, ...) at horizon 2N."""
     extremes = ball.extreme_ball_points()[: frames_module._EXTREME_CANDIDATES]
     candidates = [ball.from_coordinates(c) for c in extremes] + [
-        seeded_ball_point(ball, cfg.seed, purpose, k) for k in range(cfg.samples)
+        seeded_ball_point(ball, spec.seed, purpose, k) for k in range(spec.probe_samples)
     ]
     return [
-        max(clamped_tail(tail_fn, F, c, N, 2 * N) for c in candidates) for N in cfg.schedule
+        max(clamped_tail(tail_fn, F, c, N, 2 * N) for c in candidates) for N in spec.schedule
     ]
 
 
@@ -1363,14 +1377,14 @@ def test_probe_legs_are_the_typed_tails_bit_for_bit():
     ]
     for label, schedule, seed in cases:
         F = frame_from_label(label)
-        cfg = ProbeConfig(schedule=schedule, samples=8, seed=seed)
-        report = reflexivity_probe(F, cfg)
+        spec = ExperimentSpec(label, schedule=schedule, probe_samples=8, seed=seed)
+        report = reflexivity_probe(F, spec)
         legs = [("shrinking", F.space.dual, "probe-dual", shrinking_tail)]
         if F.space.bidual_representable:
             legs.append(("boundedly-complete", F.space, "probe-bidual", boundedly_complete_tail))
         for name, ball, purpose, tail_fn in legs:
             got = [p.value for p in report.probes if p.name == f"{name}-tail"]
-            want = _typed_leg(F, ball, purpose, tail_fn, cfg)
+            want = _typed_leg(F, ball, purpose, tail_fn, spec)
             assert _bits(got) == _bits(want), (label, name)
         if label.startswith("haar:p=1.5"):
             assert got[-1] == 0.0  # N = 32: no rank is left past N
@@ -1403,8 +1417,9 @@ def test_a_nan_tail_raises_whichever_candidate_holds_it(monkeypatch):
     for rows in ("extreme", "sampled"):
         F = _l1_with_nan_dual_tails(rows)
         for schedule in ((4, 16), (2048,)):
+            spec = ExperimentSpec(F.label, schedule=schedule, probe_samples=4)
             with pytest.raises(ValueError, match=message):
-                reflexivity_probe(F, ProbeConfig(schedule=schedule, samples=4, seed=42))
+                reflexivity_probe(F, spec)
         monkeypatch.setattr(verify_module, "frame_from_label", lambda label, F=F: F)
         spec = verify_module.ExperimentSpec("l1-canonical", schedule=(4, 16), probe_samples=4)
         (report,) = verify_module.run_all([spec], suites=("james",)).reports
@@ -1426,26 +1441,31 @@ def test_zero_frame_runs_the_operator_route():
 
 
 def test_probe_zero_frame_is_degenerate():
-    report = reflexivity_probe(zero_sequence_frame(), ProbeConfig(schedule=(4, 8), samples=2))
+    report = reflexivity_probe(
+        zero_sequence_frame(), ExperimentSpec("zero", schedule=(4, 8), probe_samples=2)
+    )
     assert report.verdict == "degenerate"
     assert "zero-elements" in report.flags
 
 
 def test_probe_amalgam_consistent_with_reflexive():
     F = frame_from_label("amalgam:p=2:q=2:J=3:window=-1,1")
-    cfg = ProbeConfig(schedule=(4, 16, F.full_truncation), samples=3)
-    report = reflexivity_probe(F, cfg)
+    spec = ExperimentSpec(F.label, schedule=(4, 16, F.full_truncation), probe_samples=3)
+    report = reflexivity_probe(F, spec)
     assert report.verdict == "consistent with reflexive"
     assert "zero-elements" in report.flags
 
 
 def test_probe_config_validation():
-    with pytest.raises(ValueError):
-        ProbeConfig(schedule=())
-    with pytest.raises(ValueError):
-        ProbeConfig(schedule=(4, 4))
-    with pytest.raises(ValueError):
-        ProbeConfig(schedule=(4, 16), tail_tol=0.0)
+    # the probe's settings are checked once, by the spec that carries them
+    for bad in (
+        dict(schedule=()),
+        dict(schedule=(4, 4)),
+        dict(schedule=(4, 16), tail_tol=0.0),
+        dict(schedule=(4, 16), probe_samples=-1),
+    ):
+        with pytest.raises(ValueError):
+            ExperimentSpec("l1-canonical", **bad)
 
 
 # ---------------------------------------------------------------------------
@@ -1482,9 +1502,9 @@ def test_sweep_probe_and_tails_build_no_typed_elements(monkeypatch):
 
         monkeypatch.setattr(cls, "__post_init__", counted)
     for F, elements, schedule in runs:
-        besselian_sweep(F, schedule, 20, 42)
+        frames_module.sweep_arrays(F, schedule, 20, 42)
         unconditional_sweep(F, elements, schedule, 3, 42)
-        reflexivity_probe(F, ProbeConfig(schedule=schedule, samples=2))
+        reflexivity_probe(F, ExperimentSpec(F.label, schedule=schedule, probe_samples=2))
     assert built == []
 
 
@@ -1726,9 +1746,9 @@ def test_sweep_takes_the_extreme_norms_from_the_descriptors(monkeypatch):
         F = frame_from_label(label)
         (_, x_norms, _), (_, xstar_norms, _) = F.space.extremes, F.space.dual.extremes
         calls.clear()
-        rows = besselian_sweep(F, (4, 8), 0, 42)
+        nx, nxs, _ = frames_module.sweep_arrays(F, (4, 8), 0, 42)
         assert calls == []
-        assert [(nx, nxs) for nx, nxs, _ in rows] == list(
+        assert list(zip(nx.tolist(), nxs.tolist())) == list(
             itertools.product(x_norms.tolist(), xstar_norms.tolist())
         )
 
@@ -1750,13 +1770,41 @@ def test_probe_result_validation_and_round_trip():
         ProbeResult("metric", 4, math.nan)
 
 
+def test_records_serialize_their_fields():
+    # each record writes one key per field and reads the same keys back;
+    # a missing key raises KeyError and an unknown key is ignored
+    probe = ProbeResult("metric", 4, 0.5, passed=False, tolerance=None)
+    info = ProbeResult("other", 16, 0.25)
+    report = FrameReport(
+        label="haar:p=3:J=6", suite="james", truncation=16, constant=1.5, seed=7,
+        samples=3, probes=(probe, info), verdict=None,
+        flags=("zero-elements", "degenerate"), notes=("a note", "another"),
+    )
+    judged = dataclasses.replace(report, verdict="inconclusive", probes=())
+    spec = ExperimentSpec(
+        "haar:p=3:J=6", schedule=(2, 8, 32), samples=17, seed=7, trials=5,
+        uncond_elements=2, probe_samples=0, abs_tol=1e-3, rel_tol=0.5,
+        deviation_tol=1e-4, tail_tol=1e-2,
+    )
+    for record in (probe, info, report, judged, spec):
+        cls, obj = type(record), record.to_json_obj()
+        names = [f.name for f in dataclasses.fields(record)]
+        assert sorted(obj) == sorted(names)
+        assert cls.from_json_obj(json.loads(json.dumps(obj))) == record
+        assert cls.from_json_obj({**obj, "unknown": 1}) == record
+        for name in names:
+            with pytest.raises(KeyError):
+                cls.from_json_obj({k: v for k, v in obj.items() if k != name})
+    assert report.to_json_obj()["probes"] == [probe.to_json_obj(), info.to_json_obj()]
+
+
 def test_frame_report_round_trip_and_csv():
-    report = reflexivity_probe(L1, ProbeConfig(schedule=(4, 16), samples=2))
+    report = reflexivity_probe(L1, ExperimentSpec(L1.label, schedule=(4, 16), probe_samples=2))
     back = FrameReport.from_json_obj(json.loads(json.dumps(report.to_json_obj())))
     assert back == report
     rows = report.csv_rows()
     assert all(len(row) == 6 for row in rows)
-    assert {row[0] for row in rows} == {"reflexivity"}
+    assert {row[0] for row in rows} == {"james"}
     assert {row[1] for row in rows} == {"l1-canonical"}
     # informational rows carry an empty pass column; the verdict row says pass
     passes = {row[3]: row[5] for row in rows}

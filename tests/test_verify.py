@@ -13,7 +13,6 @@ import framekit.frames as frames_module
 import framekit.verify as verify
 from framekit.catalog import frame_from_label
 from framekit.cli import main
-from framekit.frames import besselian_sweep, sweep_constants
 from framekit.frames import dual_frame, estimate_frame_constant
 from framekit.frames import seeded_ball_point, unconditional_sweep
 from framekit.verify import (
@@ -52,8 +51,13 @@ def test_spec_validation():
         ExperimentSpec(label="l1-canonical", schedule=(16, 4))
     with pytest.raises(ValueError):
         ExperimentSpec(label="l1-canonical", samples=0)
-    with pytest.raises(ValueError):
-        ExperimentSpec(label="l1-canonical", rel_tol=0.0)
+    # every tolerance is positive and finite: NaN fails every comparison,
+    # so a "<= 0" check let it through, and the bundle then failed to
+    # serialize
+    for name in ("abs_tol", "rel_tol", "deviation_tol", "tail_tol"):
+        for bad in (float("nan"), float("inf"), float("-inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match=name):
+                ExperimentSpec(label="l1-canonical", **{name: bad})
 
 
 def test_spec_round_trip():
@@ -226,8 +230,11 @@ def test_sweep_margins_match_the_per_pair_generator():
     # sums[i] - lhat * nx * nxs, maximized pair by pair
     for label in DEFAULT_FRAME_LABELS + ("haar:p=3:J=6",):
         spec = spec_for_label(label)
-        rows = besselian_sweep(frame_from_label(label), spec.schedule, spec.samples, spec.seed)
-        constants = sweep_constants(rows)
+        nx, nxs, S = frames_module.sweep_arrays(
+            frame_from_label(label), spec.schedule, spec.samples, spec.seed
+        )
+        rows = list(zip(nx.tolist(), nxs.tolist(), S.tolist()))
+        constants = [max(sums[i] for _, _, sums in rows) for i in range(len(spec.schedule))]
         margins = [
             max(sums[i] - lhat * nx * nxs for nx, nxs, sums in rows)
             for i, lhat in enumerate(constants)
