@@ -611,12 +611,20 @@ class Frame:
     max_rank: Optional[int] = None
     full_truncation: Optional[int] = None
     covering: Callable = lambda x: None  # typed element -> truncation or None
+    # Per-frame records of work that depends only on the frame and a
+    # truncation, never on a seed or a budget.  Each tuple is replaced
+    # whole, never edited, and its arrays are read-only, so threads sharing
+    # the frame see one consistent record.
     # What the zero-pair scan has found so far: (ranks scanned, the first
     # rank with a zero vector or functional, the first rank whose pair is
-    # not zero in both slots), inf where no scanned rank has it.  The tuple
-    # is replaced whole, never edited, so threads sharing the frame see one
-    # consistent record.
+    # not zero in both slots), inf where no scanned rank has it.
     _zero_ranks: tuple = field(default=(0, math.inf, math.inf), init=False, repr=False)
+    # The extreme pairs' sums at the last schedule swept: (schedule, the
+    # flat indices i m + j of the pairs _extreme_rows sums, their sums).
+    _extreme_sums: Optional[tuple] = field(default=None, init=False, repr=False)
+    # The atoms' nonzero entries at the last largest truncation probed:
+    # (top, ranks, values), sums.nonzero_columns of the unit syntheses.
+    _atoms: Optional[tuple] = field(default=None, init=False, repr=False)
 
 
 def _check_rank(F: Frame, n: int) -> None:
@@ -761,22 +769,40 @@ def _prefix_rows(products: np.ndarray, schedule: tuple[int, ...], out: np.ndarra
         out[i : i + step] = sums.prefix_sums(terms[i : i + step], cut)
 
 
-def _extreme_rows(
-    coeffs: np.ndarray, evals: np.ndarray, schedule: tuple[int, ...], out: np.ndarray
-) -> None:
-    """_prefix_rows of |b_n(x) xstar(a_n)| for every pair of a coefficient
-    row x and an evaluation row xstar, into out x-major as ball_pair_sweep
-    yields them, at most _PREFIX_CHUNK terms (at least one pair) at a time.
+def _evaluate(F: Frame, x: np.ndarray, xstar: np.ndarray, N: int) -> tuple:
+    """(b_n(x), xstar(a_n)) to rank N, one row per point; a family with
+    a_n = b_n analyses a point that serves both roles once."""
+    coeffs = F.coeff_batch(x, N)
+    if xstar is x and F.eval_batch is F.coeff_batch:
+        return coeffs, coeffs
+    return coeffs, F.eval_batch(xstar, N)
 
-    Finite factors are cut first to their live columns (_live_columns),
-    and only the pairs sharing one are summed (counted by a product of 0/1
-    masks, exact): every other pair's terms, and so its sums, are +0.0.  A
-    non-finite factor can make a product NaN (inf * 0), so then every
-    pair's whole product is formed.
+
+def _extreme_rows(F: Frame, schedule: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sums) of the extreme pairs that can have a nonzero sum: their
+    flat indices i m + j, x-major as ball_pair_sweep yields them (m
+    evaluation rows), and their _prefix_rows of |b_n(x) xstar(a_n)|, at most
+    _PREFIX_CHUNK terms (at least one pair) at a time.  Every other pair's
+    sums are +0.0.
+
+    They depend on the frame and the schedule only, so they are F's record
+    (F._extreme_sums), computed when it holds another schedule.  Finite
+    factors are cut first to their live columns (_live_columns), and only
+    the pairs sharing one are summed (counted by a product of 0/1 masks,
+    exact): every other pair's terms are +0.0.  A non-finite factor can
+    make a product NaN (inf * 0), so then every pair is summed, its whole
+    product formed.
     """
-    m = len(evals)
+    record = F._extreme_sums
+    if record is not None and record[0] == schedule:
+        return record[1], record[2]
+    space, dual = F.space, F.space.dual
+    xs = space.extremes[2]
+    xstars = xs if dual == space else dual.extremes[2]
+    coeffs, evals = _evaluate(F, xs, xstars, schedule[-1])
+    m, cut = len(evals), schedule
     if np.isfinite(coeffs).all() and np.isfinite(evals).all():
-        (coeffs, evals), schedule = _live_columns(schedule, coeffs, evals)
+        (coeffs, evals), cut = _live_columns(schedule, coeffs, evals)
         i, j = np.nonzero((coeffs != 0.0).astype(float) @ (evals != 0.0).astype(float).T)
     else:
         i, j = np.divmod(np.arange(len(coeffs) * m), m)
@@ -784,9 +810,11 @@ def _extreme_rows(
     step = max(1, _PREFIX_CHUNK // evals.shape[-1])
     for k in range(0, len(i), step):
         pairs = slice(k, k + step)
-        _prefix_rows(coeffs[i[pairs]] * evals[j[pairs]], schedule, found[pairs])
-    out.fill(0.0)
-    out[i * m + j] = found
+        _prefix_rows(coeffs[i[pairs]] * evals[j[pairs]], cut, found[pairs])
+    index = i * m + j
+    index.flags.writeable = found.flags.writeable = False
+    object.__setattr__(F, "_extreme_sums", (schedule, index, found))
+    return index, found
 
 
 def sweep_arrays(
@@ -796,35 +824,34 @@ def sweep_arrays(
     ball_pair_sweep's order: sums is a pairs x len(schedule) array of the
     besselian sums at each truncation of the increasing schedule.
 
-    Points go through the operators and norms as matrices: the extreme
-    points once each, as the rows and with the norms each descriptor keeps
-    beside them (``space.extremes``), the random pairs a block at a time,
-    with N and both draw widths setting the block's rows and each ball's
-    blocks continuing one keyed stream (_ball_blocks).  The sums are exactly
-    rounded (bit for bit ``math.fsum``, see sums.prefix_sums), so monotone
-    in N with no rounding caveats.  A self-dual ball is drawn and
-    measured once for x and xstar, and a family with a_n = b_n analysed once
-    for both roles; neither moves a bit.
+    The extreme pairs' rows are F's record at this schedule (_extreme_rows),
+    scattered into zeros, and their norms the ones each descriptor keeps
+    beside its extreme points (``space.extremes``); neither depends on the
+    seed or the sample count.  The random pairs go through the operators
+    and norms as matrices, a block at a time, with N and both draw widths
+    setting the block's rows and each ball's blocks continuing one keyed
+    stream (_ball_blocks).  The sums are exactly rounded (bit for bit
+    ``math.fsum``, see sums.prefix_sums), so monotone in N with no rounding
+    caveats.  A self-dual ball is drawn and measured once for x and xstar,
+    and a family with a_n = b_n analysed once for both roles; neither moves
+    a bit.
     """
+    schedule = tuple(schedule)
     N = schedule[-1]
     space, dual = F.space, F.space.dual
     bounds = _sample_blocks(samples, N, space.draw_width, dual.draw_width)
     _check_rank(F, N)
     self_dual = dual == space
 
-    def evaluate(x, xstar):
-        coeffs = F.coeff_batch(x, N)
-        if xstar is x and F.eval_batch is F.coeff_batch:
-            return coeffs, coeffs
-        return coeffs, F.eval_batch(xstar, N)
-
-    _, x_norms, xs = space.extremes
-    _, xstar_norms, xstars = space.extremes if self_dual else dual.extremes
-    m = len(xs) * len(xstars)
+    _, x_norms, _ = space.extremes
+    _, xstar_norms, _ = space.extremes if self_dual else dual.extremes
+    m = len(x_norms) * len(xstar_norms)
     nx, nxs = np.empty(m + samples), np.empty(m + samples)
     S = np.empty((m + samples, len(schedule)))
-    nx[:m], nxs[:m] = np.repeat(x_norms, len(xstars)), np.tile(xstar_norms, len(xs))
-    _extreme_rows(*evaluate(xs, xstars), schedule, S[:m])
+    nx[:m], nxs[:m] = np.repeat(x_norms, len(xstar_norms)), np.tile(xstar_norms, len(x_norms))
+    index, found = _extreme_rows(F, schedule)
+    S[:m] = 0.0
+    S[index] = found
     x_blocks = _ball_blocks(space, seed, "ball", bounds)
     xstar_blocks = None if self_dual else _ball_blocks(dual, seed, "ball", bounds)
     for (k0, k1), x in zip(bounds, x_blocks):
@@ -832,7 +859,7 @@ def sweep_arrays(
         xstar = x if self_dual else next(xstar_blocks)
         nx[rows] = space.norm(x)
         nxs[rows] = nx[rows] if xstar is x else dual.norm(xstar)
-        coeffs, evals = evaluate(x, xstar)
+        coeffs, evals = _evaluate(F, x, xstar, N)
         _prefix_rows(coeffs * evals, schedule, S[rows])
     return nx, nxs, S
 
@@ -896,9 +923,9 @@ def unconditional_sweep(
     """unconditional_probe for every element at every truncation of the
     schedule: one list of results per truncation, in the elements' order.
 
-    The atoms' nonzero entries, coordinate by coordinate, are found once, at
-    the largest truncation, synthesizing a block of ranks at a time, and cut
-    down for the smaller ones.  Each element is analysed once there too: its
+    The atoms' nonzero entries, coordinate by coordinate, are F's record at
+    the schedule's largest truncation (_atom_table), cut down for the
+    smaller ones; they depend on the frame only.  Each element is analysed once at the schedule's largest truncation: its
     analysis at rank N is the first N columns of that.  A truncation where
     no coordinate has two live atoms is order-free: no permutation or sign
     pattern can change its norms, so none is drawn.  Where order can
@@ -918,10 +945,7 @@ def unconditional_sweep(
     if not schedule:
         return []
     top = max(schedule)
-    ranks, values = sums.nonzero_columns(
-        (n0, F.synth_batch(_unit_rows(n0, min(top, n0 + _UNIT_BLOCK), top)))
-        for n0 in range(0, top, _UNIT_BLOCK)
-    )
+    ranks, values = _atom_table(F, top)
     cuts = [sums.columns_upto(ranks, values, N) for N in schedule]
     draws = {} if draws is None else draws
     missing = {
@@ -940,6 +964,25 @@ def unconditional_sweep(
         _ordering_probe(F, coeffs[:, :N], trials, draws.get((seed, trials, N)), *cut)
         for N, cut in zip(schedule, cuts)
     ]
+
+
+def _atom_table(F: Frame, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, values): sums.nonzero_columns of the syntheses of the unit
+    vectors of ranks 1..top, a block of ranks at a time.  They depend on the
+    frame only, so they are F's record (F._atoms), built anew when it holds
+    another top.  A table kept from a larger top would serve a smaller one
+    too, but on a family whose coordinates grow with N (l1) it is wider,
+    and every later probe would work across the extra columns."""
+    record = F._atoms
+    if record is None or record[0] != top:
+        ranks, values = sums.nonzero_columns(
+            (n0, F.synth_batch(_unit_rows(n0, min(top, n0 + _UNIT_BLOCK), top)))
+            for n0 in range(0, top, _UNIT_BLOCK)
+        )
+        ranks.flags.writeable = values.flags.writeable = False
+        record = (top, ranks, values)
+        object.__setattr__(F, "_atoms", record)
+    return record[1], record[2]
 
 
 def _trial_draws(rngs: list, starts: list, N: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,7 @@ import io
 import json
 import logging
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,6 +68,15 @@ _DEFAULT_SCHEDULE = (4, 16, 64, 256)
 _FULL_TRUNCATION_CAP = 1024
 
 
+def _integer(name: str, value) -> int:
+    """value as an int: a Python or numpy integer, never a bool or a float
+    (a float count would fail deep inside a suite, and a float seed would
+    hash as its truncation)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec(JsonRecord):
     """Everything a suite needs to be reproducible; the James suite reads
@@ -86,12 +96,14 @@ class ExperimentSpec(JsonRecord):
     tail_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        schedule = tuple(int(n) for n in self.schedule)
+        schedule = tuple(_integer("schedule entry", n) for n in self.schedule)
         if not schedule or any(n < 1 for n in schedule):
             raise ValueError(f"schedule must hold positive truncations, got {schedule}")
         if any(a >= b for a, b in zip(schedule, schedule[1:])):
             raise ValueError(f"schedule must be strictly increasing, got {schedule}")
         object.__setattr__(self, "schedule", schedule)
+        for name in ("samples", "seed", "trials", "uncond_elements", "probe_samples"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.trials < 1:
@@ -413,7 +425,8 @@ def run_all(
     Each spec is one task, which runs the selected suites in order against
     one _SpecResults, so the spec's unit-ball sweep is computed once and
     shared by the suites that read it, and dropped when the task ends (each
-    frame records its own zero-pair scan).  Every task gets the run's one
+    frame keeps its own zero-pair scan, extreme-pair sums and atom table,
+    which no seed or budget changes).  Every task gets the run's one
     table of trial draws, so specs with the same seed and trials draw each
     truncation's permutations and signs once; the table holds only
     read-only arrays, and is dropped when the run ends.  With workers > 1

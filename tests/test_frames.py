@@ -285,6 +285,13 @@ STREAM_SPACES = (
 )
 
 
+def _fresh(label: str) -> Frame:
+    """frame_from_label(label) built anew, its per-frame records empty: a
+    test that counts the work of a cold call must not get a frame that an
+    earlier test already swept or probed."""
+    return frame_from_label.__wrapped__(label)
+
+
 def _same_sweep(a, b) -> bool:
     """Two sweep_arrays results hold the same bits."""
     return all(_bits(u) == _bits(v) for u, v in zip(a, b, strict=True))
@@ -488,7 +495,7 @@ def test_sweep_rows_are_besselian_sums_past_the_cut(monkeypatch):
         ("zero", (1, 4)),
     )
     for label, schedule in cases:
-        F = frame_from_label(label)
+        F = _fresh(label)
         samples = _sweep_block_rows(F, schedule[-1]) + 6  # two sample blocks
         calls.clear()
         S = frames_module.sweep_arrays(F, schedule, samples, 5)[2]
@@ -598,10 +605,10 @@ def test_sweep_sums_only_the_live_columns(monkeypatch):
 
     monkeypatch.setattr(sums_module, "prefix_sums", spy)
     cases = (
-        (frame_from_label("amalgam:p=2:q=2:J=4:window=-1,1"), None, 300),
-        (frame_from_label("amalgam:p=3:q=1.5:J=2:window=-3,1"), None, 300),
+        (_fresh("amalgam:p=2:q=2:J=4:window=-1,1"), None, 300),
+        (_fresh("amalgam:p=3:q=1.5:J=2:window=-3,1"), None, 300),
         (_frame_with_a_nan_after_zero_columns(), (4, 8, 30, 31, 40), 20),
-        (frame_from_label("zero"), (1, 4, 16), 20),
+        (_fresh("zero"), (1, 4, 16), 20),
     )
     for F, schedule, samples in cases:
         schedule = schedule or spec_for_label(F.label).schedule
@@ -644,14 +651,20 @@ def test_default_amalgam_sums_48_sample_and_24_extreme_columns(monkeypatch):
 
     monkeypatch.setattr(sums_module, "prefix_sums", spy)
     label = "amalgam:p=2:q=2:J=4:window=-1,1"
-    F, spec = frame_from_label(label), spec_for_label(label)
+    F, spec = _fresh(label), spec_for_label(label)
     assert spec.schedule[-1] == 274 and spec.samples == 2000
     m = len(F.space.extreme_ball_points())
-    frames_module.sweep_arrays(F, spec.schedule, spec.samples, spec.seed)
+    cold = frames_module.sweep_arrays(F, spec.schedule, spec.samples, spec.seed)
     extreme, samples = widths[:1], widths[1:]
     assert extreme == [(m, 24)]
     assert {w for _rows, w in samples} == {48}
     assert sum(rows for rows, _w in samples) == spec.samples
+    # a second call on the frame reads the extreme rows from its record:
+    # only the sample blocks are summed, and no bit moves
+    widths.clear()
+    warm = frames_module.sweep_arrays(F, spec.schedule, spec.samples, spec.seed)
+    assert widths == samples
+    assert _same_sweep(warm, cold)
 
 
 def test_sweep_prefix_sums_take_at_most_one_chunk(monkeypatch):
@@ -666,17 +679,17 @@ def test_sweep_prefix_sums_take_at_most_one_chunk(monkeypatch):
     chunk = frames_module._PREFIX_CHUNK
     cases = (("haar:p=3:J=11", (32, 2048)), ("l1-canonical", (4, 256, 4096)))
     for label, schedule in cases:
-        frames_module.sweep_arrays(frame_from_label(label), schedule, 70, 5)
+        frames_module.sweep_arrays(_fresh(label), schedule, 70, 5)
     for label in DEFAULT_FRAME_LABELS:
         schedule = spec_for_label(label).schedule
-        frames_module.sweep_arrays(frame_from_label(label), schedule, 70, 5)
+        frames_module.sweep_arrays(_fresh(label), schedule, 70, 5)
     assert sizes and max(sizes) <= chunk
     # a smaller chunk splits the extreme product across x rows; rows stay put
-    F, schedule = frame_from_label("amalgam:p=3:q=1.5:J=2:window=-3,1"), (4, 16, 64)
-    full = frames_module.sweep_arrays(F, schedule, 70, 5)
+    label, schedule = "amalgam:p=3:q=1.5:J=2:window=-3,1", (4, 16, 64)
+    full = frames_module.sweep_arrays(_fresh(label), schedule, 70, 5)
     sizes.clear()
     monkeypatch.setattr(frames_module, "_PREFIX_CHUNK", 500)
-    assert _same_sweep(frames_module.sweep_arrays(F, schedule, 70, 5), full)
+    assert _same_sweep(frames_module.sweep_arrays(_fresh(label), schedule, 70, 5), full)
     assert max(sizes) <= 500
 
 
@@ -693,7 +706,8 @@ def test_extreme_rows_keep_ball_pair_sweep_order(monkeypatch):
     ]
     for chunk in (frames_module._PREFIX_CHUNK, 500, 1):
         monkeypatch.setattr(frames_module, "_PREFIX_CHUNK", chunk)
-        assert [a.tolist() for a in frames_module.sweep_arrays(F, schedule, 0, 1)] == want
+        cold = frames_module.sweep_arrays(canonical_l1_frame(), schedule, 0, 1)
+        assert [a.tolist() for a in cold] == want
 
 
 def test_self_dual_sweeps_draw_and_analyse_once(monkeypatch):
@@ -842,7 +856,7 @@ def test_shared_and_split_analyses_sum_the_same_extreme_pairs(monkeypatch):
 
     monkeypatch.setattr(sums_module, "prefix_sums", spy)
     for label in ("haar:p=2:J=8", "amalgam:p=2:q=2:J=4:window=-1,1"):
-        F = frame_from_label(label)
+        F = _fresh(label)
         m = len(F.space.extreme_ball_points())
         split = dataclasses.replace(F, eval_batch=lambda x, N, F=F: F.coeff_batch(x, N))
         schedule = spec_for_label(label).schedule
@@ -853,7 +867,7 @@ def test_shared_and_split_analyses_sum_the_same_extreme_pairs(monkeypatch):
         separate = frames_module.sweep_arrays(split, schedule, 0, 1)
         assert [_bits(v) for v in separate] == [_bits(v) for v in shared]
         assert sum(rows) == m
-    F = frame_from_label("haar:p=3:J=6")  # a_n = b_n, but two balls
+    F = _fresh("haar:p=3:J=6")  # a_n = b_n, but two balls
     rows.clear()
     frames_module.sweep_arrays(F, (4, 64), 0, 1)
     assert sum(rows) == len(F.space.extreme_ball_points()) == 32
@@ -1235,9 +1249,10 @@ def test_unconditional_sweep_memory_is_linear_in_the_truncation():
     x = seeded_ball_point(L1.space, 1, "elements", 0)
     peaks = {}
     for N in (1024, 2048):
+        F = canonical_l1_frame()  # no atom table yet
         tracemalloc.start()
         try:
-            unconditional_sweep(L1, [x], (N,), 1, 1)
+            unconditional_sweep(F, [x], (N,), 1, 1)
             peaks[N] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1676,7 +1691,7 @@ def test_sweep_analyses_the_extreme_rows_and_full_width_samples(monkeypatch):
         return analysis(f, N)
 
     monkeypatch.setattr(catalog_module, "_haar_analysis", spy)
-    F = frame_from_label("haar:p=3:J=11")
+    F = _fresh("haar:p=3:J=11")
     want = oracles.extreme_sums(F, (4, 64, 2048))
     widths.clear()
     got = frames_module.sweep_arrays(F, (4, 64, 2048), 8, 1)[2]
@@ -1730,6 +1745,116 @@ def test_threads_racing_on_a_cold_descriptor_all_get_its_first_value():
     for k, s in enumerate(spaces):
         assert all(row[k][0] is s.extremes and row[k][1] is s.dual for row in seen)
         assert s.extreme_ball_points() is s.extremes[0]
+
+
+# ---------------------------------------------------------------------------
+# per-frame records: the extreme pairs' sums and the atom table
+# ---------------------------------------------------------------------------
+
+RECORD_LABELS = DEFAULT_FRAME_LABELS + ("haar:p=3:J=11",)
+
+
+def _record_run(F, schedule) -> tuple:
+    """F's sweep arrays and unconditional probe pairs at the schedule, at a
+    fixed seed and budget: the two calls that read F's records."""
+    elements = seeded_ball_points(F.space, 7, "uncond-element", 3)
+    return (
+        frames_module.sweep_arrays(F, schedule, 50, 7),
+        _probe_pairs(F, elements, schedule, 5, 7),
+    )
+
+
+def _same_run(a, b) -> bool:
+    return _same_sweep(a[0], b[0]) and _bits(a[1]) == _bits(b[1])
+
+
+@pytest.mark.parametrize("label", RECORD_LABELS)
+def test_warm_calls_read_the_records_and_give_the_cold_bits(label):
+    # the first calls fill both records, with read-only arrays; later calls
+    # read the same record objects, and no bit of either result moves
+    F, schedule = _fresh(label), spec_for_label(label).schedule
+    assert F._extreme_sums is None and F._atoms is None
+    cold = _record_run(F, schedule)
+    extreme, atoms = F._extreme_sums, F._atoms
+    assert extreme[0] == schedule and atoms[0] == schedule[-1]
+    assert not any(a.flags.writeable for a in extreme[1:] + atoms[1:])
+    for _ in range(2):
+        assert _same_run(_record_run(F, schedule), cold)
+        assert F._extreme_sums is extreme and F._atoms is atoms
+
+
+def test_the_atom_table_is_rebuilt_for_another_top():
+    # the record holds one top: a probe at another largest truncation, larger
+    # or smaller, builds the table anew at that top, as wide as a fresh
+    # frame's (on l1 a table kept from a larger top would be wider), and gets
+    # a fresh frame's bits; the same top again reads the record
+    for label in RECORD_LABELS:
+        large = spec_for_label(label).schedule
+        F = _fresh(label)
+        elements = seeded_ball_points(F.space, 3, "uncond-element", 3)
+        for schedule in ((4,), large, (16, 4), large[:-1], large):
+            got = _probe_pairs(F, elements, schedule, 5, 3)
+            fresh = _fresh(label)
+            assert _bits(got) == _bits(_probe_pairs(fresh, elements, schedule, 5, 3))
+            atoms = F._atoms
+            assert atoms[0] == max(schedule), (label, schedule)
+            assert atoms[2].shape == fresh._atoms[2].shape, (label, schedule)
+            _probe_pairs(F, elements, schedule, 5, 3)
+            assert F._atoms is atoms
+    # l1's coordinates grow with the truncation: the table at 4 is 4 wide
+    F = _fresh("l1-canonical")
+    elements = seeded_ball_points(F.space, 3, "uncond-element", 3)
+    _probe_pairs(F, elements, (256,), 5, 3)
+    _probe_pairs(F, elements, (4,), 5, 3)
+    assert F._atoms[2].shape[-1] == 4
+
+
+def test_a_changed_schedule_replaces_the_extreme_record():
+    # the record holds one schedule: another one is summed and recorded in
+    # its place, the old tuple left as it was, and every sweep keeps its
+    # fresh frame's bits and the full-product oracle's extreme rows
+    for label in ("l1-canonical", "haar:p=3:J=6", "amalgam:p=3:q=1.5:J=2:window=-3,1"):
+        F, samples = _fresh(label), 30
+        first = frames_module.sweep_arrays(F, (4, 16, 64), samples, 3)
+        record = F._extreme_sums
+        m = len(first[0]) - samples
+        for schedule in ([2, 8], (4, 16, 64), (1,), (4, 16, 64)):
+            got = frames_module.sweep_arrays(F, schedule, samples, 3)
+            assert F._extreme_sums[0] == tuple(schedule)
+            assert type(F._extreme_sums[0]) is tuple
+            assert _same_sweep(got, frames_module.sweep_arrays(_fresh(label), schedule, samples, 3))
+            assert _bits(got[2][:m]) == _bits(oracles.extreme_sums(F, tuple(schedule)))
+        assert record[0] == (4, 16, 64) and F._extreme_sums is not record
+        assert _same_sweep(got, first)
+
+
+def test_threads_racing_on_a_fresh_frame_get_the_serial_bits():
+    # more threads than cores start together on a frame with empty records,
+    # switching often: whichever thread's record is stored, every thread
+    # gets a serial run's bits, and the stored records are whole
+    threads = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for label in DEFAULT_FRAME_LABELS + ("haar:p=3:J=6",):
+            schedule = spec_for_label(label).schedule
+            want = _record_run(_fresh(label), schedule)
+            F = _fresh(label)
+            barrier = threading.Barrier(threads, timeout=30)
+
+            def run(_):
+                barrier.wait()
+                return _record_run(F, schedule)
+
+            with ThreadPoolExecutor(threads) as pool:
+                futures = [pool.submit(run, k) for k in range(threads)]
+                got = [f.result(timeout=120) for f in futures]
+            assert not barrier.broken
+            assert all(_same_run(g, want) for g in got), label
+            assert F._extreme_sums[0] == schedule and F._atoms[0] == schedule[-1]
+            assert _same_run(_record_run(F, schedule), want), label
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_sweep_takes_the_extreme_norms_from_the_descriptors(monkeypatch):

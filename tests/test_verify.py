@@ -60,6 +60,40 @@ def test_spec_validation():
                 ExperimentSpec(label="l1-canonical", **{name: bad})
 
 
+def test_spec_counts_seed_and_schedule_are_integers():
+    # a float count failed deep inside the besselian and duality suites, a
+    # float schedule entry was truncated, and a float seed was written to
+    # the manifest as given but hashed as its truncation
+    for name in ("samples", "seed", "trials", "uncond_elements", "probe_samples"):
+        for bad in (20.5, 20.0, True, "20", None):
+            with pytest.raises(ValueError, match=name):
+                ExperimentSpec(label="l1-canonical", **{name: bad})
+    for bad in ((4.5, 16), (4, 16.0), (True, 16), (4, np.float64(16))):
+        with pytest.raises(ValueError, match="schedule"):
+            ExperimentSpec(label="l1-canonical", schedule=bad)
+    obj = mini_spec("l1-canonical").to_json_obj()
+    for name, bad in (("samples", 20.5), ("seed", 1.5), ("schedule", [4.5, 16])):
+        with pytest.raises(ValueError, match=name):
+            ExperimentSpec.from_json_obj(json.loads(json.dumps({**obj, name: bad})))
+    # numpy integers are integers, and are stored as Python ints, so the
+    # manifest still serializes
+    spec = ExperimentSpec(
+        label="l1-canonical", schedule=(np.int64(4), np.int32(16)), samples=np.int64(20),
+        seed=np.uint8(7), trials=np.int16(3), uncond_elements=np.int64(2),
+        probe_samples=np.int64(0),
+    )
+    assert spec == ExperimentSpec(
+        label="l1-canonical", schedule=(4, 16), samples=20, seed=7, trials=3,
+        uncond_elements=2, probe_samples=0,
+    )
+    assert all(type(v) is int for v in spec.schedule)
+    assert all(
+        type(getattr(spec, name)) is int
+        for name in ("samples", "seed", "trials", "uncond_elements", "probe_samples")
+    )
+    json.dumps(spec.to_json_obj())
+
+
 def test_spec_round_trip():
     spec = mini_spec("haar:p=2:J=3", seed=7)
     assert ExperimentSpec.from_json_obj(json.loads(json.dumps(spec.to_json_obj()))) == spec
