@@ -148,8 +148,17 @@ def _ball_blocks(space, seed: int, purpose: str, bounds: list) -> Iterator[np.nd
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
-    """One uniform per word, in the open interval (0, 1): never 0, 1/2 or 1."""
-    return ((words >> 12).astype(float) + 0.5) * 2.0**-52
+    """One uniform per word, in the open interval (0, 1): never 0, 1/2 or 1.
+
+    The value is (k + 1/2) 2^-52 for k = word >> 12, formed in place from
+    the exponent bits: k | (1023 << 52) read as a double is 1 + k 2^-52, and
+    subtracting the double 1 - 2^-53 from it is exact, since the difference
+    (2k + 1) 2^-53 has 2k + 1 < 2^53."""
+    u = words >> 12
+    u |= np.uint64(0x3FF0000000000000)
+    u = u.view(np.float64)
+    u -= 1.0 - 2.0**-53
+    return u
 
 
 def _integers(words: np.ndarray, m: int) -> np.ndarray:
@@ -362,8 +371,13 @@ class DualSequenceSpace(_Space):
 
     @staticmethod
     def values(coords: np.ndarray, N: int) -> np.ndarray:
-        """mu_1, ..., mu_N of the sequences with these coordinates."""
-        return coords[..., np.minimum(np.arange(N), np.shape(coords)[-1] - 1)]
+        """mu_1, ..., mu_N of the sequences with these coordinates: the first
+        ones copied, then the last one repeated by broadcast."""
+        out = np.empty(np.shape(coords)[:-1] + (N,))
+        k = min(N, np.shape(coords)[-1])
+        out[..., :k] = coords[..., :k]
+        out[..., k:] = coords[..., -1:]
+        return out
 
     @staticmethod
     def finite(values: np.ndarray) -> np.ndarray:

@@ -119,8 +119,10 @@ def test_expand_usage_errors(tmp_path, capsys):
 def test_expand_rejects_non_finite_input(tmp_path, capsys):
     elem = tmp_path / "nan.json"
     elem.write_text('{"level": 1, "coefficients": [NaN, 1]}', encoding="utf-8")
-    assert main(["expand", "--frame", "haar:p=2:J=2", "--input", str(elem)]) == 1
-    assert "error:" in capsys.readouterr().err
+    for cmd in (["expand"], ["tabulate", "--curve", "residual", "--schedule", "1,4"]):
+        capsys.readouterr()
+        assert main(cmd + ["--frame", "haar:p=2:J=2", "--input", str(elem)]) == 1
+        assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "expand.json").exists()
 
 
@@ -180,6 +182,30 @@ def test_malformed_config_file(tmp_path):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("this line has no equals sign\n", encoding="utf-8")
     assert main(["constant", "--frame", "l1-canonical", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("key", ["samples", "seed"])
+def test_nan_in_a_config_file_exits_one(tmp_path, capsys, key):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(f"{key} = nan\n", encoding="utf-8")
+    for argv in (
+        ["constant", "--frame", "l1-canonical", "--n", "4"],
+        ["suite", "james", "--frame", "l1-canonical", "--schedule", "4,16"],
+        ["tabulate", "--frame", "l1-canonical", "--curve", "constant", "--schedule", "4"],
+    ):
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert "expected an integer, got 'nan'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("constant.*")) and not list(tmp_path.glob("report.*"))
+
+
+def test_nan_seed_in_the_environment_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FRAMEKIT_SEED", "nan")
+    assert main(["constant", "--frame", "l1-canonical", "--n", "4", "--samples", "5"]) == 1
+    assert "expected an integer, got 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "constant.json").exists()
+    # an explicit seed is read first, so the environment is never parsed
+    assert main(["constant", "--frame", "l1-canonical", "--n", "4", "--samples", "5", "--seed", "3"]) == 0
 
 
 # ---------------------------------------------------------------------------

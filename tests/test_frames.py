@@ -387,6 +387,25 @@ def test_one_stream_per_ball_is_the_per_block_draws_bit_for_bit():
         ]
 
 
+def test_uniforms_are_the_reference_formula_bit_for_bit():
+    # formed from the exponent bits, the uniform is (k + 1/2) 2^-52 for
+    # k = word >> 12, exactly as the integer-to-float route forms it
+    edges = [0, 1, 2**12 - 1, 2**12, 2**52, 2**63, 2**64 - 1, (2**52 - 1) << 12]
+    random = np.random.default_rng(3).integers(0, 2**64, 10**5, dtype=np.uint64)
+    words = np.concatenate((np.array(edges, dtype=np.uint64), random))
+    blocks = (words, words[: 8 * 2500].reshape(2500, 8)[:, 1:])
+    for block in blocks:
+        before = block.copy()
+        got = frames_module._uniforms(block)
+        want = ((block >> 12).astype(float) + 0.5) * 2.0**-52
+        assert got.dtype == np.float64 and got.shape == block.shape
+        assert _bits(got.ravel()) == _bits(want.ravel())
+        assert np.array_equal(block, before)
+    got = frames_module._uniforms(words)
+    assert got[0] == 2.0**-53 and got[6] == 1.0 - 2.0**-53
+    assert ((got > 0.0) & (got < 1.0) & (got != 0.5)).all()
+
+
 def test_ball_streams_keep_no_words_past_their_points(monkeypatch):
     # a suspended stream holds its bit generator, never a block's words
     space = GridSpace(3.0, 12)

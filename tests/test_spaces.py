@@ -426,6 +426,28 @@ def test_coordinates_round_trip_in_the_model(x):
         assert np.array_equal(space.values(values, len(x.prefix) + 3)[-3:], [x.tail] * 3)
 
 
+def test_sup_values_are_the_index_gather_bit_for_bit():
+    # a slice copy and a broadcast of the last coordinate give every bit of
+    # the gather through min(n, k - 1): signed zeros, NaN, infinities and
+    # subnormals included, for any leading shape and any N
+    specials = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 0.0, 1.5])
+    rng = np.random.default_rng(11)
+    for k in range(1, 31):
+        for lead in ((), (3,), (2, 4)):
+            coords = rng.choice(specials, lead + (k,))
+            coords.flags.writeable = k % 2 == 1  # even k: read-only input
+            before = coords.tobytes()
+            for N in sorted({0, 1, k - 1, k, k + 1, 1024}):
+                got = DualSequenceSpace.values(coords, N)
+                want = coords[..., np.minimum(np.arange(N), k - 1)]
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                # a fresh writable array: writing into it leaves coords as they were
+                assert got.flags.writeable and not np.shares_memory(got, coords)
+                got[...] = 7.0
+                assert coords.tobytes() == before
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_values_are_rejected(bad):
     with pytest.raises(ValueError):
