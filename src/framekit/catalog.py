@@ -106,34 +106,26 @@ def _haar_scale(m: int) -> float:
 
 
 def _haar_analysis(f: np.ndarray, N: int) -> np.ndarray:
-    """The first N integrals of h_1/||h_1||, h_2/||h_2||, ... against the
-    level-L grid values f (2^L of them on the last axis), by the Mallat
+    """The first N <= 2^J integrals of h_1/||h_1||, h_2/||h_2||, ... against
+    the level-J grid values f (2^J of them on the last axis), by the Mallat
     pyramid.
 
     Each level splits the block sums into left and right halves: their
     difference gives that generation's coefficients, left to right, and
     their sum the next coarser level's block sums.  A generation with no
-    rank <= N is not formed, and ranks past 2^L are +0.0.  Every step acts
-    on elements one by one, so a coefficient's value does not depend on how
-    many inputs or coefficients one call takes.  A finite row (below the
-    overflow range) has the bits of the finer grid function it refines to:
-    there every finer generation is exactly +0.0 and every block sum a
-    power of two times the coarse one.
+    rank <= N is not formed.  Every step acts on elements one by one, so a
+    coefficient's value does not depend on how many inputs or coefficients
+    one call takes.
     """
     sums = np.asarray(f, dtype=float)
-    L = sums.shape[-1].bit_length() - 1
+    J = sums.shape[-1].bit_length() - 1
     details = []
-    for m in range(L, 0, -1):
+    for m in range(J, 0, -1):
         left, right = sums[..., 0::2], sums[..., 1::2]
         if 2 ** (m - 1) < N:
             details.append((left - right) * _haar_scale(m))
         sums = left + right
-    coeffs = np.concatenate([sums] + details[::-1], axis=-1)[..., :N] * 2.0**-L
-    if coeffs.shape[-1] == N:
-        return coeffs
-    out = np.zeros(coeffs.shape[:-1] + (N,))
-    out[..., : coeffs.shape[-1]] = coeffs
-    return out
+    return np.concatenate([sums] + details[::-1], axis=-1)[..., :N] * 2.0**-J
 
 
 def _haar_synthesis(coeffs: np.ndarray, J: int) -> np.ndarray:
@@ -215,10 +207,8 @@ def haar_frame(p: float, J: int) -> Frame:
         if not 1 <= N <= size:
             raise ValueError(f"frame {label!r} defines ranks 1..{size}, got {N}")
         width = np.shape(f)[-1]
-        if not 1 <= width <= size or width & (width - 1):
-            raise ValueError(
-                f"frame {label!r} analyses rows of 2^L <= {size} grid values, got {width}"
-            )
+        if width != size:
+            raise ValueError(f"frame {label!r} analyses rows of 2^{J} grid values, got {width}")
         return _haar_analysis(f, N)
 
     def synth_batch(coeffs: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterator, Optional
 
@@ -76,6 +77,7 @@ __all__ = [
     "coefficient_sequence",
     "coefficient_products",
     "besselian_sum",
+    "check_schedule",
     "sweep_arrays",
     "estimate_frame_constant",
     "dual_frame",
@@ -247,19 +249,13 @@ class _Space:
         return self._unit(_normals(words)[:, : self.zero().size])
 
     @_memo
-    def extremes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(extreme_ball_points(), their norms, the rows the frame operators
-        analyse for them), all read-only: built on first use, once per
-        descriptor, and set in one assignment."""
+    def extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(extreme_ball_points(), their norms), both read-only: built on
+        first use, once per descriptor, and set in one assignment."""
         points = self._extreme_points()
         norms = self.norm(points)
         points.flags.writeable = norms.flags.writeable = False
-        return points, norms, self._own_level(points)
-
-    def _own_level(self, points: np.ndarray) -> np.ndarray:
-        """The rows the operators analyse for the extreme points: the
-        points themselves."""
-        return points
+        return points, norms
 
     def extreme_ball_points(self) -> np.ndarray:
         """The deterministic unit-ball points the sweeps try first, one per
@@ -470,12 +466,6 @@ class GridSpace(_Space):
             for n in range(1, 2 ** min(self.level, _GRID_EXTREME_LEVEL) + 1)
         ]))
 
-    def _own_level(self, points: np.ndarray) -> np.ndarray:
-        """The extreme points on the level L = min(J, 5) they live on: a
-        strided view of the level-J points, one value per level-L cell, which
-        the operators analyse as the level-J function it refines to."""
-        return points[:, :: 2 ** max(0, self.level - _GRID_EXTREME_LEVEL)]
-
 
 @dataclass(frozen=True)
 class AmalgamSpace(_Space):
@@ -607,9 +597,6 @@ class Frame:
     sum c_n b_n, n = 1..len(c).  They must be deterministic and linear, so the
     rank-n pair is the synthesis of the n-th unit coefficient vector.
     ``eval_batch is coeff_batch`` states that a_n = b_n.
-    Operators on a GridSpace of level J also take a row of 2^L values,
-    L <= J, as the level-J function it refines to, and still return N
-    columns: the sweep analyses the grid's extreme points that way.
     ``max_rank`` bounds the representable ranks (None = every rank is valid).
     ``full_truncation`` is the rank horizon after which every representable
     element of the space is reconstructed exactly, when such a horizon exists.
@@ -639,6 +626,26 @@ class Frame:
     # The atoms' nonzero entries at the last largest truncation probed:
     # (top, ranks, values), sums.nonzero_columns of the unit syntheses.
     _atoms: Optional[tuple] = field(default=None, init=False, repr=False)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int: a Python or numpy integer, never a bool or a float
+    (a float count would fail deep inside a suite, a float seed would hash
+    as its truncation, and a sweep summed to truncation 1.5 as to 2)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_schedule(schedule) -> tuple[int, ...]:
+    """schedule as a tuple of ints; ValueError unless it is a non-empty,
+    strictly increasing sequence of positive integer truncations."""
+    schedule = tuple(_integer("schedule entry", n) for n in schedule)
+    if not schedule or any(n < 1 for n in schedule):
+        raise ValueError(f"schedule must hold positive truncations, got {schedule}")
+    if any(a >= b for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(f"schedule must be strictly increasing, got {schedule}")
+    return schedule
 
 
 def _check_rank(F: Frame, n: int) -> None:
@@ -811,8 +818,8 @@ def _extreme_rows(F: Frame, schedule: tuple[int, ...]) -> tuple[np.ndarray, np.n
     if record is not None and record[0] == schedule:
         return record[1], record[2]
     space, dual = F.space, F.space.dual
-    xs = space.extremes[2]
-    xstars = xs if dual == space else dual.extremes[2]
+    xs = space.extremes[0]
+    xstars = xs if dual == space else dual.extremes[0]
     coeffs, evals = _evaluate(F, xs, xstars, schedule[-1])
     m, cut = len(evals), schedule
     if np.isfinite(coeffs).all() and np.isfinite(evals).all():
@@ -836,7 +843,8 @@ def sweep_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(||x||, ||xstar||, sums) over the unit-ball pair sweep, in
     ball_pair_sweep's order: sums is a pairs x len(schedule) array of the
-    besselian sums at each truncation of the increasing schedule.
+    besselian sums at each truncation of the schedule, which must pass
+    check_schedule.
 
     The extreme pairs' rows are F's record at this schedule (_extreme_rows),
     scattered into zeros, and their norms the ones each descriptor keeps
@@ -850,15 +858,15 @@ def sweep_arrays(
     and a family with a_n = b_n analysed once for both roles; neither moves
     a bit.
     """
-    schedule = tuple(schedule)
+    schedule = check_schedule(schedule)
     N = schedule[-1]
     space, dual = F.space, F.space.dual
     bounds = _sample_blocks(samples, N, space.draw_width, dual.draw_width)
     _check_rank(F, N)
     self_dual = dual == space
 
-    _, x_norms, _ = space.extremes
-    _, xstar_norms, _ = space.extremes if self_dual else dual.extremes
+    x_norms = space.extremes[1]
+    xstar_norms = x_norms if self_dual else dual.extremes[1]
     m = len(x_norms) * len(xstar_norms)
     nx, nxs = np.empty(m + samples), np.empty(m + samples)
     S = np.empty((m + samples, len(schedule)))
@@ -939,16 +947,17 @@ def unconditional_sweep(
 
     The atoms' nonzero entries, coordinate by coordinate, are F's record at
     the schedule's largest truncation (_atom_table), cut down for the
-    smaller ones; they depend on the frame only.  Each element is analysed once at the schedule's largest truncation: its
-    analysis at rank N is the first N columns of that.  A truncation where
-    no coordinate has two live atoms is order-free: no permutation or sign
-    pattern can change its norms, so none is drawn.  Where order can
-    matter, the trials' draws at truncation N come from draws, a table
-    mapping (seed, trials, N) to read-only (position, signs) arrays
-    (_trial_draws), which verify.run_all shares between a run's specs.  For
-    the truncations missing from it, each trial's stream is derived once and
-    rewound for each, and the draws are added.  One permutation and sign
-    pattern per (trial, truncation) serve every element.
+    smaller ones; they depend on the frame only.  Each element is analysed
+    once at the schedule's largest truncation: its analysis at rank N is the
+    first N columns of that.  A truncation where no coordinate has two live
+    atoms is order-free: no permutation or sign pattern can change its
+    norms, so none is drawn.  Where order can matter, the trials' draws at
+    truncation N come from draws, a table mapping (seed, trials, N) to
+    read-only (position, signs) arrays (_trial_draws), which verify.run_all
+    shares between a run's specs.  For the truncations missing from it, each
+    trial's stream is derived once and rewound for each, and the draws are
+    added.  One permutation and sign pattern per (trial, truncation) serve
+    every element.
     """
     elements = [_coordinates(F.space, x) for x in elements]
     for N in schedule:

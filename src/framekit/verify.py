@@ -19,7 +19,6 @@ import io
 import json
 import logging
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,6 +30,8 @@ from .frames import (
     FrameReport,
     JsonRecord,
     ProbeResult,
+    _integer,
+    check_schedule,
     covering_truncation,
     frame_has_zero_elements,
     reflexivity_probe,
@@ -68,15 +69,6 @@ _DEFAULT_SCHEDULE = (4, 16, 64, 256)
 _FULL_TRUNCATION_CAP = 1024
 
 
-def _integer(name: str, value) -> int:
-    """value as an int: a Python or numpy integer, never a bool or a float
-    (a float count would fail deep inside a suite, and a float seed would
-    hash as its truncation)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec(JsonRecord):
     """Everything a suite needs to be reproducible; the James suite reads
@@ -96,12 +88,7 @@ class ExperimentSpec(JsonRecord):
     tail_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        schedule = tuple(_integer("schedule entry", n) for n in self.schedule)
-        if not schedule or any(n < 1 for n in schedule):
-            raise ValueError(f"schedule must hold positive truncations, got {schedule}")
-        if any(a >= b for a, b in zip(schedule, schedule[1:])):
-            raise ValueError(f"schedule must be strictly increasing, got {schedule}")
-        object.__setattr__(self, "schedule", schedule)
+        object.__setattr__(self, "schedule", check_schedule(self.schedule))
         for name in ("samples", "seed", "trials", "uncond_elements", "probe_samples"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.samples < 1:

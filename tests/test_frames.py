@@ -1674,31 +1674,16 @@ def test_zero_pair_scan_synthesizes_each_rank_once():
     ids=lambda s: type(s).__name__,
 )
 def test_extreme_points_and_norms_are_built_once(space):
-    points, norms, rows = space.extremes
+    points, norms = space.extremes
     assert space.extremes is space.extremes
     assert space.extreme_ball_points() is points
     assert space.extreme_ball_points() is space.extreme_ball_points()
-    assert rows is points or rows.base is points
-    for array in (points, norms, rows):
+    for array in (points, norms):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
     fresh = space._extreme_points()
     assert fresh.shape == points.shape and fresh.tobytes() == points.tobytes()
     assert np.asarray(space.norm(points)).tobytes() == norms.tobytes()
-
-
-@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 6.0, 50.0])
-def test_grid_extreme_rows_are_the_points_on_their_own_level(p):
-    # the rows are a view of the level-J points, one value per level-min(J, 5)
-    # cell; refined, and analysed, they give the points' bits on both balls
-    for J in range(1, 13):
-        F = haar_frame(p, J)
-        for space, batch in ((F.space, F.coeff_batch), (F.space.dual, F.eval_batch)):
-            points, _norms, rows = space.extremes
-            L = min(J, 5)
-            assert rows.shape == (2**L, 2**L) and np.shares_memory(rows, points)
-            assert np.repeat(rows, 2 ** (J - L), axis=-1).tobytes() == points.tobytes()
-            assert batch(rows, 2**J).tobytes() == batch(points, 2**J).tobytes(), (p, J)
 
 
 def test_sweep_analyses_the_extreme_rows_and_full_width_samples(monkeypatch):
@@ -1714,9 +1699,9 @@ def test_sweep_analyses_the_extreme_rows_and_full_width_samples(monkeypatch):
     want = oracles.extreme_sums(F, (4, 64, 2048))
     widths.clear()
     got = frames_module.sweep_arrays(F, (4, 64, 2048), 8, 1)[2]
-    # the extreme rows of each ball, 32 cells wide, then one block of
-    # samples per ball at the full 2^11 width
-    assert widths == [(32, 32), (32, 32), (8, 2048), (8, 2048)]
+    # the 32 extreme points of each ball, then one block of samples per
+    # ball, all at the full 2^11 width
+    assert widths == [(32, 2048), (32, 2048), (8, 2048), (8, 2048)]
     assert _bits(got[: len(want)]) == _bits(want)
 
 
@@ -1888,13 +1873,37 @@ def test_sweep_takes_the_extreme_norms_from_the_descriptors(monkeypatch):
         monkeypatch.setattr(cls, "norm", spy if cls is GridSpace else staticmethod(spy))
     for label in ("l1-canonical", "haar:p=3:J=5", "haar:p=2:J=5"):
         F = frame_from_label(label)
-        (_, x_norms, _), (_, xstar_norms, _) = F.space.extremes, F.space.dual.extremes
+        (_, x_norms), (_, xstar_norms) = F.space.extremes, F.space.dual.extremes
         calls.clear()
         nx, nxs, _ = frames_module.sweep_arrays(F, (4, 8), 0, 42)
         assert calls == []
         assert list(zip(nx.tolist(), nxs.tolist())) == list(
             itertools.product(x_norms.tolist(), xstar_norms.tolist())
         )
+
+
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        ((), "positive truncations"),
+        ((0, 4), "positive truncations"),
+        ((-4, 4), "positive truncations"),
+        ((64, 4), "strictly increasing"),
+        ((4, 4), "strictly increasing"),
+        ((1.5, 16), "schedule entry must be an integer"),
+    ],
+    ids=["empty", "zero", "negative", "decreasing", "repeated", "float"],
+)
+def test_sweep_refuses_the_schedules_the_spec_refuses(schedule, message):
+    # (64, 4) summed the N = 64 column only to rank 4, (0, 4) gave the whole
+    # sum at truncation 0, () raised IndexError, and (1.5, 16) summed to
+    # rank 2; both callers now share one check and its messages
+    F = frame_from_label("haar:p=3:J=6")
+    with pytest.raises(ValueError, match=message) as swept:
+        frames_module.sweep_arrays(F, schedule, 50, 7)
+    with pytest.raises(ValueError, match=message) as specified:
+        ExperimentSpec(F.label, schedule=schedule)
+    assert str(swept.value) == str(specified.value)
 
 
 def test_derive_rng_is_keyed_and_stable():
