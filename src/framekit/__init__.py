@@ -7,7 +7,7 @@ shrinking/boundedly-complete decay, rearrangement stability) into
 deterministic pass/fail reports.
 """
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"
 
 from .spaces import (  # noqa: E402
     AmalgamFunction,

@@ -170,10 +170,15 @@ def _integers(words: np.ndarray, m: int) -> np.ndarray:
 
 def _normals(words: np.ndarray) -> np.ndarray:
     """Standard normals by Box-Muller, two per pair of words on the last
-    axis (which must have even length); none is 0."""
+    axis (which must have even length); none is 0.
+
+    The angle 2 pi u is rounded to float32 once and its cosine and sine are
+    taken in float32, by numpy's vectorized kernels; the radius
+    sqrt(-2 ln u) and the products stay float64 (float32 promotes exactly),
+    so a direction is resolved to about 2^-24."""
     u = _uniforms(words)
     radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
-    angle = (2.0 * math.pi) * u[..., 1::2]
+    angle = ((2.0 * math.pi) * u[..., 1::2]).astype(np.float32)
     out = np.empty(u.shape)
     out[..., 0::2] = radius * np.cos(angle)
     out[..., 1::2] = radius * np.sin(angle)

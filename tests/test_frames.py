@@ -406,6 +406,63 @@ def test_uniforms_are_the_reference_formula_bit_for_bit():
     assert ((got > 0.0) & (got < 1.0) & (got != 0.5)).all()
 
 
+def _reference_normals(words: np.ndarray) -> np.ndarray:
+    u = ((words >> 12).astype(float) + 0.5) * 2.0**-52
+    radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+    angle = (2.0 * math.pi * u[..., 1::2]).astype(np.float32)
+    out = np.empty(u.shape)
+    out[..., 0::2] = radius * np.cos(angle).astype(float)
+    out[..., 1::2] = radius * np.sin(angle).astype(float)
+    return out
+
+
+def test_normals_are_the_reference_formula_bit_for_bit():
+    # Box-Muller with the angle rounded to float32 once: the float32 cosine
+    # and sine widen exactly, and every other step is float64
+    edges = [0, 1, 2**12 - 1, 2**52, 2**63, 2**64 - 1]
+    edges = edges + edges[1:] + edges[:1]  # each edge word as radius and as angle
+    random = np.random.default_rng(5).integers(0, 2**64, 10**5, dtype=np.uint64)
+    words = np.concatenate((np.array(edges, dtype=np.uint64), random))
+    blocks = (
+        words,
+        words[: 3 * 8000].reshape(3, 8000),
+        words[: 64000].reshape(2, 4, 8000),
+        words[: 9 * 10000].reshape(10000, 9)[:, 1:],
+    )
+    for block in blocks:
+        before = block.copy()
+        got = frames_module._normals(block)
+        assert got.dtype == np.float64 and got.shape == block.shape
+        assert _bits(got.ravel()) == _bits(_reference_normals(block).ravel())
+        assert np.array_equal(block, before)
+
+
+def test_normals_are_never_zero():
+    # near the zeros of cos and sin the words reach every float32 angle up
+    # to the largest, float32(2 pi); each of them, and the smallest angle,
+    # gives a nonzero normal (the radius is at least 2^-26, never 0)
+    largest = np.float32(2.0 * math.pi * (1.0 - 2.0**-53))
+    windows = []
+    for centre in (math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi):
+        lo, hi = np.array([centre - 1e-2, centre + 1e-2], dtype=np.float32).view(np.int32)
+        windows.append(np.arange(lo, hi + 1, dtype=np.int32).view(np.float32))
+    angles = np.concatenate(windows)
+    assert angles.size > 330_000
+    angles = angles[angles <= largest]
+    k = np.rint(angles.astype(float) / (2.0 * math.pi) * 2.0**52 - 0.5)
+    angle_words = np.clip(k, 0, 2**52 - 1).astype(np.uint64) << np.uint64(12)
+    angle_words = np.concatenate((angle_words, np.array([0, 2**64 - 1], dtype=np.uint64)))
+    u = frames_module._uniforms(angle_words)
+    reached = (2.0 * math.pi * u).astype(np.float32)
+    assert np.array_equal(reached[:-2], angles)
+    assert reached[-2] == np.float32(2.0 * math.pi * 2.0**-53) and reached[-1] == largest
+    words = np.empty((angle_words.size, 2), dtype=np.uint64)
+    words[:, 1] = angle_words
+    for radius_word in (0, 2**63, 2**64 - 1):
+        words[:, 0] = radius_word
+        assert (frames_module._normals(words) != 0.0).all()
+
+
 def test_ball_streams_keep_no_words_past_their_points(monkeypatch):
     # a suspended stream holds its bit generator, never a block's words
     space = GridSpace(3.0, 12)
