@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .frames import AmalgamSpace, Frame, GridSpace, SequenceSpace
-from .spaces import AmalgamFunction, check_window_width
+from .spaces import AmalgamFunction, check_window_width, conjugate_exponent
 
 __all__ = [
     "HaarIndex",
@@ -37,6 +37,14 @@ __all__ = [
 # Size cap on the Haar level, checked before anything is allocated.
 # Windows are capped by spaces.check_window_width.
 _MAX_LEVEL = 12
+
+# Cap on an exponent and its conjugate, since the norms of the sampled
+# points are taken at both.  A Box-Muller magnitude is at most
+# sqrt(-2 ln 2^-53) ~ 8.57, and 2^12 cells of 8.57^r sum past the largest
+# double once r exceeds about 330: the norm is then inf and the point
+# scaled to 0.  256 leaves a margin and admits every exponent in use
+# (1.01, whose conjugate is 101, among them).
+_MAX_EXPONENT = 256.0
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +108,29 @@ def haar_l2_norm(n: int) -> float:
     return 1.0 if n == 1 else 2.0 ** (0.5 * (1 - idx.m))
 
 
-def _haar_scale(m: int) -> float:
-    """Height of the normalized generation-m Haar function, m >= 1."""
-    return 2.0 ** (0.5 * (m - 1))
+def _check_exponent(frame: str, name: str, v: float) -> float:
+    """v as a float, if it and its conjugate lie in (1, _MAX_EXPONENT]."""
+    v = float(v)
+    if not 1.0 < v < math.inf:
+        raise ValueError(f"{frame} requires {name} in (1, inf), got {v}")
+    if max(v, conjugate_exponent(v)) > _MAX_EXPONENT:
+        raise ValueError(
+            f"{frame} requires {name} and its conjugate at most {_MAX_EXPONENT:g}, "
+            f"got {name}={v}"
+        )
+    return v
+
+
+@lru_cache(maxsize=_MAX_LEVEL + 1)
+def _haar_heights(J: int) -> np.ndarray:
+    """The heights of the normalized Haar functions of ranks 1..2^J, in rank
+    order and read-only: 1 for rank 1, and 2^((m-1)/2) for every rank of
+    generation m >= 1."""
+    heights = np.ones(2**J)
+    for m in range(1, J + 1):
+        heights[2 ** (m - 1) : 2**m] = 2.0 ** (0.5 * (m - 1))
+    heights.flags.writeable = False
+    return heights
 
 
 def _haar_analysis(f: np.ndarray, N: int) -> np.ndarray:
@@ -111,9 +139,12 @@ def _haar_analysis(f: np.ndarray, N: int) -> np.ndarray:
     pyramid.
 
     Each level splits the block sums into left and right halves: their
-    difference gives that generation's coefficients, left to right, and
-    their sum the next coarser level's block sums.  A generation with no
-    rank <= N is not formed.  Every step acts on elements one by one, so a
+    difference gives that generation's unscaled coefficients, left to
+    right, and their sum the next coarser level's block sums.  Only ranks
+    <= N are formed.  The joined result is scaled by the heights in one
+    call, then by the cell width 2^-J in place: two roundings, as in the
+    pyramid (one product would round differently).  Every step acts on
+    elements one by one, so a
     coefficient's value does not depend on how many inputs or coefficients
     one call takes.
     """
@@ -122,24 +153,34 @@ def _haar_analysis(f: np.ndarray, N: int) -> np.ndarray:
     details = []
     for m in range(J, 0, -1):
         left, right = sums[..., 0::2], sums[..., 1::2]
-        if 2 ** (m - 1) < N:
-            details.append((left - right) * _haar_scale(m))
+        half = 2 ** (m - 1)
+        if half < N:
+            if details:
+                details.append(left - right)
+            else:  # the finest generation formed is cut at rank N
+                details.append(left[..., : N - half] - right[..., : N - half])
         sums = left + right
-    return np.concatenate([sums] + details[::-1], axis=-1)[..., :N] * 2.0**-J
+    out = np.concatenate([sums] + details[::-1], axis=-1)
+    out *= _haar_heights(J)[:N]
+    out *= 2.0**-J
+    return out
 
 
 def _haar_synthesis(coeffs: np.ndarray, J: int) -> np.ndarray:
     """sum_n c_n h_n/||h_n||_2 on the level-J grid, for c on the last axis
-    (at most 2^J of them), by the inverse pyramid: each level adds its
+    (at most 2^J of them), by the inverse pyramid: the coefficients are
+    scaled by their heights in one call, then each level adds its
     generation's term to the left half of every block and subtracts it from
     the right half."""
     coeffs = np.asarray(coeffs, dtype=float)
-    lead = coeffs.shape[:-1]
+    lead, n = coeffs.shape[:-1], coeffs.shape[-1]
     full = np.zeros(lead + (2**J,))
-    full[..., : coeffs.shape[-1]] = coeffs
+    np.multiply(coeffs, _haar_heights(J)[:n], out=full[..., :n])
+    if n:  # rank 1 has height 1: copied back, so a signalling NaN keeps its bits
+        full[..., 0] = coeffs[..., 0]
     values = full[..., :1]
     for m in range(1, J + 1):
-        detail = full[..., 2 ** (m - 1) : 2**m] * _haar_scale(m)
+        detail = full[..., 2 ** (m - 1) : 2**m]
         finer = np.empty(lead + (2**m,))
         finer[..., 0::2] = values + detail
         finer[..., 1::2] = values - detail
@@ -190,11 +231,10 @@ def haar_frame(p: float, J: int) -> Frame:
     """The normalized Haar family (h_n/||h_n||_2 in both roles) on L_p.
 
     Ranks run 1..2^J; higher ranks are not representable on the level-J grid
-    and are rejected rather than silently refined.  J is capped at 12.
+    and are rejected rather than silently refined.  J is capped at 12, and
+    p and its conjugate at 256.
     """
-    p = float(p)
-    if not 1.0 < p < math.inf:
-        raise ValueError(f"Haar frame requires p in (1, inf), got {p}")
+    p = _check_exponent("Haar frame", "p", p)
     J = int(J)
     if not 1 <= J <= _MAX_LEVEL:
         raise ValueError(f"Haar frame requires level 1 <= J <= {_MAX_LEVEL}, got {J}")
@@ -305,9 +345,8 @@ def amalgam_frame(base: Frame, q: float, window: tuple[int, int]) -> Frame:
     """
     if not isinstance(base.space, GridSpace):
         raise ValueError("amalgam frames are built over a grid-space base frame")
-    q = float(q)
-    if not 1.0 < q < math.inf:
-        raise ValueError(f"amalgam frame requires q in (1, inf), got {q}")
+    _check_exponent("amalgam frame", "p", base.space.p)
+    q = _check_exponent("amalgam frame", "q", q)
     lo, hi = window
     if isinstance(lo, float) and not lo.is_integer():
         raise ValueError(f"window bounds must be integers, got {window}")
@@ -420,7 +459,8 @@ def frame_from_label(label: str) -> Frame:
 
     Known forms: "l1-canonical", "zero", "haar:p=<val>:J=<val>",
     "amalgam:p=<val>:q=<val>:J=<val>:window=<lo>,<hi>".  Sizes are checked
-    before anything is built: J <= 12 and at most 256 window cells.
+    before anything is built: J <= 12, exponents and their conjugates at most
+    256, and at most 256 window cells.
     """
     if label == "l1-canonical":
         return canonical_l1_frame()

@@ -180,8 +180,8 @@ def _normals(words: np.ndarray) -> np.ndarray:
     radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
     angle = ((2.0 * math.pi) * u[..., 1::2]).astype(np.float32)
     out = np.empty(u.shape)
-    out[..., 0::2] = radius * np.cos(angle)
-    out[..., 1::2] = radius * np.sin(angle)
+    np.multiply(radius, np.cos(angle), out=out[..., 0::2])
+    np.multiply(radius, np.sin(angle), out=out[..., 1::2])
     return out
 
 
@@ -242,8 +242,10 @@ class _Space:
     dual_is_whole: ClassVar[bool] = True
 
     def _unit(self, values: np.ndarray) -> np.ndarray:
-        """Each row of values scaled onto the unit sphere."""
-        return values / self.norm(values)[..., None]
+        """Each row of values scaled onto the unit sphere, in place: every
+        caller passes an array it has just built and returns the result."""
+        values /= self.norm(values)[..., None]
+        return values
 
     @property
     def draw_width(self) -> int:
@@ -448,7 +450,9 @@ class GridSpace(_Space):
         return np.zeros(2**self.level)
 
     def coordinates(self, x: GridFunction) -> np.ndarray:
-        if x.level <= self.level:
+        if x.level == self.level:
+            return x.coefficients  # read-only, like every GridFunction's
+        if x.level < self.level:
             return np.repeat(x.coefficients, 2 ** (self.level - x.level))
         sums = x.coefficients.reshape(2**self.level, -1).sum(axis=1)
         return sums * 2.0 ** (self.level - x.level)
@@ -875,7 +879,9 @@ def sweep_arrays(
     m = len(x_norms) * len(xstar_norms)
     nx, nxs = np.empty(m + samples), np.empty(m + samples)
     S = np.empty((m + samples, len(schedule)))
-    nx[:m], nxs[:m] = np.repeat(x_norms, len(xstar_norms)), np.tile(xstar_norms, len(x_norms))
+    grid = (len(x_norms), len(xstar_norms))
+    nx[:m].reshape(grid)[:] = x_norms[:, None]
+    nxs[:m].reshape(grid)[:] = xstar_norms
     index, found = _extreme_rows(F, schedule)
     S[:m] = 0.0
     S[index] = found
@@ -1142,11 +1148,11 @@ def duality_constant_check(
     mirrored are F's sums, and one sweep gives both sides' constants at the
     same truncation and budget.  (The dual frame's own sweep draws those
     mirrored pairs, since draws are keyed by ball identity, whenever its
-    second ball is F's first exactly.)  dual_frame(F) is still built, so a
-    frame whose dual has no finite representation raises
-    DualRepresentationError.
+    second ball is F's first exactly.)  A frame whose dual has no finite
+    representation still raises DualRepresentationError, from dual_frame.
     """
-    dual_frame(F)
+    if not F.space.dual_is_whole:
+        dual_frame(F)
     lhat = estimate_frame_constant(F, N, samples, seed)
     return lhat, lhat
 

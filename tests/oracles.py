@@ -166,6 +166,26 @@ def haar_pyramid(f: np.ndarray) -> np.ndarray:
     return np.concatenate([sums] + pieces, axis=-1) * 2.0**-J
 
 
+def haar_inverse_pyramid(coeffs: np.ndarray, J: int) -> np.ndarray:
+    """sum_n c_n h_n/||h_n||_2 on the level-J grid, for the c on the last
+    axis (at most 2^J of them, zero-padded): the inverse pyramid, each
+    generation's coefficients scaled by its height 2^((m-1)/2) as that
+    level is formed, added to the left half of every block and subtracted
+    from the right half."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    lead = coeffs.shape[:-1]
+    full = np.zeros(lead + (2**J,))
+    full[..., : coeffs.shape[-1]] = coeffs
+    values = full[..., :1]
+    for m in range(1, J + 1):
+        detail = full[..., 2 ** (m - 1) : 2**m] * 2.0 ** (0.5 * (m - 1))
+        finer = np.empty(lead + (2**m,))
+        finer[..., 0::2] = values + detail
+        finer[..., 1::2] = values - detail
+        values = finer
+    return values
+
+
 def extreme_sums(F, schedule) -> np.ndarray:
     """The besselian sums of every extreme pair (x, xstar), x-major, at each
     truncation of the schedule: the whole outer product of the coefficient

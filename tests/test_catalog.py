@@ -242,6 +242,44 @@ def test_haar_analysis_to_rank_n_has_the_bits_of_the_whole_pyramid(data, J):
             assert got.tobytes() == full[:, :N].tobytes(), N
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), J=st.integers(min_value=0, max_value=8))
+def test_haar_synthesis_has_the_bits_of_the_per_generation_pyramid(data, J):
+    # the heights are applied in one call, not level by level: every value,
+    # NaN and inf included, is the per-generation pyramid's, for any number
+    # of coefficients up to 2^J
+    n = data.draw(st.integers(min_value=0, max_value=2**J))
+    c = data.draw(arrays(np.float64, (2, n), elements=st.floats(), fill=st.floats()))
+    with np.errstate(all="ignore"):
+        want = oracles.haar_inverse_pyramid(c, J)
+        got = catalog._haar_synthesis(c, J)
+    assert got.shape == (2, 2**J)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_haar_synthesis_bits_at_the_edges_of_the_float_range():
+    # the values the hypothesis test may miss: heights times 8.99e307
+    # overflow, and subnormals times heights round
+    edges = [8.99e307, -8.99e307, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan, 0.0, -0.0]
+    for J in (1, 4, 8):
+        rng = np.random.default_rng(J)
+        c = rng.choice(edges, size=(3, 2**J))
+        with np.errstate(all="ignore"):
+            assert catalog._haar_synthesis(c, J).tobytes() == oracles.haar_inverse_pyramid(c, J).tobytes()
+
+
+def test_haar_heights_are_one_read_only_row_per_level():
+    for J in (0, 1, 5, 12):
+        heights = catalog._haar_heights(J)
+        assert heights is catalog._haar_heights(J)
+        with pytest.raises(ValueError, match="read-only"):
+            heights[0] = 2.0
+        ranks = range(1, 2**J + 1)
+        assert heights.tolist() == [
+            1.0 if n == 1 else 2.0 ** (0.5 * (haar_index(n).m - 1)) for n in ranks
+        ]
+
+
 def test_haar_operators_reject_rows_that_are_not_a_dyadic_grid():
     for J in (1, 5, 12):
         F = haar_frame(3.0, J)
@@ -459,6 +497,38 @@ def test_label_sizes_are_bounded_before_allocation():
         tracemalloc.stop()
     assert peak < 2**20
     assert amalgam_frame(haar_frame(2.0, 1), 2.0, (0, 255)).full_truncation > 0
+
+
+def test_exponents_whose_powers_overflow_the_samplers_are_refused():
+    # a Box-Muller magnitude reaches about 8.57, and 2^12 cells of its r-th
+    # power overflow once r exceeds about 330, so p, q and their conjugates
+    # are capped at 256; the error names the label
+    for label in (
+        "haar:p=1e4:J=3",
+        "haar:p=1e3:J=3",
+        "haar:p=256.5:J=2",
+        "haar:p=1.000001:J=3",  # conjugate 1e6
+        "haar:p=1.0039:J=2",  # conjugate 257.4
+        "haar:p=1e16:J=2",  # conjugate rounds to 1
+        "amalgam:p=2:q=1e16:J=2:window=-1,1",
+        "amalgam:p=2:q=300:J=2:window=0,0",
+        "amalgam:p=1.0001:q=2:J=2:window=0,0",
+    ):
+        with pytest.raises(ValueError, match="its conjugate at most 256") as refused:
+            frame_from_label(label)
+        assert repr(label) in str(refused.value)
+    with pytest.raises(ValueError, match="q and its conjugate at most 256"):
+        amalgam_frame(haar_frame(2.0, 2), 1e16, (0, 0))
+    with pytest.raises(ValueError, match=r"q in \(1, inf\), got nan"):
+        amalgam_frame(haar_frame(2.0, 2), math.nan, (0, 0))
+
+
+def test_exponents_in_use_and_up_to_the_cap_are_accepted():
+    for p in (1.5, 2.0, 3.0, 6.0, 1.01, 1.004, 256.0):
+        assert haar_frame(p, 2).space.p == p
+        assert amalgam_frame(haar_frame(2.0, 2), p, (0, 0)).space.q == p
+    assert frame_from_label("haar:p=1.01:J=3").space.dual.p == pytest.approx(101.0)
+    assert frame_from_label("amalgam:p=3:q=1.5:J=2:window=-3,1").space.dual.q == 3.0
 
 
 def test_amalgam_extreme_points_are_bounded_before_allocation():

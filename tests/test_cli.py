@@ -333,6 +333,24 @@ def test_oversized_label_exits_one(capsys):
     assert "J <= 12" in capsys.readouterr().err
 
 
+def test_exponents_past_the_sampler_cap_exit_one(capsys):
+    # each of these ran before, with norms that overflowed or underflowed:
+    # p = 1e4 and p = 1.000001 wrote suite-error rows and exited 2, p = 1e3
+    # exited 0 with a quarter of its sampled x at zero, and p = 1e16 or
+    # q = 1e16 failed on a conjugate rounded to 1 without naming the label
+    for argv in (
+        ["suite", "all", "--frame", "haar:p=1e4:J=3", "--samples", "50"],
+        ["suite", "all", "--frame", "haar:p=1.000001:J=3", "--samples", "50"],
+        ["suite", "all", "--frame", "haar:p=1e3:J=3", "--samples", "50"],
+        ["constant", "--frame", "haar:p=1e16:J=2"],
+        ["constant", "--frame", "amalgam:p=2:q=1e16:J=2:window=-1,1"],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        label = argv[argv.index("--frame") + 1]
+        assert repr(label) in err and "its conjugate at most 256" in err, argv
+
+
 def test_oversized_element_files_exit_one_before_allocation(tmp_path, capsys):
     grid = write_element(
         tmp_path / "grid.json", {"level": 100_000_000, "coefficients": [1.0]}

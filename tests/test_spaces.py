@@ -426,6 +426,22 @@ def test_coordinates_round_trip_in_the_model(x):
         assert np.array_equal(space.values(values, len(x.prefix) + 3)[-3:], [x.tail] * 3)
 
 
+def test_grid_coordinates_of_a_same_level_element_are_its_read_only_coefficients():
+    space = GridSpace(3.0, 4)
+    x = GridFunction(4, np.linspace(-1.0, 2.0, 16))
+    values = space.coordinates(x)
+    assert values is x.coefficients
+    assert not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 0.0
+    assert np.array_equal(values, np.linspace(-1.0, 2.0, 16))
+    # coarser and finer elements still convert to new level-4 arrays
+    coarse = space.coordinates(GridFunction(2, [1.0, 2.0, 3.0, 4.0]))
+    assert coarse.flags.writeable and np.array_equal(coarse, np.repeat([1.0, 2.0, 3.0, 4.0], 4))
+    fine = space.coordinates(GridFunction(5, np.repeat(np.linspace(-1.0, 2.0, 16), 2)))
+    assert fine.flags.writeable and np.array_equal(fine, np.linspace(-1.0, 2.0, 16))
+
+
 def test_sup_values_are_the_index_gather_bit_for_bit():
     # a slice copy and a broadcast of the last coordinate give every bit of
     # the gather through min(n, k - 1): signed zeros, NaN, infinities and
