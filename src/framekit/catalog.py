@@ -121,6 +121,13 @@ def _check_exponent(frame: str, name: str, v: float) -> float:
     return v
 
 
+def _exponent_text(v: float) -> str:
+    """v as a label writes it: in the short :g form when that parses back to
+    v, else in full."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
+
+
 @lru_cache(maxsize=_MAX_LEVEL + 1)
 def _haar_heights(J: int) -> np.ndarray:
     """The heights of the normalized Haar functions of ranks 1..2^J, in rank
@@ -241,7 +248,7 @@ def haar_frame(p: float, J: int) -> Frame:
 
     space = GridSpace(p, J)
     size = 2**J
-    label = f"haar:p={p:g}:J={J}"
+    label = f"haar:p={_exponent_text(p)}:J={J}"
 
     def _pair_batch(f: np.ndarray, N: int) -> np.ndarray:
         if not 1 <= N <= size:
@@ -361,7 +368,7 @@ def amalgam_frame(base: Frame, q: float, window: tuple[int, int]) -> Frame:
     J = base.space.level
     space = AmalgamSpace(p, q, (lo, hi), J)
     base_max = base.max_rank if base.max_rank is not None else 2**J
-    label = f"amalgam:p={p:g}:q={q:g}:J={J}:window={lo},{hi}"
+    label = f"amalgam:p={_exponent_text(p)}:q={_exponent_text(q)}:J={J}:window={lo},{hi}"
     width = hi - lo + 1
 
     ranks, cell_rows, base_cols = _window_rank_tables((lo, hi), base_max)
@@ -438,12 +445,17 @@ def amalgam_frame(base: Frame, q: float, window: tuple[int, int]) -> Frame:
 # ---------------------------------------------------------------------------
 
 
-def _parse_fields(parts: list[str], label: str) -> dict[str, str]:
+def _parse_fields(parts: list[str], label: str, names: tuple[str, ...]) -> dict[str, str]:
+    """The label's key=value fields: each key one of names, given once."""
     fields = {}
     for part in parts:
         key, sep, value = part.partition("=")
         if not sep or not value:
             raise ValueError(f"malformed frame label {label!r} near {part!r}")
+        if key not in names:
+            raise ValueError(f"unknown field {key!r} (fields: {', '.join(names)})")
+        if key in fields:
+            raise ValueError(f"repeated field {key!r}")
         fields[key] = value
     return fields
 
@@ -458,7 +470,8 @@ def frame_from_label(label: str) -> Frame:
     """Resolve a frame label string to its catalog construction.
 
     Known forms: "l1-canonical", "zero", "haar:p=<val>:J=<val>",
-    "amalgam:p=<val>:q=<val>:J=<val>:window=<lo>,<hi>".  Sizes are checked
+    "amalgam:p=<val>:q=<val>:J=<val>:window=<lo>,<hi>", each field given
+    once; an unknown or repeated field is refused.  Sizes are checked
     before anything is built: J <= 12, exponents and their conjugates at most
     256, and at most 256 window cells.
     """
@@ -469,10 +482,10 @@ def frame_from_label(label: str) -> Frame:
     kind, _, rest = label.partition(":")
     try:
         if kind == "haar":
-            fields = _parse_fields(rest.split(":"), label)
+            fields = _parse_fields(rest.split(":"), label, ("p", "J"))
             return haar_frame(float(fields["p"]), int(fields["J"]))
         if kind == "amalgam":
-            fields = _parse_fields(rest.split(":"), label)
+            fields = _parse_fields(rest.split(":"), label, ("p", "q", "J", "window"))
             lo, hi = (int(v) for v in fields["window"].split(","))
             check_window_width(lo, hi)
             base = haar_frame(float(fields["p"]), int(fields["J"]))

@@ -29,6 +29,8 @@ from .spaces import MAX_SEQ_INDEX
 from .verify import (
     DEFAULT_FRAME_LABELS,
     SUITES,
+    csv_text,
+    json_text,
     run_all,
     spec_for_label,
     write_reports,
@@ -163,12 +165,6 @@ def _check_truncation(F, n: int, low: int, names=("truncation", "truncation")) -
         raise CliUsageError(f"{one} {n} exceeds the truncation cap {cap}")
 
 
-def _json_text(obj) -> str:
-    # Artifacts are strict JSON: a non-finite number fails here, before any
-    # file is opened.
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def _write_text(path: Optional[str], text: str, default_name: str) -> str:
     target = path if path else default_name
     with open(target, "w", encoding="utf-8") as fh:
@@ -176,24 +172,13 @@ def _write_text(path: Optional[str], text: str, default_name: str) -> str:
     return target
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    import csv as _csv
-    import io as _io
-
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _artifact_text(ns, cfg, default_fmt: str, obj, header, rows) -> tuple[str, str]:
     """(text, format) of an artifact: obj as JSON, or header and rows as CSV."""
     fmt = _resolve(ns, cfg, "format", str, default=default_fmt)
     if fmt == "json":
-        return _json_text(obj), fmt
+        return json_text(obj), fmt
     if fmt == "csv":
-        return _csv_text(header, rows), fmt
+        return csv_text(header, rows), fmt
     raise CliUsageError(f"unknown format {fmt!r} (choose json or csv)")
 
 

@@ -1448,7 +1448,7 @@ def reflexivity_probe(F: Frame, spec: ExperimentSpec) -> FrameReport:
     )
 
     return FrameReport(
-        label=F.label,
+        label=spec.label,
         suite="james",
         truncation=schedule[-1],
         constant=0.0,

@@ -13,7 +13,6 @@ logged, never serialized.
 
 from __future__ import annotations
 
-import contextvars
 import csv
 import io
 import json
@@ -31,6 +30,7 @@ from .frames import (
     JsonRecord,
     ProbeResult,
     _integer,
+    _memo,
     check_schedule,
     covering_truncation,
     frame_has_zero_elements,
@@ -53,6 +53,8 @@ __all__ = [
     "run_unconditionality_suite",
     "run_all",
     "write_reports",
+    "json_text",
+    "csv_text",
 ]
 
 log = logging.getLogger(__name__)
@@ -144,46 +146,27 @@ class _SpecResults:
     run's table of the unconditionality probe's trial draws (see
     frames.unconditional_sweep).
 
-    run_all's task for a spec makes one and runs the spec's suites against
-    it, on one thread, so no entry needs a lock (the draw table, shared by
-    the run's tasks, only gains entries that are functions of their keys);
-    a suite called on its own makes its own and so computes its own, with a
-    table of its own.  (functools.cached_property would serialize the
-    tasks' sweeps: before Python 3.12 it holds one lock for all instances.)
+    run_all's task for a spec makes one and passes it to the spec's suites,
+    on one thread (the draw table, shared by the run's tasks, only gains
+    entries that are functions of their keys); a suite called without one
+    makes its own, with a table of its own.
     """
 
     def __init__(self, spec: ExperimentSpec, draws: Optional[dict] = None) -> None:
         self.spec = spec
         self.frame = frame_from_label(spec.label)
         self.draws = {} if draws is None else draws
-        self._sweep: Optional[tuple[list[float], list[float]]] = None
 
-    @property
+    @_memo
     def sweep(self) -> tuple[list[float], list[float]]:
         """(constant, margin) per scheduled truncation, where the margin is
         the max of besselian_sum - L-hat ||x|| ||x*|| over the swept pairs."""
-        if self._sweep is None:
-            spec = self.spec
-            nx, nxs, S = sweep_arrays(self.frame, spec.schedule, spec.samples, spec.seed)
-            lhat = S.max(axis=0)
-            # (lhat * nx) * nxs is Python's left-to-right lhat * nx * nxs.
-            margins = (S - lhat * nx[:, None] * nxs[:, None]).max(axis=0)
-            self._sweep = lhat.tolist(), margins.tolist()
-        return self._sweep
-
-
-# The results of the spec whose run_all task is running.  Only that task
-# sets it, in a context of its own.
-_SPEC_RESULTS: contextvars.ContextVar[Optional[_SpecResults]] = contextvars.ContextVar(
-    "framekit_spec_results", default=None
-)
-
-
-def _results_for(spec: ExperimentSpec) -> _SpecResults:
-    results = _SPEC_RESULTS.get()
-    if results is None or results.spec is not spec:
-        results = _SpecResults(spec)
-    return results
+        spec = self.spec
+        nx, nxs, S = sweep_arrays(self.frame, spec.schedule, spec.samples, spec.seed)
+        lhat = S.max(axis=0)
+        # (lhat * nx) * nxs is Python's left-to-right lhat * nx * nxs.
+        margins = (S - lhat * nx[:, None] * nxs[:, None]).max(axis=0)
+        return lhat.tolist(), margins.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +174,16 @@ def _results_for(spec: ExperimentSpec) -> _SpecResults:
 # ---------------------------------------------------------------------------
 
 
-def run_besselian_suite(spec: ExperimentSpec) -> FrameReport:
+def run_besselian_suite(
+    spec: ExperimentSpec, shared: Optional[_SpecResults] = None
+) -> FrameReport:
     """Constant estimates per truncation plus bound checks over the sweep.
 
     The bound row verifies besselian_sum(x, x*) <= L-hat * ||x|| * ||x*||
     for every swept pair, where L-hat is the estimate over the same sweep
     (so its budget is a superset of every pair it is checked against).
     """
-    shared = _results_for(spec)
+    shared = shared or _SpecResults(spec)
     n_max = spec.schedule[-1]
     constants, margins = shared.sweep
     flags = ["zero-elements"] if frame_has_zero_elements(shared.frame, n_max) else []
@@ -238,7 +223,9 @@ def run_besselian_suite(spec: ExperimentSpec) -> FrameReport:
     )
 
 
-def run_duality_suite(spec: ExperimentSpec) -> FrameReport:
+def run_duality_suite(
+    spec: ExperimentSpec, shared: Optional[_SpecResults] = None
+) -> FrameReport:
     """Constant estimates for a frame and its dual frame at matched budgets.
 
     The dual frame's sweep is the frame's sweep mirrored, and the besselian
@@ -247,7 +234,7 @@ def run_duality_suite(spec: ExperimentSpec) -> FrameReport:
     |primal - dual| / max(primal, dual) is 0 by construction.  The gap row
     gets teeth only from an estimator that is not mirror-symmetric.
     """
-    shared = _results_for(spec)
+    shared = shared or _SpecResults(spec)
     n_max = spec.schedule[-1]
     constants, _ = shared.sweep
 
@@ -272,24 +259,29 @@ def run_duality_suite(spec: ExperimentSpec) -> FrameReport:
     )
 
 
-def run_james_suite(spec: ExperimentSpec) -> FrameReport:
+def run_james_suite(
+    spec: ExperimentSpec, shared: Optional[_SpecResults] = None
+) -> FrameReport:
     """Shrinking / boundedly-complete decay probe with fixed verdict strings.
 
     A conclusive verdict -- decay consistent with reflexivity, or an explicit
     non-shrinking / non-boundedly-complete witness -- counts as a pass; only
     "inconclusive" fails the suite.
     """
-    return reflexivity_probe(frame_from_label(spec.label), spec)
+    F = shared.frame if shared else frame_from_label(spec.label)
+    return reflexivity_probe(F, spec)
 
 
-def run_unconditionality_suite(spec: ExperimentSpec) -> FrameReport:
+def run_unconditionality_suite(
+    spec: ExperimentSpec, shared: Optional[_SpecResults] = None
+) -> FrameReport:
     """Rearrangement and sign-flip stability of partial expansions.
 
     Pass/fail applies only at truncations that cover exact reconstruction of
     every sampled element (finite sums commute, so the deviation must vanish
     there); shorter truncations are reported as information.
     """
-    shared = _results_for(spec)
+    shared = shared or _SpecResults(spec)
     F = shared.frame
     elements = seeded_ball_points(F.space, spec.seed, "uncond-element", spec.uncond_elements)
     coverings = [covering_truncation(F, x) for x in elements]
@@ -336,7 +328,7 @@ def run_unconditionality_suite(spec: ExperimentSpec) -> FrameReport:
     )
 
 
-SUITES: dict[str, Callable[[ExperimentSpec], FrameReport]] = {
+SUITES: dict[str, Callable[..., FrameReport]] = {
     "besselian": run_besselian_suite,
     "duality": run_duality_suite,
     "james": run_james_suite,
@@ -364,6 +356,22 @@ def _failed_report(spec: ExperimentSpec, suite: str, exc: Exception) -> FrameRep
 # ---------------------------------------------------------------------------
 
 
+def json_text(obj) -> str:
+    """obj as an artifact's JSON text: strict (a non-finite number raises
+    ValueError, before any file is opened), keys sorted, indent 2, one
+    trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
+    """The header and rows as an artifact's CSV text, with "\\n" line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class ReportBundle:
     """A manifest plus reports sorted by (suite, frame label)."""
@@ -381,18 +389,11 @@ class ReportBundle:
         }
 
     def to_json(self) -> str:
-        return (
-            json.dumps(self.to_json_obj(), indent=2, sort_keys=True, allow_nan=False)
-            + "\n"
-        )
+        return json_text(self.to_json_obj())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["suite", "frame", "N", "metric", "value", "pass"])
-        for report in self.reports:
-            writer.writerows(report.csv_rows())
-        return buf.getvalue()
+        header = ["suite", "frame", "N", "metric", "value", "pass"]
+        return csv_text(header, (row for r in self.reports for row in r.csv_rows()))
 
     @classmethod
     def from_json_obj(cls, obj) -> "ReportBundle":
@@ -409,8 +410,8 @@ def run_all(
 ) -> ReportBundle:
     """Run the selected suites (default: all) over the specs.
 
-    Each spec is one task, which runs the selected suites in order against
-    one _SpecResults, so the spec's unit-ball sweep is computed once and
+    Each spec is one task, which passes one _SpecResults to the selected
+    suites in order, so the spec's unit-ball sweep is computed once and
     shared by the suites that read it, and dropped when the task ends (each
     frame keeps its own zero-pair scan, extreme-pair sums and atom table,
     which no seed or budget changes).  Every task gets the run's one
@@ -429,13 +430,15 @@ def run_all(
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
 
-    def run_spec(spec, draws):
-        _SPEC_RESULTS.set(_SpecResults(spec, draws))  # in this task's own context
+    draws: dict = {}
+
+    def run_spec(spec):
+        shared = _SpecResults(spec, draws)
         reports = []
         for name in names:
             start = time.perf_counter()
             try:
-                reports.append(SUITES[name](spec))
+                reports.append(SUITES[name](spec, shared))
             except Exception as exc:
                 log.exception("suite %s on %s raised", name, spec.label)
                 reports.append(_failed_report(spec, name, exc))
@@ -447,16 +450,11 @@ def run_all(
             )
         return reports
 
-    draws: dict = {}
-
-    def task(spec):
-        return contextvars.copy_context().run(run_spec, spec, draws)
-
     if workers <= 1:
-        per_spec = [task(spec) for spec in specs]
+        per_spec = [run_spec(spec) for spec in specs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_spec = list(pool.map(task, specs))
+            per_spec = list(pool.map(run_spec, specs))
     reports = [report for spec_reports in per_spec for report in spec_reports]
 
     manifest = {

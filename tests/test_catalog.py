@@ -461,6 +461,8 @@ def test_labels_round_trip():
         "haar:p=1.5:J=4",
         "amalgam:p=2:q=2:J=4:window=-1,1",
         "amalgam:p=1.5:q=3:J=3:window=-2,2",
+        "haar:p=1.0123456:J=3",  # more digits than :g keeps
+        "amalgam:p=3.00000001:q=2:J=2:window=-1,1",  # :g would round p to 3
     ):
         assert frame_from_label(label).label == label
 
@@ -479,6 +481,12 @@ def test_label_errors_are_informative():
         frame_from_label("fourier:p=2")
     with pytest.raises(ValueError, match="malformed"):
         frame_from_label("haar:p:J=4")
+    with pytest.raises(ValueError, match="'haar:p=3:J=6:foo=1': unknown field 'foo'"):
+        frame_from_label("haar:p=3:J=6:foo=1")
+    with pytest.raises(ValueError, match="'haar:p=3:p=2:J=4': repeated field 'p'"):
+        frame_from_label("haar:p=3:p=2:J=4")
+    with pytest.raises(ValueError, match="repeated field 'window'"):
+        frame_from_label("amalgam:p=2:q=2:J=2:window=-1,1:window=0,0")
 
 
 def test_label_sizes_are_bounded_before_allocation():

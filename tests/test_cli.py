@@ -240,7 +240,7 @@ def test_suite_unknown_name_is_usage_error(capsys):
 
 
 def test_suite_failure_exits_two(tmp_path, monkeypatch):
-    def failing(spec):
+    def failing(spec, shared=None):
         return FrameReport(
             label=spec.label, suite="james", truncation=4, constant=0.0,
             seed=spec.seed, samples=1,
@@ -331,6 +331,17 @@ def test_tabulate_constant_curve_matches_per_truncation_estimates(tmp_path, labe
 def test_oversized_label_exits_one(capsys):
     assert main(["constant", "--frame", "haar:p=2:J=20"]) == 1
     assert "J <= 12" in capsys.readouterr().err
+
+
+def test_labels_with_unknown_or_repeated_fields_exit_one(tmp_path, capsys):
+    # both exited 0 before: the unknown field was ignored, and the last p won
+    for label, message in (
+        ("haar:p=3:J=6:foo=1", "unknown field 'foo'"),
+        ("haar:p=3:p=2:J=4", "repeated field 'p'"),
+    ):
+        assert main(["constant", "--frame", label, "--out", str(tmp_path / "c.json")]) == 1
+        err = capsys.readouterr().err
+        assert repr(label) in err and message in err, label
 
 
 def test_exponents_past_the_sampler_cap_exit_one(capsys):

@@ -224,6 +224,15 @@ def test_run_all_rejects_unknown_suite():
         run_all([mini_spec("l1-canonical")], suites=("nope",))
 
 
+def test_every_report_carries_its_spec_label():
+    # the fields in another order name the same frame, whose own label
+    # lists them in the catalog's order
+    spec = mini_spec("haar:J=3:p=2")
+    assert frame_from_label(spec.label).label == "haar:p=2:J=3"
+    bundle = run_all([spec])
+    assert [r.label for r in bundle.reports] == [spec.label] * len(SUITES)
+
+
 def test_run_all_suite_subset():
     bundle = run_all([mini_spec("l1-canonical")], suites=("james",))
     assert [r.suite for r in bundle.reports] == ["james"]
@@ -301,14 +310,23 @@ def _scan_spied_frames(labels, synthesized):
 
 
 def test_run_all_sweeps_each_spec_once(monkeypatch):
-    calls, synthesized, frames = [], [], {}
+    calls, synthesized, frames, received = [], [], {}, []
     sweep_arrays = verify.sweep_arrays
 
     def spy(*args):
         calls.append(("sweep_arrays", args[0].label))
         return sweep_arrays(*args)
 
+    def spied(suite):
+        def wrapped(spec, shared=None):
+            received.append((spec.label, shared))
+            return suite(spec, shared)
+
+        return wrapped
+
     monkeypatch.setattr(verify, "sweep_arrays", spy)
+    for name, suite in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, spied(suite))
     monkeypatch.setattr(verify, "frame_from_label", lambda label: frames[label])
     specs = [
         mini_spec("l1-canonical"),
@@ -323,9 +341,20 @@ def test_run_all_sweeps_each_spec_once(monkeypatch):
         # run no rank goes through one synthesis twice in the zero-pair scan
         frames.update(_scan_spied_frames(labels, synthesized))
         synthesized.clear()
+        received.clear()
         bundle = run_all(specs, workers=4, suites=suites)
         assert len(set(synthesized)) == len(synthesized)
         assert {label for label, _role, _n in synthesized} == set(labels)
+        # every selected suite of a spec gets the spec's one _SpecResults,
+        # and no two specs get the same one
+        by_label = {}
+        for label, shared in received:
+            by_label.setdefault(label, []).append(shared)
+        assert sorted(by_label) == sorted(labels)
+        for label, got in by_label.items():
+            assert len(got) == len(suites or SUITES)
+            assert got[0].spec.label == label and all(s is got[0] for s in got)
+        assert len({id(got[0]) for got in by_label.values()}) == len(labels)
         return bundle
 
     interval = sys.getswitchinterval()
@@ -350,6 +379,12 @@ def test_run_all_sweeps_each_spec_once(monkeypatch):
     run_besselian_suite(specs[0])
     run_duality_suite(specs[0])
     assert [c[0] for c in calls] == ["sweep_arrays", "sweep_arrays"]
+    # suites given one _SpecResults sweep once between them
+    calls.clear()
+    shared = verify._SpecResults(specs[0])
+    run_besselian_suite(specs[0], shared)
+    run_duality_suite(specs[0], shared)
+    assert [c[0] for c in calls] == ["sweep_arrays"]
 
 
 def test_cold_run_all_on_shared_labels_writes_the_serial_bytes():
@@ -459,7 +494,7 @@ def test_a_suite_that_raises_gives_a_failed_report(monkeypatch, tmp_path):
     specs = [mini_spec("l1-canonical"), mini_spec("haar:p=2:J=4")]
     intact = run_all(specs)
 
-    def boom(spec):
+    def boom(spec, shared=None):
         raise RuntimeError(f"no probe for {spec.label}")
 
     monkeypatch.setitem(SUITES, "james", boom)
@@ -515,6 +550,8 @@ def test_bundle_json_round_trip():
     bundle = run_all([mini_spec("l1-canonical", samples=10)], suites=("besselian",))
     back = ReportBundle.from_json_obj(json.loads(bundle.to_json()))
     assert back.to_json() == bundle.to_json()
+    with pytest.raises(ValueError):  # artifacts are strict JSON
+        verify.json_text({"value": float("nan")})
 
 
 def test_bundle_csv_shape():
