@@ -26,8 +26,6 @@ from .spaces import (  # noqa: E402
 )
 from .frames import (  # noqa: E402
     Frame,
-    FrameReport,
-    ProbeResult,
     analysis_coefficient,
     besselian_sum,
     coefficient_sequence,
@@ -35,7 +33,6 @@ from .frames import (  # noqa: E402
     dual_frame,
     estimate_frame_constant,
     frame_pair,
-    reflexivity_probe,
     shrinking_tail,
     boundedly_complete_tail,
     synthesis_partial,
@@ -49,8 +46,11 @@ from .catalog import (  # noqa: E402
 )
 from .verify import (  # noqa: E402
     ExperimentSpec,
+    FrameReport,
+    ProbeResult,
     ReportBundle,
     default_specs,
+    reflexivity_probe,
     run_all,
 )
 

@@ -45,6 +45,8 @@ _DEFAULT_SAMPLES = 2000
 _MAX_SAMPLES = 10**6
 _DEFAULT_CONSTANT_N = 256
 _CURVES = ("residual", "constant", "shrinking-tail")
+# The settings some subcommand reads from a config file.
+_CONFIG_KEYS = ("frame", "n", "samples", "seed", "format", "input", "schedule", "workers", "curve")
 
 
 class CliUsageError(Exception):
@@ -77,7 +79,8 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
 
 
 def _load_config(path: Optional[str]) -> dict[str, str]:
-    """Flat `key = value` file; blank lines and #-comments ignored."""
+    """Flat `key = value` file; blank lines and #-comments ignored.  Each key
+    is one of _CONFIG_KEYS, given at most once."""
     if path is None:
         return {}
     values: dict[str, str] = {}
@@ -92,7 +95,11 @@ def _load_config(path: Optional[str]) -> dict[str, str]:
                     raise CliUsageError(
                         f"{path}:{lineno}: expected 'key = value', got {line!r}"
                     )
-                values[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in _CONFIG_KEYS or key in values:
+                    problem = "repeated" if key in values else "unknown"
+                    raise CliUsageError(f"{path}:{lineno}: {problem} key {key!r}")
+                values[key] = value.strip()
     except OSError as exc:
         raise CliUsageError(f"cannot read config file {path}: {exc}") from None
     return values

@@ -30,8 +30,8 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Iterator, Optional
 
 import numpy as np
 
@@ -53,9 +53,6 @@ from .spaces import (
     sup_values_norm,
 )
 
-if TYPE_CHECKING:  # verify imports this module
-    from .verify import ExperimentSpec
-
 __all__ = [
     "DualRepresentationError",
     "SequenceSpace",
@@ -63,9 +60,6 @@ __all__ = [
     "GridSpace",
     "AmalgamSpace",
     "Frame",
-    "ProbeResult",
-    "FrameReport",
-    "JsonRecord",
     "UnconditionalResult",
     "derive_rng",
     "seeded_ball_point",
@@ -88,7 +82,7 @@ __all__ = [
     "boundedly_complete_tail",
     "clamped_tail",
     "duality_constant_check",
-    "reflexivity_probe",
+    "worst_tails",
     "covering_truncation",
     "frame_has_zero_elements",
 ]
@@ -1158,109 +1152,8 @@ def duality_constant_check(
 
 
 # ---------------------------------------------------------------------------
-# reports
+# the reflexivity probe's tails
 # ---------------------------------------------------------------------------
-
-
-class JsonRecord:
-    """A frozen dataclass serialized field by field: ``to_json_obj`` maps
-    each field's name to its value, and ``from_json_obj`` passes the same
-    keys back to the constructor, whose __post_init__ restores the types.
-    A missing key raises KeyError; other keys are ignored."""
-
-    def to_json_obj(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(**{f.name: obj[f.name] for f in fields(cls)})
-
-
-@dataclass(frozen=True)
-class ProbeResult(JsonRecord):
-    """One measured figure: (metric name, truncation, value, pass/fail).
-
-    ``passed`` is None for purely informational rows (no pass criterion).
-    """
-
-    name: str
-    truncation: int
-    value: float
-    passed: Optional[bool] = None
-    tolerance: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "truncation", int(self.truncation))
-        object.__setattr__(self, "value", float(self.value))
-        if self.passed is not None:
-            object.__setattr__(self, "passed", bool(self.passed))
-        if self.tolerance is not None:
-            object.__setattr__(self, "tolerance", float(self.tolerance))
-        if not math.isfinite(self.value):
-            raise ValueError(f"probe {self.name!r} produced non-finite {self.value}")
-
-
-@dataclass(frozen=True)
-class FrameReport(JsonRecord):
-    """Everything one suite run measured on one frame.
-
-    Reproducible from (label, truncation, seed, samples): no timestamps, no
-    environment state.  Serializes to JSON and to flat CSV rows of
-    (suite, frame, N, metric, value, pass).
-    """
-
-    label: str
-    suite: str
-    truncation: int
-    constant: float
-    seed: int
-    samples: int
-    probes: tuple[ProbeResult, ...] = ()
-    verdict: Optional[str] = None
-    flags: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "truncation", int(self.truncation))
-        object.__setattr__(self, "constant", float(self.constant))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "samples", int(self.samples))
-        if not math.isfinite(self.constant) or self.constant < 0.0:
-            raise ValueError(f"constant must be finite and >= 0, got {self.constant}")
-        object.__setattr__(self, "probes", tuple(self.probes))
-        object.__setattr__(self, "flags", tuple(self.flags))
-        object.__setattr__(self, "notes", tuple(self.notes))
-
-    def all_pass(self) -> bool:
-        return all(p.passed is not False for p in self.probes)
-
-    def to_json_obj(self) -> dict:
-        return {**super().to_json_obj(), "probes": [p.to_json_obj() for p in self.probes]}
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "FrameReport":
-        probes = [ProbeResult.from_json_obj(p) for p in obj["probes"]]
-        return super().from_json_obj({**obj, "probes": probes})
-
-    def csv_rows(self) -> list[list[str]]:
-        rows = []
-        for p in self.probes:
-            passed = "" if p.passed is None else ("pass" if p.passed else "fail")
-            rows.append(
-                [self.suite, self.label, str(p.truncation), p.name, repr(p.value), passed]
-            )
-        return rows
-
-
-# ---------------------------------------------------------------------------
-# the reflexivity probe
-# ---------------------------------------------------------------------------
-
-VERDICT_CONSISTENT = "consistent with reflexive"
-VERDICT_NON_SHRINKING = "non-shrinking witness found"
-VERDICT_NON_BOUNDEDLY_COMPLETE = "non-boundedly-complete witness found"
-VERDICT_INCONCLUSIVE = "inconclusive"
-VERDICT_DEGENERATE = "degenerate"
 
 # Each tail runs from the truncation N to the horizon M = 2N.
 _HORIZON_FACTOR = 2
@@ -1337,125 +1230,48 @@ def clamped_tail(tail_fn, F: Frame, candidate, N: int, M: int) -> float:
     return tail_fn(F, candidate, N, M)
 
 
-def reflexivity_probe(F: Frame, spec: ExperimentSpec) -> FrameReport:
-    """Decay evidence for the shrinking and boundedly-complete properties.
 
-    For each scheduled truncation N the probe measures the worst tail norm
-    over a fixed candidate family (deterministic extreme points first, then
-    seeded random draws) with horizon M = 2N.  Verdicts are evidence, never
-    proofs: tails that decay below the tolerance are "consistent with
-    reflexive"; a tail that stalls is a witness once the schedule reaches the
-    frame's full truncation (before it, the tail may still vanish, and the
-    leg stays undecided with a note); anything in between is inconclusive.
-    Frames that are identically zero up to the probe horizon are flagged
-    degenerate.  The spec gives the schedule, the random candidates per leg
-    (probe_samples), the seed and the tail tolerance; the report is the
-    James suite's.
+
+def worst_tails(F: Frame, dual: bool, schedule, samples: int, seed: int) -> list[float]:
+    """Per truncation N of the schedule, the worst tail norm over the
+    reflexivity probe's candidates at horizon M = 2N, clamped as clamped_tail
+    clamps it: the tails of shrinking_tail on the dual ball when dual, else
+    those of boundedly_complete_tail (which raises as that does).
+
+    The candidates are the ball's first _EXTREME_CANDIDATES extreme points,
+    then ``samples`` seeded draws, each block through one analysis out to
+    the largest horizon used.  Their rows make one coefficient array, whose
+    tails each truncation takes in one call while rows x M fits in
+    _TAIL_VALUES, and that many values' rows at a time past it.  np.maximum
+    keeps any candidate's NaN tail, so the truncation's value is NaN.
     """
-    schedule = spec.schedule
     space = F.space
-
-    probes: list[ProbeResult] = []
-    notes: list[str] = []
-    flags: list[str] = []
-
-    any_zero, degenerate = _zero_pair_scan(F, _HORIZON_FACTOR * schedule[-1])
-    if any_zero:
-        flags.append("zero-elements")
-    settled = F.full_truncation is None or schedule[-1] >= F.full_truncation
-
+    if dual:
+        ball, purpose, analysis, synthesis = (
+            space.dual, "probe-dual", F.eval_batch, F.dual_synth_batch
+        )
+    elif space.bidual_representable:
+        ball, purpose, analysis, synthesis = space, "probe-bidual", F.coeff_batch, F.synth_batch
+    else:
+        raise DualRepresentationError(
+            f"bidual elements of {space.describe()} have no finite representation"
+        )
     horizons = [_HORIZON_FACTOR * N for N in schedule]
     if F.max_rank is not None:
         horizons = [min(M, F.max_rank) for M in horizons]
-
-    def run_leg(name: str, ball, purpose: str, analysis, synthesis) -> tuple[str, float]:
-        # Deterministic extreme points first, then seeded random draws, each
-        # block through one analysis out to the largest horizon that is used.
-        # Their rows make one coefficient array, whose tails each truncation
-        # takes in one call while rows x M fits in _TAIL_VALUES, and that
-        # many values' rows at a time past it.  np.maximum keeps a NaN tail
-        # of any candidate, which makes the leg's row NaN (ProbeResult then
-        # raises).
-        top = max((M for N, M in zip(schedule, horizons) if M > N), default=None)
-        if top:
-            blocks = [ball.extreme_ball_points()[:_EXTREME_CANDIDATES]]
-            blocks += _ball_blocks(
-                ball, spec.seed, purpose, _sample_blocks(spec.probe_samples, ball.draw_width, top)
-            )
-            coeffs = np.concatenate([analysis(block, top) for block in blocks])
-        values = []
-        for N, M in zip(schedule, horizons):
-            worst = 0.0  # as clamped_tail, when no rank is left past N
-            if M > N:
-                step = max(1, _TAIL_VALUES // M)
-                worst = float(functools.reduce(np.maximum, [
-                    _tail_norms(coeffs[i : i + step], synthesis, ball.norm, N, M).max()
-                    for i in range(0, len(coeffs), step)
-                ]))
-            values.append(worst)
-            probes.append(ProbeResult(f"{name}-tail", N, worst))
-        first, last = values[0], values[-1]
-        if last <= spec.tail_tol:
-            return "ok", last
-        if last < 0.5 * first:
-            return "undecided", last
-        if settled:
-            return "witness", last  # the tail stalled instead of decaying
-        notes.append(
-            f"{name} tail stalls at {last:.6g}, but the schedule ends before the "
-            f"full truncation {F.full_truncation}, where it may still vanish"
-        )
-        return "undecided", last
-
-    shrink_state, shrink_last = run_leg(
-        "shrinking", space.dual, "probe-dual", F.eval_batch, F.dual_synth_batch
-    )
-
-    if space.bidual_representable:
-        bc_state, bc_last = run_leg(
-            "boundedly-complete", space, "probe-bidual", F.coeff_batch, F.synth_batch
-        )
-    else:
-        bc_state = "not representable"
-        notes.append(
-            "boundedly-complete leg skipped: bidual elements have no finite "
-            "representation on this space"
-        )
-
-    if degenerate:
-        verdict = VERDICT_DEGENERATE
-    elif shrink_state == "witness":
-        verdict = VERDICT_NON_SHRINKING
-        notes.append(
-            f"shrinking tail stalls at {shrink_last:.6g} "
-            f"(first candidate is the constant all-ones pattern)"
-        )
-    elif bc_state == "witness":
-        verdict = VERDICT_NON_BOUNDEDLY_COMPLETE
-        notes.append(f"boundedly-complete tail stalls at {bc_last:.6g}")
-    elif shrink_state == "ok" and bc_state == "ok":
-        verdict = VERDICT_CONSISTENT
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-
-    probes.append(
-        ProbeResult(
-            "verdict-conclusive",
-            schedule[-1],
-            0.0 if verdict == VERDICT_INCONCLUSIVE else 1.0,
-            passed=verdict != VERDICT_INCONCLUSIVE,
-        )
-    )
-
-    return FrameReport(
-        label=spec.label,
-        suite="james",
-        truncation=schedule[-1],
-        constant=0.0,
-        seed=spec.seed,
-        samples=spec.probe_samples,
-        probes=tuple(probes),
-        verdict=verdict,
-        flags=tuple(flags),
-        notes=tuple(notes),
-    )
+    top = max((M for N, M in zip(schedule, horizons) if M > N), default=None)
+    if top:
+        blocks = [ball.extreme_ball_points()[:_EXTREME_CANDIDATES]]
+        blocks += _ball_blocks(ball, seed, purpose, _sample_blocks(samples, ball.draw_width, top))
+        coeffs = np.concatenate([analysis(block, top) for block in blocks])
+    values = []
+    for N, M in zip(schedule, horizons):
+        worst = 0.0
+        if M > N:
+            step = max(1, _TAIL_VALUES // M)
+            worst = float(functools.reduce(np.maximum, [
+                _tail_norms(coeffs[i : i + step], synthesis, ball.norm, N, M).max()
+                for i in range(0, len(coeffs), step)
+            ]))
+        values.append(worst)
+    return values

@@ -14,6 +14,7 @@ logged, never serialized.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -26,21 +27,24 @@ from typing import Callable, Iterable, Optional
 from . import __version__
 from .catalog import frame_from_label
 from .frames import (
-    FrameReport,
-    JsonRecord,
-    ProbeResult,
+    _HORIZON_FACTOR,
+    Frame,
     _integer,
     _memo,
+    _zero_pair_scan,
     check_schedule,
     covering_truncation,
     frame_has_zero_elements,
-    reflexivity_probe,
     seeded_ball_points,
     sweep_arrays,
     unconditional_sweep,
+    worst_tails,
 )
 
 __all__ = [
+    "JsonRecord",
+    "ProbeResult",
+    "FrameReport",
     "ExperimentSpec",
     "ReportBundle",
     "DEFAULT_FRAME_LABELS",
@@ -51,6 +55,7 @@ __all__ = [
     "run_duality_suite",
     "run_james_suite",
     "run_unconditionality_suite",
+    "reflexivity_probe",
     "run_all",
     "write_reports",
     "json_text",
@@ -69,6 +74,108 @@ _DEFAULT_SCHEDULE = (4, 16, 64, 256)
 # Appending a frame's exact-reconstruction horizon to the schedule is only
 # worth it while the suites stay interactive.
 _FULL_TRUNCATION_CAP = 1024
+
+
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+
+class JsonRecord:
+    """A frozen dataclass serialized field by field: ``to_json_obj`` maps
+    each field's name to its value, and ``from_json_obj`` passes the same
+    keys back to the constructor, whose __post_init__ restores the types.
+    A missing key raises KeyError; other keys are ignored."""
+
+    def to_json_obj(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+
+    @classmethod
+    def from_json_obj(cls, obj):
+        return cls(**{f.name: obj[f.name] for f in dataclasses.fields(cls)})
+
+
+@dataclass(frozen=True)
+class ProbeResult(JsonRecord):
+    """One measured figure: (metric name, truncation, value, pass/fail).
+
+    ``passed`` is None for purely informational rows (no pass criterion).
+    """
+
+    name: str
+    truncation: int
+    value: float
+    passed: Optional[bool] = None
+    tolerance: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "truncation", int(self.truncation))
+        object.__setattr__(self, "value", float(self.value))
+        if self.passed is not None:
+            object.__setattr__(self, "passed", bool(self.passed))
+        if self.tolerance is not None:
+            object.__setattr__(self, "tolerance", float(self.tolerance))
+        if not math.isfinite(self.value):
+            raise ValueError(f"probe {self.name!r} produced non-finite {self.value}")
+
+
+@dataclass(frozen=True)
+class FrameReport(JsonRecord):
+    """Everything one suite run measured on one frame.
+
+    Reproducible from (label, truncation, seed, samples): no timestamps, no
+    environment state.  Serializes to JSON and to flat CSV rows of
+    (suite, frame, N, metric, value, pass).
+    """
+
+    label: str
+    suite: str
+    truncation: int
+    constant: float
+    seed: int
+    samples: int
+    probes: tuple[ProbeResult, ...] = ()
+    verdict: Optional[str] = None
+    flags: tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "truncation", int(self.truncation))
+        object.__setattr__(self, "constant", float(self.constant))
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "samples", int(self.samples))
+        if not math.isfinite(self.constant) or self.constant < 0.0:
+            raise ValueError(f"constant must be finite and >= 0, got {self.constant}")
+        object.__setattr__(self, "probes", tuple(self.probes))
+        object.__setattr__(self, "flags", tuple(self.flags))
+        object.__setattr__(self, "notes", tuple(self.notes))
+
+    def all_pass(self) -> bool:
+        return all(p.passed is not False for p in self.probes)
+
+    def to_json_obj(self) -> dict:
+        return {**super().to_json_obj(), "probes": [p.to_json_obj() for p in self.probes]}
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "FrameReport":
+        probes = [ProbeResult.from_json_obj(p) for p in obj["probes"]]
+        return super().from_json_obj({**obj, "probes": probes})
+
+    def csv_rows(self) -> list[list[str]]:
+        rows = []
+        for p in self.probes:
+            passed = "" if p.passed is None else ("pass" if p.passed else "fail")
+            rows.append(
+                [self.suite, self.label, str(p.truncation), p.name, repr(p.value), passed]
+            )
+        return rows
+
+
+VERDICT_CONSISTENT = "consistent with reflexive"
+VERDICT_NON_SHRINKING = "non-shrinking witness found"
+VERDICT_NON_BOUNDEDLY_COMPLETE = "non-boundedly-complete witness found"
+VERDICT_INCONCLUSIVE = "inconclusive"
+VERDICT_DEGENERATE = "degenerate"
 
 
 @dataclass(frozen=True)
@@ -174,6 +281,22 @@ class _SpecResults:
 # ---------------------------------------------------------------------------
 
 
+def _report(spec: ExperimentSpec, suite: str, probes, **fields) -> FrameReport:
+    """The report of spec's suite with rows probes: spec's label and seed,
+    its last truncation, its sample budget and constant 0.0 unless fields
+    give them, and any other FrameReport field from fields."""
+    fields = {"constant": 0.0, "samples": spec.samples, **fields}
+    return FrameReport(
+        spec.label, suite, spec.schedule[-1], seed=spec.seed, probes=probes, **fields
+    )
+
+
+def _zero_flags(F: Frame, spec: ExperimentSpec) -> tuple[str, ...]:
+    """("zero-elements",) when a pair of F up to spec's last truncation has
+    a zero vector or functional, else ()."""
+    return ("zero-elements",) if frame_has_zero_elements(F, spec.schedule[-1]) else ()
+
+
 def run_besselian_suite(
     spec: ExperimentSpec, shared: Optional[_SpecResults] = None
 ) -> FrameReport:
@@ -186,7 +309,7 @@ def run_besselian_suite(
     shared = shared or _SpecResults(spec)
     n_max = spec.schedule[-1]
     constants, margins = shared.sweep
-    flags = ["zero-elements"] if frame_has_zero_elements(shared.frame, n_max) else []
+    flags = _zero_flags(shared.frame, spec)
 
     probes: list[ProbeResult] = []
     for N, lhat, margin in zip(spec.schedule, constants, margins):
@@ -210,17 +333,8 @@ def run_besselian_suite(
         )
     )
     if flags and constants[-1] == 0.0:
-        flags.append("degenerate")
-    return FrameReport(
-        label=spec.label,
-        suite="besselian",
-        truncation=n_max,
-        constant=constants[-1],
-        seed=spec.seed,
-        samples=spec.samples,
-        probes=tuple(probes),
-        flags=tuple(flags),
-    )
+        flags += ("degenerate",)
+    return _report(spec, "besselian", probes, constant=constants[-1], flags=flags)
 
 
 def run_duality_suite(
@@ -235,7 +349,6 @@ def run_duality_suite(
     gets teeth only from an estimator that is not mirror-symmetric.
     """
     shared = shared or _SpecResults(spec)
-    n_max = spec.schedule[-1]
     constants, _ = shared.sweep
 
     probes: list[ProbeResult] = []
@@ -247,15 +360,88 @@ def run_duality_suite(
                 "duality-gap-rel", N, 0.0, passed=True, tolerance=spec.rel_tol
             )
         )
-    return FrameReport(
-        label=spec.label,
-        suite="duality",
-        truncation=n_max,
-        constant=constants[-1],
-        seed=spec.seed,
-        samples=spec.samples,
-        probes=tuple(probes),
-        flags=("zero-elements",) if frame_has_zero_elements(shared.frame, n_max) else (),
+    return _report(
+        spec, "duality", probes, constant=constants[-1], flags=_zero_flags(shared.frame, spec)
+    )
+
+
+def reflexivity_probe(F: Frame, spec: ExperimentSpec) -> FrameReport:
+    """Decay evidence for the shrinking and boundedly-complete properties.
+
+    For each scheduled truncation N each leg's row is the worst tail norm
+    over a fixed candidate family (deterministic extreme points first, then
+    seeded random draws) with horizon M = 2N (frames.worst_tails).  Verdicts
+    are evidence, never proofs: tails that decay below the tolerance are
+    "consistent with reflexive"; a tail that stalls is a witness once the
+    schedule reaches the frame's full truncation (before it, the tail may
+    still vanish, and the leg stays undecided with a note); anything in
+    between is inconclusive.  Frames that are identically zero up to the
+    probe horizon are flagged degenerate.  The spec gives the schedule, the
+    random candidates per leg (probe_samples), the seed and the tail
+    tolerance; the report is the James suite's.
+    """
+    schedule = spec.schedule
+    probes: list[ProbeResult] = []
+    notes: list[str] = []
+
+    any_zero, degenerate = _zero_pair_scan(F, _HORIZON_FACTOR * schedule[-1])
+    settled = F.full_truncation is None or schedule[-1] >= F.full_truncation
+
+    def run_leg(name: str, dual: bool) -> tuple[str, float]:
+        # A NaN tail makes its row raise (ProbeResult).
+        values = worst_tails(F, dual, schedule, spec.probe_samples, spec.seed)
+        probes.extend(ProbeResult(f"{name}-tail", N, v) for N, v in zip(schedule, values))
+        first, last = values[0], values[-1]
+        if last <= spec.tail_tol:
+            return "ok", last
+        if last < 0.5 * first:
+            return "undecided", last
+        if settled:
+            return "witness", last  # the tail stalled instead of decaying
+        notes.append(
+            f"{name} tail stalls at {last:.6g}, but the schedule ends before the "
+            f"full truncation {F.full_truncation}, where it may still vanish"
+        )
+        return "undecided", last
+
+    shrink_state, shrink_last = run_leg("shrinking", True)
+    if F.space.bidual_representable:
+        bc_state, bc_last = run_leg("boundedly-complete", False)
+    else:
+        bc_state = "not representable"
+        notes.append(
+            "boundedly-complete leg skipped: bidual elements have no finite "
+            "representation on this space"
+        )
+
+    if degenerate:
+        verdict = VERDICT_DEGENERATE
+    elif shrink_state == "witness":
+        verdict = VERDICT_NON_SHRINKING
+        notes.append(
+            f"shrinking tail stalls at {shrink_last:.6g} "
+            f"(first candidate is the constant all-ones pattern)"
+        )
+    elif bc_state == "witness":
+        verdict = VERDICT_NON_BOUNDEDLY_COMPLETE
+        notes.append(f"boundedly-complete tail stalls at {bc_last:.6g}")
+    elif shrink_state == "ok" and bc_state == "ok":
+        verdict = VERDICT_CONSISTENT
+    else:
+        verdict = VERDICT_INCONCLUSIVE
+
+    conclusive = verdict != VERDICT_INCONCLUSIVE
+    probes.append(
+        ProbeResult("verdict-conclusive", schedule[-1], float(conclusive), passed=conclusive)
+    )
+    return _report(
+        spec,
+        "james",
+        probes,
+        samples=spec.probe_samples,
+        verdict=verdict,
+        flags=("zero-elements",) if any_zero else (),
+        notes=notes,
     )
 
 
@@ -315,16 +501,13 @@ def run_unconditionality_suite(
             )
         )
         probes.append(ProbeResult("signflip-partial-norm", N, flip))
-    return FrameReport(
-        label=spec.label,
-        suite="unconditionality",
-        truncation=spec.schedule[-1],
-        constant=0.0,
-        seed=spec.seed,
+    return _report(
+        spec,
+        "unconditionality",
+        probes,
         samples=spec.uncond_elements,
-        probes=tuple(probes),
-        flags=("zero-elements",) if frame_has_zero_elements(F, spec.schedule[-1]) else (),
-        notes=tuple(notes),
+        flags=_zero_flags(F, spec),
+        notes=notes,
     )
 
 
@@ -338,17 +521,8 @@ SUITES: dict[str, Callable[..., FrameReport]] = {
 
 def _failed_report(spec: ExperimentSpec, suite: str, exc: Exception) -> FrameReport:
     """The report of a suite that raised exc: one failed suite-error row."""
-    n_max = spec.schedule[-1]
-    return FrameReport(
-        label=spec.label,
-        suite=suite,
-        truncation=n_max,
-        constant=0.0,
-        seed=spec.seed,
-        samples=spec.samples,
-        probes=(ProbeResult("suite-error", n_max, 0.0, passed=False),),
-        notes=(f"{type(exc).__name__}: {exc}",),
-    )
+    row = ProbeResult("suite-error", spec.schedule[-1], 0.0, passed=False)
+    return _report(spec, suite, [row], notes=[f"{type(exc).__name__}: {exc}"])
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +547,7 @@ def csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
 
 
 @dataclass(frozen=True)
-class ReportBundle:
+class ReportBundle(JsonRecord):
     """A manifest plus reports sorted by (suite, frame label)."""
 
     manifest: dict
@@ -383,10 +557,7 @@ class ReportBundle:
         return all(r.all_pass() for r in self.reports)
 
     def to_json_obj(self) -> dict:
-        return {
-            "manifest": self.manifest,
-            "reports": [r.to_json_obj() for r in self.reports],
-        }
+        return {**super().to_json_obj(), "reports": [r.to_json_obj() for r in self.reports]}
 
     def to_json(self) -> str:
         return json_text(self.to_json_obj())
@@ -397,10 +568,8 @@ class ReportBundle:
 
     @classmethod
     def from_json_obj(cls, obj) -> "ReportBundle":
-        return cls(
-            manifest=obj["manifest"],
-            reports=tuple(FrameReport.from_json_obj(r) for r in obj["reports"]),
-        )
+        reports = tuple(FrameReport.from_json_obj(r) for r in obj["reports"])
+        return super().from_json_obj({**obj, "reports": reports})
 
 
 def run_all(

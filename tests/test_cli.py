@@ -12,8 +12,9 @@ import framekit.cli as cli
 import framekit.verify as verify
 from framekit.catalog import frame_from_label
 from framekit.cli import main
-from framekit.frames import FrameReport, ProbeResult, estimate_frame_constant, synthesis_partial
+from framekit.frames import estimate_frame_constant, synthesis_partial
 from framekit.spaces import AmalgamFunction, GridFunction, SeqVector, amalgam_norm, grid_lp_norm
+from framekit.verify import FrameReport, ProbeResult
 
 
 @pytest.fixture(autouse=True)
@@ -197,6 +198,29 @@ def test_nan_in_a_config_file_exits_one(tmp_path, capsys, key):
         assert main(argv + ["--config", str(cfg)]) == 1
         assert "expected an integer, got 'nan'" in capsys.readouterr().err
     assert not list(tmp_path.glob("constant.*")) and not list(tmp_path.glob("report.*"))
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("seed = 5\nsampels = 5\n", 2, "unknown key 'sampels'"),
+        ("samples = 5\n# comment\nsamples = 6\n", 3, "repeated key 'samples'"),
+    ],
+    ids=["unknown", "repeated"],
+)
+def test_unknown_or_repeated_config_keys_exit_one(tmp_path, capsys, text, line, message):
+    # both exited 0 before: the misspelt key was ignored (2000 samples ran),
+    # and the last of the repeated values won
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    for argv in (
+        ["constant", "--frame", "l1-canonical", "--n", "4"],
+        ["suite", "james", "--frame", "l1-canonical", "--schedule", "4,16"],
+        ["tabulate", "--frame", "l1-canonical", "--curve", "constant", "--schedule", "4"],
+    ):
+        assert main(argv + ["--config", str(cfg)]) == 1, argv
+        assert f"{cfg}:{line}: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_nan_seed_in_the_environment_exits_one(tmp_path, capsys, monkeypatch):

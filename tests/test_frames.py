@@ -36,8 +36,6 @@ from framekit.frames import (
     Frame,
     GridSpace,
     SequenceSpace,
-    FrameReport,
-    ProbeResult,
     analysis_coefficient,
     ball_pair_sweep,
     besselian_sum,
@@ -52,7 +50,6 @@ from framekit.frames import (
     estimate_frame_constant,
     frame_has_zero_elements,
     frame_pair,
-    reflexivity_probe,
     seeded_ball_point,
     seeded_ball_points,
     shrinking_tail,
@@ -73,7 +70,14 @@ from framekit.spaces import (
     lp_norm,
 )
 
-from framekit.verify import DEFAULT_FRAME_LABELS, ExperimentSpec, spec_for_label
+from framekit.verify import (
+    DEFAULT_FRAME_LABELS,
+    ExperimentSpec,
+    FrameReport,
+    ProbeResult,
+    reflexivity_probe,
+    spec_for_label,
+)
 
 import oracles
 
@@ -1479,6 +1483,13 @@ def test_probe_legs_are_the_typed_tails_bit_for_bit():
             assert _bits(got) == _bits(want), (label, name)
         if label.startswith("haar:p=1.5"):
             assert got[-1] == 0.0  # N = 32: no rank is left past N
+
+
+def test_worst_tails_refuses_a_bidual_leg_with_no_representation():
+    # as boundedly_complete_tail does: l1's biduals are not l1 elements
+    assert frames_module.worst_tails(L1, True, (4, 16), 2, 42) == [1.0, 1.0]
+    with pytest.raises(DualRepresentationError, match="no finite representation"):
+        frames_module.worst_tails(L1, False, (4, 16), 2, 42)
 
 
 def _l1_with_nan_dual_tails(rows: str) -> Frame:
