@@ -460,12 +460,24 @@ def _parse_fields(parts: list[str], label: str, names: tuple[str, ...]) -> dict[
     return fields
 
 
-# Frames are immutable, so each label is built once per process; the bound
+# Frames are immutable, so each frame is built once per process, keyed by
+# its label's parsed fields: every spelling of a label gets the one frame,
+# and with it the work the frames module memoizes per frame.  The bound
 # keeps a few wide amalgam rank tables from piling up.
 _FRAME_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=_FRAME_CACHE_SIZE)
+def _catalog_frame(kind: str, *fields) -> Frame:
+    """The catalog frame of kind with its label's parsed fields."""
+    if kind == "haar":
+        return haar_frame(*fields)
+    if kind == "amalgam":
+        p, J, q, window = fields
+        return amalgam_frame(haar_frame(p, J), q, window)
+    return canonical_l1_frame() if kind == "l1-canonical" else zero_sequence_frame()
+
+
 def frame_from_label(label: str) -> Frame:
     """Resolve a frame label string to its catalog construction.
 
@@ -473,23 +485,22 @@ def frame_from_label(label: str) -> Frame:
     "amalgam:p=<val>:q=<val>:J=<val>:window=<lo>,<hi>", each field given
     once; an unknown or repeated field is refused.  Sizes are checked
     before anything is built: J <= 12, exponents and their conjugates at most
-    256, and at most 256 window cells.
+    256, and at most 256 window cells.  Labels with the same parsed fields
+    (haar:J=4:p=3, haar:p=3.0:J=04) name one frame and get the same object.
     """
-    if label == "l1-canonical":
-        return canonical_l1_frame()
-    if label == "zero":
-        return zero_sequence_frame()
+    if label in ("l1-canonical", "zero"):
+        return _catalog_frame(label)
     kind, _, rest = label.partition(":")
     try:
         if kind == "haar":
             fields = _parse_fields(rest.split(":"), label, ("p", "J"))
-            return haar_frame(float(fields["p"]), int(fields["J"]))
+            return _catalog_frame(kind, float(fields["p"]), int(fields["J"]))
         if kind == "amalgam":
             fields = _parse_fields(rest.split(":"), label, ("p", "q", "J", "window"))
             lo, hi = (int(v) for v in fields["window"].split(","))
             check_window_width(lo, hi)
-            base = haar_frame(float(fields["p"]), int(fields["J"]))
-            return amalgam_frame(base, float(fields["q"]), (lo, hi))
+            p, J, q = float(fields["p"]), int(fields["J"]), float(fields["q"])
+            return _catalog_frame(kind, p, J, q, (lo, hi))
     except KeyError as missing:
         raise ValueError(f"frame label {label!r} is missing field {missing}") from None
     except ValueError as bad:

@@ -615,20 +615,13 @@ class Frame:
     max_rank: Optional[int] = None
     full_truncation: Optional[int] = None
     covering: Callable = lambda x: None  # typed element -> truncation or None
-    # Per-frame records of work that depends only on the frame and a
-    # truncation, never on a seed or a budget.  Each tuple is replaced
-    # whole, never edited, and its arrays are read-only, so threads sharing
-    # the frame see one consistent record.
-    # What the zero-pair scan has found so far: (ranks scanned, the first
-    # rank with a zero vector or functional, the first rank whose pair is
-    # not zero in both slots), inf where no scanned rank has it.
+    # The frame's one record, of what the zero-pair scan has found so far:
+    # (ranks scanned, the first rank with a zero vector or functional, the
+    # first rank whose pair is not zero in both slots), inf where no scanned
+    # rank has it, replaced whole.  A record, not a memo, because it grows
+    # with the scan: scanning to _ZERO_SCAN_CAP at once takes about 24 ms
+    # at haar:p=3:J=12, against 3 ms to rank 64 (2-core Xeon).
     _zero_ranks: tuple = field(default=(0, math.inf, math.inf), init=False, repr=False)
-    # The extreme pairs' sums at the last schedule swept: (schedule, the
-    # flat indices i m + j of the pairs _extreme_rows sums, their sums).
-    _extreme_sums: Optional[tuple] = field(default=None, init=False, repr=False)
-    # The atoms' nonzero entries at the last largest truncation probed:
-    # (top, ranks, values), sums.nonzero_columns of the unit syntheses.
-    _atoms: Optional[tuple] = field(default=None, init=False, repr=False)
 
 
 def _integer(name: str, value) -> int:
@@ -724,6 +717,11 @@ def besselian_sum(F: Frame, x, xstar, N: int) -> float:
 
 # Sample blocks and probe chunks hold about this many values at a time.
 _BLOCK_VALUES = 1 << 15
+# Each memo of frame work (_extreme_rows, _atom_table, _trial_draws) keeps
+# this many entries, least recently used out: enough for a run over several
+# frames, schedules and seeds to find its own entries again, and a bound on
+# what a long-lived process holds.
+_MEMO_SIZE = 16
 
 
 def _block_rows(*widths: int) -> int:
@@ -802,24 +800,21 @@ def _evaluate(F: Frame, x: np.ndarray, xstar: np.ndarray, N: int) -> tuple:
     return coeffs, F.eval_batch(xstar, N)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _extreme_rows(F: Frame, schedule: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sums) of the extreme pairs that can have a nonzero sum: their
-    flat indices i m + j, x-major as ball_pair_sweep yields them (m
-    evaluation rows), and their _prefix_rows of |b_n(x) xstar(a_n)|, at most
-    _PREFIX_CHUNK terms (at least one pair) at a time.  Every other pair's
-    sums are +0.0.
+    """(index, sums), read-only, of the extreme pairs that can have a
+    nonzero sum: their flat indices i m + j, x-major as ball_pair_sweep
+    yields them (m evaluation rows), and their _prefix_rows of
+    |b_n(x) xstar(a_n)|, at most _PREFIX_CHUNK terms (at least one pair) at
+    a time.  Every other pair's sums are +0.0.
 
-    They depend on the frame and the schedule only, so they are F's record
-    (F._extreme_sums), computed when it holds another schedule.  Finite
-    factors are cut first to their live columns (_live_columns), and only
-    the pairs sharing one are summed (counted by a product of 0/1 masks,
-    exact): every other pair's terms are +0.0.  A non-finite factor can
-    make a product NaN (inf * 0), so then every pair is summed, its whole
-    product formed.
+    They depend on the frame and the schedule only, so they are memoized
+    per (F, schedule).  Finite factors are cut first to their live columns
+    (_live_columns), and only the pairs sharing one are summed (counted by a
+    product of 0/1 masks, exact): every other pair's terms are +0.0.  A
+    non-finite factor can make a product NaN (inf * 0), so then every pair
+    is summed, its whole product formed.
     """
-    record = F._extreme_sums
-    if record is not None and record[0] == schedule:
-        return record[1], record[2]
     space, dual = F.space, F.space.dual
     xs = space.extremes[0]
     xstars = xs if dual == space else dual.extremes[0]
@@ -837,7 +832,6 @@ def _extreme_rows(F: Frame, schedule: tuple[int, ...]) -> tuple[np.ndarray, np.n
         _prefix_rows(coeffs[i[pairs]] * evals[j[pairs]], cut, found[pairs])
     index = i * m + j
     index.flags.writeable = found.flags.writeable = False
-    object.__setattr__(F, "_extreme_sums", (schedule, index, found))
     return index, found
 
 
@@ -849,7 +843,7 @@ def sweep_arrays(
     besselian sums at each truncation of the schedule, which must pass
     check_schedule.
 
-    The extreme pairs' rows are F's record at this schedule (_extreme_rows),
+    The extreme pairs' rows are the memo of (F, schedule) (_extreme_rows),
     scattered into zeros, and their norms the ones each descriptor keeps
     beside its extreme points (``space.extremes``); neither depends on the
     seed or the sample count.  The random pairs go through the operators
@@ -944,25 +938,20 @@ class UnconditionalResult:
 
 
 def unconditional_sweep(
-    F: Frame, elements, schedule: tuple[int, ...], trials: int, seed: int,
-    draws: Optional[dict] = None,
+    F: Frame, elements, schedule: tuple[int, ...], trials: int, seed: int
 ) -> list[list[UnconditionalResult]]:
     """unconditional_probe for every element at every truncation of the
     schedule: one list of results per truncation, in the elements' order.
 
-    The atoms' nonzero entries, coordinate by coordinate, are F's record at
-    the schedule's largest truncation (_atom_table), cut down for the
-    smaller ones; they depend on the frame only.  Each element is analysed
-    once at the schedule's largest truncation: its analysis at rank N is the
-    first N columns of that.  A truncation where no coordinate has two live
-    atoms is order-free: no permutation or sign pattern can change its
-    norms, so none is drawn.  Where order can matter, the trials' draws at
-    truncation N come from draws, a table mapping (seed, trials, N) to
-    read-only (position, signs) arrays (_trial_draws), which verify.run_all
-    shares between a run's specs.  For the truncations missing from it, each
-    trial's stream is derived once and rewound for each, and the draws are
-    added.  One permutation and sign pattern per (trial, truncation) serve
-    every element.
+    The atoms' nonzero entries, coordinate by coordinate, are the memo of
+    (F, the schedule's largest truncation) (_atom_table), cut down for the
+    smaller ones.  Each element is analysed once at the schedule's largest
+    truncation: its analysis at rank N is the first N columns of that.  A
+    truncation where no coordinate has two live atoms is order-free: no
+    permutation or sign pattern can change its norms, so none is drawn.
+    Where order can matter, the trials' draws at truncation N are the memo
+    of (seed, trials, N) (_trial_draws): one permutation and sign pattern
+    per (trial, truncation) serve every element.
     """
     elements = [_coordinates(F.space, x) for x in elements]
     for N in schedule:
@@ -974,52 +963,39 @@ def unconditional_sweep(
         return []
     top = max(schedule)
     ranks, values = _atom_table(F, top)
-    cuts = [sums.columns_upto(ranks, values, N) for N in schedule]
-    draws = {} if draws is None else draws
-    missing = {
-        N for N, (r, _) in zip(schedule, cuts) if len(r) > 1 and (seed, trials, N) not in draws
-    }
-    if missing:
-        rngs = [derive_rng(seed, "unconditional", t) for t in range(trials)]
-        starts = [rng.bit_generator.state for rng in rngs]
-        for N in missing:
-            # Another task of the run may have added the same key meanwhile:
-            # an entry is a function of its key, and setdefault keeps the
-            # first, so the race needs no lock.
-            draws.setdefault((seed, trials, N), _trial_draws(rngs, starts, N))
     coeffs = np.reshape([F.coeff_batch(x, top) for x in elements], (len(elements), top))
     return [
-        _ordering_probe(F, coeffs[:, :N], trials, draws.get((seed, trials, N)), *cut)
-        for N, cut in zip(schedule, cuts)
+        _ordering_probe(F, coeffs[:, :N], trials, seed, *sums.columns_upto(ranks, values, N))
+        for N in schedule
     ]
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _atom_table(F: Frame, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ranks, values): sums.nonzero_columns of the syntheses of the unit
-    vectors of ranks 1..top, a block of ranks at a time.  They depend on the
-    frame only, so they are F's record (F._atoms), built anew when it holds
-    another top.  A table kept from a larger top would serve a smaller one
-    too, but on a family whose coordinates grow with N (l1) it is wider,
-    and every later probe would work across the extra columns."""
-    record = F._atoms
-    if record is None or record[0] != top:
-        ranks, values = sums.nonzero_columns(
-            (n0, F.synth_batch(_unit_rows(n0, min(top, n0 + _UNIT_BLOCK), top)))
-            for n0 in range(0, top, _UNIT_BLOCK)
-        )
-        ranks.flags.writeable = values.flags.writeable = False
-        record = (top, ranks, values)
-        object.__setattr__(F, "_atoms", record)
-    return record[1], record[2]
+    """(ranks, values), read-only: sums.nonzero_columns of the syntheses of
+    the unit vectors of ranks 1..top, a block of ranks at a time.  They
+    depend on the frame and top only, so they are memoized per (F, top).  A
+    table built for a larger top would serve a smaller one too, but on a
+    family whose coordinates grow with N (l1) it is wider, and every later
+    probe would work across the extra columns."""
+    ranks, values = sums.nonzero_columns(
+        (n0, F.synth_batch(_unit_rows(n0, min(top, n0 + _UNIT_BLOCK), top)))
+        for n0 in range(0, top, _UNIT_BLOCK)
+    )
+    ranks.flags.writeable = values.flags.writeable = False
+    return ranks, values
 
 
-def _trial_draws(rngs: list, starts: list, N: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _trial_draws(seed: int, trials: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(position, signs), two read-only trials x N arrays: trial t draws its
-    permutation perm and then its signs from the start of its stream, and
-    position[t, perm[i]] = i is the place it draws each rank at."""
-    perms, signs = np.empty((len(rngs), N), dtype=np.intp), np.empty((len(rngs), N))
-    for t, (rng, start) in enumerate(zip(rngs, starts)):
-        rng.bit_generator.state = start
+    permutation perm and then its signs from the start of its stream,
+    derive_rng(seed, "unconditional", t), and position[t, perm[i]] = i is
+    the place it draws each rank at.  They depend on the key only, so they
+    are memoized per (seed, trials, N)."""
+    perms, signs = np.empty((trials, N), dtype=np.intp), np.empty((trials, N))
+    for t in range(trials):
+        rng = derive_rng(seed, "unconditional", t)
         perms[t] = rng.permutation(N)
         signs[t] = rng.integers(0, 2, size=N) * 2 - 1
     position = np.empty_like(perms)
@@ -1029,8 +1005,7 @@ def _trial_draws(rngs: list, starts: list, N: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _ordering_probe(
-    F: Frame, coeffs: np.ndarray, trials: int, trial_draws: Optional[tuple],
-    ranks: np.ndarray, values: np.ndarray,
+    F: Frame, coeffs: np.ndarray, trials: int, seed: int, ranks: np.ndarray, values: np.ndarray
 ) -> list[UnconditionalResult]:
     # coeffs holds each element's analysis to the truncation N, one per row.
     # Each sum adds only the atoms' nonzero entries, in the trial's order;
@@ -1047,7 +1022,7 @@ def _ordering_probe(
         # so every sign pattern has the norm of bases.
         deviations, flip_norms = F.space.norm(bases - bases), F.space.norm(bases)
     else:
-        position, signs = trial_draws
+        position, signs = _trial_draws(seed, trials, N)
         flat = products.reshape(count, ranks.size)
         live, width = values != 0.0, values.shape[-1]
         deviations = flip_norms = np.zeros(count)

@@ -249,20 +249,15 @@ def default_specs() -> tuple[ExperimentSpec, ...]:
 
 class _SpecResults:
     """The results that several suites of one spec read: the frame, and the
-    sweep's constants and margins, computed on first use; and draws, the
-    run's table of the unconditionality probe's trial draws (see
-    frames.unconditional_sweep).
+    sweep's constants and margins, computed on first use.
 
     run_all's task for a spec makes one and passes it to the spec's suites,
-    on one thread (the draw table, shared by the run's tasks, only gains
-    entries that are functions of their keys); a suite called without one
-    makes its own, with a table of its own.
+    on one thread; a suite called without one makes its own.
     """
 
-    def __init__(self, spec: ExperimentSpec, draws: Optional[dict] = None) -> None:
+    def __init__(self, spec: ExperimentSpec) -> None:
         self.spec = spec
         self.frame = frame_from_label(spec.label)
-        self.draws = {} if draws is None else draws
 
     @_memo
     def sweep(self) -> tuple[list[float], list[float]]:
@@ -484,9 +479,7 @@ def run_unconditionality_suite(
     schedule = tuple(
         N for N in spec.schedule if F.max_rank is None or N <= F.max_rank
     )
-    per_truncation = unconditional_sweep(
-        F, elements, schedule, spec.trials, spec.seed, shared.draws
-    )
+    per_truncation = unconditional_sweep(F, elements, schedule, spec.trials, spec.seed)
     for N, results in zip(schedule, per_truncation):
         deviation = max(r.deviation for r in results)
         flip = max(r.sign_flip_norm for r in results)
@@ -581,12 +574,9 @@ def run_all(
 
     Each spec is one task, which passes one _SpecResults to the selected
     suites in order, so the spec's unit-ball sweep is computed once and
-    shared by the suites that read it, and dropped when the task ends (each
-    frame keeps its own zero-pair scan, extreme-pair sums and atom table,
-    which no seed or budget changes).  Every task gets the run's one
-    table of trial draws, so specs with the same seed and trials draw each
-    truncation's permutations and signs once; the table holds only
-    read-only arrays, and is dropped when the run ends.  With workers > 1
+    shared by the suites that read it, and dropped when the task ends (the
+    frames module keeps the work that depends only on a frame and a key,
+    such as a schedule, however many runs ask for it).  With workers > 1
     the tasks run on a thread pool.  A suite that raises an Exception gives
     a failed report (_failed_report), and the other suites still run.
     Reports are sorted afterwards, and every random draw is keyed by (seed,
@@ -599,10 +589,8 @@ def run_all(
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
 
-    draws: dict = {}
-
     def run_spec(spec):
-        shared = _SpecResults(spec, draws)
+        shared = _SpecResults(spec)
         reports = []
         for name in names:
             start = time.perf_counter()

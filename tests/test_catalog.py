@@ -472,6 +472,29 @@ def test_labels_build_each_frame_once():
         assert frame_from_label(label) is frame_from_label(label)
 
 
+def test_spellings_of_one_label_get_one_frame():
+    # the frame cache is keyed by the parsed fields, not the label's text:
+    # field order, "3" or "3.0" and "4" or "04" name one frame, built once,
+    # whose own label is the catalog's spelling; other fields, another frame
+    spellings = (
+        ("haar:p=3:J=4", "haar:J=4:p=3", "haar:p=3.0:J=04"),
+        (
+            "amalgam:p=3:q=1.5:J=2:window=-3,1",
+            "amalgam:window=-3,1:J=2:q=1.5:p=3",
+            "amalgam:p=3.0:q=1.50:J=02:window=-3,01",
+        ),
+    )
+    for labels in spellings:
+        frames = [frame_from_label(label) for label in labels]
+        assert all(F is frames[0] for F in frames), labels
+        assert frames[0].label == labels[0]
+    assert frame_from_label("haar:p=3:J=4") is not frame_from_label("haar:p=2:J=4")
+    assert frame_from_label("haar:p=3:J=4") is not frame_from_label("haar:p=3:J=5")
+    amalgam = frame_from_label("amalgam:p=3:q=1.5:J=2:window=-3,1")
+    assert amalgam is not frame_from_label("amalgam:p=3:q=1.5:J=2:window=-3,0")
+    assert amalgam is not frame_from_label("amalgam:p=3:q=2:J=2:window=-3,1")
+
+
 def test_label_errors_are_informative():
     with pytest.raises(ValueError, match="missing field"):
         frame_from_label("haar:p=2")

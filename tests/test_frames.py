@@ -290,10 +290,11 @@ STREAM_SPACES = (
 
 
 def _fresh(label: str) -> Frame:
-    """frame_from_label(label) built anew, its per-frame records empty: a
-    test that counts the work of a cold call must not get a frame that an
-    earlier test already swept or probed."""
-    return frame_from_label.__wrapped__(label)
+    """frame_from_label(label) built anew, so that no memo holds an entry of
+    it: a test that counts the work of a cold call must not get a frame that
+    an earlier test already swept or probed."""
+    catalog_module._catalog_frame.cache_clear()
+    return frame_from_label(label)
 
 
 def _same_sweep(a, b) -> bool:
@@ -739,7 +740,7 @@ def test_default_amalgam_sums_48_sample_and_24_extreme_columns(monkeypatch):
     assert extreme == [(m, 24)]
     assert {w for _rows, w in samples} == {48}
     assert sum(rows for rows, _w in samples) == spec.samples
-    # a second call on the frame reads the extreme rows from its record:
+    # a second call on the frame reads the extreme rows from their memo:
     # only the sample blocks are summed, and no bit moves
     widths.clear()
     warm = frames_module.sweep_arrays(F, spec.schedule, spec.samples, spec.seed)
@@ -1197,12 +1198,12 @@ def test_unconditional_sweep_analyses_each_element_once():
 
 
 def test_unconditional_sweep_draws_each_trial_once(monkeypatch):
-    # one stream per trial, rewound for each truncation; one permutation and
-    # sign pattern per (trial, truncation), shared by every element, with
-    # results equal to per-element probes bit for bit.  The l1 atoms have
-    # disjoint supports, so no truncation can be reordered and no stream is
-    # derived at all.
-    streams = {"l1-canonical": 0}
+    # from a cold draw memo, one stream per (trial, truncation), each drawn
+    # once: a repeated sweep derives none; one permutation and sign pattern
+    # per (trial, truncation), shared by every element, with results equal
+    # to per-element probes bit for bit.  The l1 atoms have disjoint
+    # supports, so no truncation can be reordered and no stream is derived
+    # at all.
     for label in DEFAULT_FRAME_LABELS:
         F = frame_from_label(label)
         elements = [seeded_ball_point(F.space, 3, "elements", k) for k in range(3)]
@@ -1213,51 +1214,69 @@ def test_unconditional_sweep_draws_each_trial_once(monkeypatch):
             calls.append(keys)
             return original(seed, *keys)
 
+        frames_module._trial_draws.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(frames_module, "derive_rng", counted)
             results = unconditional_sweep(F, elements, schedule, 5, 42)
-        assert len(calls) == streams.get(label, 5), label
+            streams = [] if label == "l1-canonical" else [
+                ("unconditional", t) for _N in schedule for t in range(5)
+            ]
+            assert calls == streams, label
+            calls.clear()
+            assert unconditional_sweep(F, elements, schedule, 5, 42) == results
+            assert calls == [], label
         assert results == [
             [unconditional_probe(F, x, N, 5, 42) for x in elements] for N in schedule
         ]
 
 
 def test_unconditional_sweep_reads_and_fills_a_draw_table(monkeypatch):
-    # a table keyed by (seed, trials, N) holds each ordered truncation's
-    # read-only (position, signs); a sweep derives the trial streams only
-    # for truncations missing from it, and the results never move
+    # the draw memo, keyed by (seed, trials, N), holds each ordered
+    # truncation's read-only (position, signs); a sweep derives the trial
+    # streams only for the keys missing from it, and the results are those
+    # of a cold memo
     calls = []
 
     def counted(seed, *keys, original=frames_module.derive_rng):
         calls.append(keys)
         return original(seed, *keys)
 
-    monkeypatch.setattr(frames_module, "derive_rng", counted)
+    draws = frames_module._trial_draws
     haar, amalgam = frame_from_label("haar:p=2:J=8"), frame_from_label(DEFAULT_FRAME_LABELS[2])
-    table = {}
-    for F, schedule, streams in (
-        (haar, (4, 16, 64), 5),  # all three missing
-        (amalgam, (4, 16, 64, 274), 5),  # 274 missing: the streams once
+    cases = (
+        (haar, (4, 16, 64), 15),  # all three missing: five streams each
+        (amalgam, (4, 16, 64, 274), 5),  # 274 missing
         (haar, (4, 64), 0),
         (L1, (4, 64), 0),  # order-free: no lookup, no draw
-    ):
-        elements = [seeded_ball_point(F.space, 3, "elements", k) for k in range(3)]
+    )
+    elements = {F: [seeded_ball_point(F.space, 3, "elements", k) for k in range(3)]
+                for F in (haar, amalgam, L1)}
+    cold = []
+    for F, schedule, _ in cases:
+        draws.cache_clear()
+        cold.append(unconditional_sweep(F, elements[F], schedule, 5, 42))
+    draws.cache_clear()
+    monkeypatch.setattr(frames_module, "derive_rng", counted)
+    for (F, schedule, streams), want in zip(cases, cold):
         calls.clear()
-        got = unconditional_sweep(F, elements, schedule, 5, 42, table)
+        assert unconditional_sweep(F, elements[F], schedule, 5, 42) == want, F.label
         assert len(calls) == streams, F.label
-        calls.clear()
-        assert got == unconditional_sweep(F, elements, schedule, 5, 42), F.label
-    assert sorted(table) == [(42, 5, N) for N in (4, 16, 64, 274)]
-    for N, (position, signs) in ((key[2], value) for key, value in table.items()):
+    assert draws.cache_info().currsize == 4
+    calls.clear()
+    for N in (4, 16, 64, 274):
+        position, signs = draws(42, 5, N)
+        again = draws(42, 5, N)
+        assert again[0] is position and again[1] is signs
         assert position.shape == signs.shape == (5, N)
         assert not position.flags.writeable and not signs.flags.writeable
         assert (np.sort(position, axis=1) == np.arange(N)).all()
         assert set(np.unique(signs)) <= {-1.0, 1.0}
+    assert calls == []
     # another seed or trial count is another key
     x = seeded_ball_point(haar.space, 3, "elements", 0)
-    unconditional_sweep(haar, (x,), (4,), 6, 42, table)
-    unconditional_sweep(haar, (x,), (4,), 5, 43, table)
-    assert {(42, 6, 4), (43, 5, 4)} <= set(table)
+    unconditional_sweep(haar, (x,), (4,), 6, 42)
+    unconditional_sweep(haar, (x,), (4,), 5, 43)
+    assert len(calls) == 6 + 5 and draws.cache_info().currsize == 6
 
 
 def _bits(values) -> list:
@@ -1820,15 +1839,17 @@ def test_threads_racing_on_a_cold_descriptor_all_get_its_first_value():
 
 
 # ---------------------------------------------------------------------------
-# per-frame records: the extreme pairs' sums and the atom table
+# memos of frame work: the extreme pairs' sums, the atom table and the
+# trial draws
 # ---------------------------------------------------------------------------
 
 RECORD_LABELS = DEFAULT_FRAME_LABELS + ("haar:p=3:J=11",)
+MEMOS = (frames_module._extreme_rows, frames_module._atom_table, frames_module._trial_draws)
 
 
 def _record_run(F, schedule) -> tuple:
     """F's sweep arrays and unconditional probe pairs at the schedule, at a
-    fixed seed and budget: the two calls that read F's records."""
+    fixed seed and budget: the two calls that read the memos."""
     elements = seeded_ball_points(F.space, 7, "uncond-element", 3)
     return (
         frames_module.sweep_arrays(F, schedule, 50, 7),
@@ -1840,70 +1861,123 @@ def _same_run(a, b) -> bool:
     return _same_sweep(a[0], b[0]) and _bits(a[1]) == _bits(b[1])
 
 
+def _misses() -> list:
+    """How many entries each memo has built so far."""
+    return [memo.cache_info().misses for memo in MEMOS]
+
+
+def _entries(F, schedule) -> tuple:
+    """The memo entries a _record_run of F at the schedule reads: F's
+    extreme rows at the schedule and atom table at its last truncation."""
+    return frames_module._extreme_rows(F, schedule), frames_module._atom_table(F, schedule[-1])
+
+
 @pytest.mark.parametrize("label", RECORD_LABELS)
 def test_warm_calls_read_the_records_and_give_the_cold_bits(label):
-    # the first calls fill both records, with read-only arrays; later calls
-    # read the same record objects, and no bit of either result moves
+    # the first calls fill the frame's memo entries, with read-only arrays;
+    # later calls read the same entries, build none and derive no trial
+    # stream, and no bit of either result moves
     F, schedule = _fresh(label), spec_for_label(label).schedule
-    assert F._extreme_sums is None and F._atoms is None
+    frames_module._trial_draws.cache_clear()
+    before = _misses()
     cold = _record_run(F, schedule)
-    extreme, atoms = F._extreme_sums, F._atoms
-    assert extreme[0] == schedule and atoms[0] == schedule[-1]
-    assert not any(a.flags.writeable for a in extreme[1:] + atoms[1:])
+    built = _misses()
+    assert built[:2] == [before[0] + 1, before[1] + 1]
+    entries = _entries(F, schedule)
+    assert not any(a.flags.writeable for entry in entries for a in entry)
     for _ in range(2):
         assert _same_run(_record_run(F, schedule), cold)
-        assert F._extreme_sums is extreme and F._atoms is atoms
+        assert _misses() == built
+        assert all(a is b for a, b in zip(_entries(F, schedule), entries))
 
 
 def test_the_atom_table_is_rebuilt_for_another_top():
-    # the record holds one top: a probe at another largest truncation, larger
-    # or smaller, builds the table anew at that top, as wide as a fresh
-    # frame's (on l1 a table kept from a larger top would be wider), and gets
-    # a fresh frame's bits; the same top again reads the record
+    # each largest truncation has its own table: a probe at another top,
+    # larger or smaller, builds the table at that top, as wide as a fresh
+    # frame's (on l1 a table kept from a larger top would be wider), and
+    # gets a fresh frame's bits; the same top again reads its entry
+    atom_table = frames_module._atom_table
     for label in RECORD_LABELS:
         large = spec_for_label(label).schedule
         F = _fresh(label)
         elements = seeded_ball_points(F.space, 3, "uncond-element", 3)
+        tables = {}
         for schedule in ((4,), large, (16, 4), large[:-1], large):
+            top = max(schedule)
             got = _probe_pairs(F, elements, schedule, 5, 3)
             fresh = _fresh(label)
             assert _bits(got) == _bits(_probe_pairs(fresh, elements, schedule, 5, 3))
-            atoms = F._atoms
-            assert atoms[0] == max(schedule), (label, schedule)
-            assert atoms[2].shape == fresh._atoms[2].shape, (label, schedule)
+            atoms = atom_table(F, top)
+            assert atoms[1].shape == atom_table(fresh, top)[1].shape, (label, schedule)
+            if top in tables:
+                assert atoms is tables[top], (label, schedule)
+            else:
+                assert all(atoms is not t for t in tables.values()), (label, schedule)
+                tables[top] = atoms
+            misses = atom_table.cache_info().misses
             _probe_pairs(F, elements, schedule, 5, 3)
-            assert F._atoms is atoms
+            assert atom_table(F, top) is atoms and atom_table.cache_info().misses == misses
     # l1's coordinates grow with the truncation: the table at 4 is 4 wide
     F = _fresh("l1-canonical")
     elements = seeded_ball_points(F.space, 3, "uncond-element", 3)
     _probe_pairs(F, elements, (256,), 5, 3)
     _probe_pairs(F, elements, (4,), 5, 3)
-    assert F._atoms[2].shape[-1] == 4
+    assert atom_table(F, 4)[1].shape[-1] == 4
 
 
-def test_a_changed_schedule_replaces_the_extreme_record():
-    # the record holds one schedule: another one is summed and recorded in
-    # its place, the old tuple left as it was, and every sweep keeps its
-    # fresh frame's bits and the full-product oracle's extreme rows
+def test_a_changed_schedule_gets_its_own_extreme_rows():
+    # each schedule has its own entry: another one is summed and kept beside
+    # the first, which stays as it was; a list schedule reads the tuple's
+    # entry; and every sweep keeps its fresh frame's bits and the
+    # full-product oracle's extreme rows
+    extreme_rows = frames_module._extreme_rows
     for label in ("l1-canonical", "haar:p=3:J=6", "amalgam:p=3:q=1.5:J=2:window=-3,1"):
         F, samples = _fresh(label), 30
         first = frames_module.sweep_arrays(F, (4, 16, 64), samples, 3)
-        record = F._extreme_sums
+        entry = extreme_rows(F, (4, 16, 64))
+        kept = [_bits(a) for a in entry]
         m = len(first[0]) - samples
         for schedule in ([2, 8], (4, 16, 64), (1,), (4, 16, 64)):
+            misses = extreme_rows.cache_info().misses
             got = frames_module.sweep_arrays(F, schedule, samples, 3)
-            assert F._extreme_sums[0] == tuple(schedule)
-            assert type(F._extreme_sums[0]) is tuple
+            extreme_rows(F, tuple(schedule))
+            new = tuple(schedule) != (4, 16, 64)
+            assert extreme_rows.cache_info().misses == misses + new, (label, schedule)
             assert _same_sweep(got, frames_module.sweep_arrays(_fresh(label), schedule, samples, 3))
             assert _bits(got[2][:m]) == _bits(oracles.extreme_sums(F, tuple(schedule)))
-        assert record[0] == (4, 16, 64) and F._extreme_sums is not record
+        assert extreme_rows(F, (4, 16, 64)) is entry and [_bits(a) for a in entry] == kept
         assert _same_sweep(got, first)
 
 
+def test_each_memo_stays_at_its_bound_with_fresh_frame_bits():
+    # more distinct frames and keys than the bound: each memo holds the
+    # bound, least recently used out; an evicted key is built again with
+    # its first bits, and a key still held reads a fresh frame's bits
+    bound = frames_module._MEMO_SIZE
+    assert all(memo.cache_info().maxsize == bound for memo in MEMOS)
+    label, schedule = "haar:p=3:J=4", (4, 16)
+
+    def run(F, seed):
+        elements = seeded_ball_points(F.space, seed, "uncond-element", 2)
+        return frames_module.sweep_arrays(F, schedule, 20, seed), _probe_pairs(
+            F, elements, schedule, 3, seed
+        )
+
+    frames = [_fresh(label) for _ in range(bound + 2)]
+    runs = [run(F, seed) for seed, F in enumerate(frames)]
+    assert all(memo.cache_info().currsize == bound for memo in MEMOS)
+    misses = _misses()
+    assert _same_run(run(frames[0], 0), runs[0])
+    assert _misses() == [misses[0] + 1, misses[1] + 1, misses[2] + len(schedule)]
+    assert all(memo.cache_info().currsize == bound for memo in MEMOS)
+    assert _same_run(run(frames[-1], bound + 1), run(_fresh(label), bound + 1))
+
+
 def test_threads_racing_on_a_fresh_frame_get_the_serial_bits():
-    # more threads than cores start together on a frame with empty records,
-    # switching often: whichever thread's record is stored, every thread
-    # gets a serial run's bits, and the stored records are whole
+    # more threads than cores start together on a frame no memo holds, with
+    # a cold draw memo, switching often: whichever thread's entry is
+    # stored, every thread gets a serial run's bits, and the stored entries
+    # are whole, a fresh frame's arrays
     threads = 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1912,6 +1986,7 @@ def test_threads_racing_on_a_fresh_frame_get_the_serial_bits():
             schedule = spec_for_label(label).schedule
             want = _record_run(_fresh(label), schedule)
             F = _fresh(label)
+            frames_module._trial_draws.cache_clear()
             barrier = threading.Barrier(threads, timeout=30)
 
             def run(_):
@@ -1923,7 +1998,9 @@ def test_threads_racing_on_a_fresh_frame_get_the_serial_bits():
                 got = [f.result(timeout=120) for f in futures]
             assert not barrier.broken
             assert all(_same_run(g, want) for g in got), label
-            assert F._extreme_sums[0] == schedule and F._atoms[0] == schedule[-1]
+            stored, whole = _entries(F, schedule), _entries(_fresh(label), schedule)
+            for a, b in zip(stored, whole):
+                assert [_bits(u) for u in a] == [_bits(v) for v in b], label
             assert _same_run(_record_run(F, schedule), want), label
     finally:
         sys.setswitchinterval(interval)

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+import framekit.catalog as catalog
 import framekit.frames as frames_module
 import framekit.verify as verify
 from framekit.catalog import frame_from_label
@@ -174,6 +175,67 @@ def test_james_suite_verdicts():
     # schedule before the tails can vanish
     amalgam = run_james_suite(mini_spec("amalgam:p=2:q=2:J=3:window=-1,1", schedule=(4, 16, 74)))
     assert amalgam.verdict == "consistent with reflexive"
+
+
+DECAY, STALL, HALVED = (1.0, 1e-8), (1.0, 0.9), (1.0, 0.4)
+SHRINK_STALL = "shrinking tail stalls at 0.9 (first candidate is the constant all-ones pattern)"
+BIDUAL_SKIPPED = (
+    "boundedly-complete leg skipped: bidual elements have no finite representation on this space"
+)
+# id: (label, schedule, degenerate, shrinking tails, boundedly-complete
+# tails or None for a leg that must not run, verdict, notes); haar:p=3:J=4
+# reaches its full truncation at 16, and l1 has none
+JUDGING = {
+    "consistent": ("haar:p=3:J=4", (4, 16), False, DECAY, DECAY, "CONSISTENT", ()),
+    "non-shrinking": ("haar:p=3:J=4", (4, 16), False, STALL, DECAY, "NON_SHRINKING",
+                      (SHRINK_STALL,)),
+    "non-boundedly-complete": ("haar:p=3:J=4", (4, 16), False, DECAY, STALL,
+                               "NON_BOUNDEDLY_COMPLETE",
+                               ("boundedly-complete tail stalls at 0.9",)),
+    "shrinking-witness-first": ("haar:p=3:J=4", (4, 16), False, STALL, STALL, "NON_SHRINKING",
+                                (SHRINK_STALL,)),
+    "undecided": ("haar:p=3:J=4", (4, 16), False, DECAY, HALVED, "INCONCLUSIVE", ()),
+    "stall-before-full-truncation": (
+        "haar:p=3:J=4", (2, 8), False, STALL, DECAY, "INCONCLUSIVE",
+        ("shrinking tail stalls at 0.9, but the schedule ends before the full truncation "
+         "16, where it may still vanish",),
+    ),
+    "degenerate-first": ("haar:p=3:J=4", (4, 16), True, STALL, STALL, "DEGENERATE", ()),
+    "bidual-skipped": ("l1-canonical", (4, 16), False, DECAY, None, "INCONCLUSIVE",
+                       (BIDUAL_SKIPPED,)),
+    "bidual-skipped-witness": ("l1-canonical", (4, 16), False, STALL, None, "NON_SHRINKING",
+                               (BIDUAL_SKIPPED, SHRINK_STALL)),
+}
+
+
+@pytest.mark.parametrize(
+    "label, schedule, degenerate, shrinking, complete, verdict, notes",
+    list(JUDGING.values()), ids=list(JUDGING),
+)
+def test_reflexivity_probe_judges_each_verdict(
+    monkeypatch, label, schedule, degenerate, shrinking, complete, verdict, notes
+):
+    # the judging alone, on tails given per leg: every verdict, the
+    # non-boundedly-complete one included, which no catalog frame reaches
+    def tails(F, dual, sched, samples, seed):
+        assert sched == schedule and (dual or complete is not None)
+        return list(shrinking if dual else complete)
+
+    monkeypatch.setattr(verify, "worst_tails", tails)
+    monkeypatch.setattr(verify, "_zero_pair_scan", lambda F, upto: (degenerate, degenerate))
+    spec = ExperimentSpec(label, schedule=schedule)
+    report = verify.reflexivity_probe(frame_from_label(label), spec)
+    assert report.verdict == getattr(verify, "VERDICT_" + verdict)
+    assert report.notes == notes
+    assert report.flags == (("zero-elements",) if degenerate else ())
+    rows = {(p.name, p.truncation): p for p in report.probes}
+    legs = [("shrinking", shrinking)] + ([("boundedly-complete", complete)] if complete else [])
+    assert len(rows) == 2 * len(legs) + 1
+    for name, values in legs:
+        assert [rows[(f"{name}-tail", N)].value for N in schedule] == list(values)
+    conclusive = rows[("verdict-conclusive", schedule[-1])]
+    assert conclusive.passed is (verdict != "INCONCLUSIVE")
+    assert conclusive.value == float(verdict != "INCONCLUSIVE")
 
 
 def test_unconditionality_suite_rows():
@@ -387,18 +449,25 @@ def test_run_all_sweeps_each_spec_once(monkeypatch):
     assert [c[0] for c in calls] == ["sweep_arrays"]
 
 
+def _cold_start() -> None:
+    """Drop every cached frame and trial draw, so that the next run builds
+    its frames, their descriptors' caches and every memo entry anew."""
+    catalog._catalog_frame.cache_clear()
+    frames_module._trial_draws.cache_clear()
+
+
 def test_cold_run_all_on_shared_labels_writes_the_serial_bytes():
     # Two specs per label share one frame, its descriptors and what they
-    # cache (extreme points and norms, zero-pair ranks); from a cold start
-    # the workers race to build them.
+    # cache (extreme points and norms, zero-pair ranks, the frame's memo
+    # entries); from a cold start the workers race to build them.
     labels = ("l1-canonical", "haar:p=3:J=4", "amalgam:p=3:q=1.5:J=2:window=-3,1")
     specs = [mini_spec(label, seed=seed) for seed in (3, 4) for label in labels]
-    frame_from_label.cache_clear()
+    _cold_start()
     serial = run_all(specs)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
     try:
-        frame_from_label.cache_clear()
+        _cold_start()
         parallel = run_all(specs, workers=4)
     finally:
         sys.setswitchinterval(interval)
@@ -406,61 +475,58 @@ def test_cold_run_all_on_shared_labels_writes_the_serial_bytes():
     assert parallel.to_csv() == serial.to_csv()
 
 
-def test_run_all_draws_each_trial_once_per_run(monkeypatch):
+def test_run_all_draws_each_trial_once_per_process(monkeypatch):
     # Haar and the amalgam share the seed, 50 trials and N = 4, 16, 64,
-    # 256: one table per run holds their draws, so a run draws 200 (trial,
-    # truncation) pairs for Haar and 50 more for the amalgam's N = 274, and
-    # derives 50 streams for each
-    draws, streams, tables = [], [], []
-    trial_draws, derive_rng = frames_module._trial_draws, frames_module.derive_rng
-    unconditional_sweep = verify.unconditional_sweep
-
-    def drawn(rngs, starts, N):
-        draws.append(len(rngs))
-        return trial_draws(rngs, starts, N)
+    # 256: from a cold draw memo a run derives one stream per (trial,
+    # truncation), 200 for Haar and 50 more for the amalgam's N = 274;
+    # verify passes no draw table, and a second run derives none
+    streams, arguments = [], []
+    derive_rng, unconditional_sweep = frames_module.derive_rng, verify.unconditional_sweep
 
     def derived(seed, *keys):
-        streams.append(keys[0])
+        streams.append(keys)
         return derive_rng(seed, *keys)
 
-    def sweep(*args):
-        tables.append(args[-1])
-        return unconditional_sweep(*args)
+    def sweep(*args, **kwargs):
+        arguments.append((len(args), kwargs))
+        return unconditional_sweep(*args, **kwargs)
 
-    monkeypatch.setattr(frames_module, "_trial_draws", drawn)
     monkeypatch.setattr(frames_module, "derive_rng", derived)
     monkeypatch.setattr(verify, "unconditional_sweep", sweep)
     specs = default_specs()
+    frames_module._trial_draws.cache_clear()
     first = run_all(specs)
-    assert sum(draws) == 250
-    assert streams.count("unconditional") == 100
-    # one table for every spec of the run, holding read-only arrays only
-    assert len(tables) == len(specs) and all(t is tables[0] for t in tables)
-    assert len(tables[0]) == 5
-    for position, signs in tables[0].values():
+    trials = [keys[1] for keys in streams if keys[0] == "unconditional"]
+    assert len(trials) == 250
+    assert sorted(trials) == sorted(list(range(50)) * 5)
+    assert arguments == [(5, {})] * len(specs)
+    # the memo holds read-only arrays, one entry per (seed, trials, N)
+    draws = frames_module._trial_draws
+    assert draws.cache_info().currsize == 5
+    streams.clear()
+    for N in (4, 16, 64, 256, 274):
+        position, signs = draws(42, 50, N)
         assert type(position) is type(signs) is np.ndarray
         assert not position.flags.writeable and not signs.flags.writeable
-    # no table outlives its run: a second run draws everything again
-    first_table = tables[0]
-    draws.clear()
-    streams.clear()
-    tables.clear()
+    # the memo outlives the run: a second run derives no trial stream
     second = run_all(specs)
-    assert sum(draws) == 250 and streams.count("unconditional") == 100
-    assert len(tables) == len(specs) and tables[0] is not first_table
+    assert [keys for keys in streams if keys[0] == "unconditional"] == []
     assert second.to_json() == first.to_json()
 
 
 def test_shared_draws_give_the_serial_bytes_on_any_worker_count():
-    # the tasks race to fill one table; whichever task draws a truncation,
-    # every report keeps the bytes of one worker and of specs run alone
+    # from a cold start the tasks race to fill the memos; whichever task
+    # builds an entry, every report keeps the bytes of one worker and of
+    # specs run alone
     specs = default_specs()
     serial = run_all(specs)
     alone = [run_all([spec]) for spec in specs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
     try:
+        _cold_start()
         two = run_all(specs, workers=2)
+        _cold_start()
         many = run_all(specs + specs, workers=4)
     finally:
         sys.setswitchinterval(interval)
