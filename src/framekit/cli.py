@@ -60,6 +60,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+class _StoreOnce(argparse.Action):
+    def __call__(self, parser, ns, value, option_string=None):
+        if getattr(ns, self.dest) is not None:
+            raise CliUsageError(f"option {option_string} given more than once")
+        setattr(ns, self.dest, value)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -351,7 +358,7 @@ def cmd_tabulate(ns: argparse.Namespace) -> int:
         by_n = dict(zip(truncations, constants))
         values = [by_n[N] for N in schedule]
     else:  # shrinking-tail
-        xstar = space.dual.from_coordinates(space.dual.extreme_ball_points()[0])
+        xstar = space.dual.from_coordinates(space.dual.extremes[0][0])
         values = [clamped_tail(shrinking_tail, F, xstar, N, 2 * N) for N in schedule]
 
     curve_obj = {
@@ -376,6 +383,7 @@ def cmd_tabulate(ns: argparse.Namespace) -> int:
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
+    parser.register("action", None, _StoreOnce)  # this and later flags: at most once each
     parser.add_argument("--frame", help="catalog frame label, e.g. haar:p=2:J=8")
     parser.add_argument("--n", help="truncation rank")
     parser.add_argument("--samples", help=f"random sample budget (at most {_MAX_SAMPLES})")

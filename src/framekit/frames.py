@@ -251,17 +251,12 @@ class _Space:
 
     @_memo
     def extremes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(extreme_ball_points(), their norms), both read-only: built on
-        first use, once per descriptor, and set in one assignment."""
+        """(the deterministic unit-ball points the sweeps try first, one per
+        row, and their norms), read-only, built on first use in one assignment."""
         points = self._extreme_points()
         norms = self.norm(points)
         points.flags.writeable = norms.flags.writeable = False
         return points, norms
-
-    def extreme_ball_points(self) -> np.ndarray:
-        """The deterministic unit-ball points the sweeps try first, one per
-        row; the same read-only array on every call."""
-        return self.extremes[0]
 
     @property
     def bidual_representable(self) -> bool:
@@ -309,9 +304,7 @@ class SequenceSpace(_Space):
     def dual(self) -> "DualSequenceSpace":
         return DualSequenceSpace()
 
-    @property
-    def ball_key(self) -> tuple:
-        return ("seq-l1",)
+    ball_key = ("seq-l1",)
 
     # Words per sample: the support size, one uniform per index (their
     # argsort is a random ordering of the indices), one normal per value.
@@ -386,9 +379,7 @@ class DualSequenceSpace(_Space):
     def dual(self) -> SequenceSpace:
         return SequenceSpace()
 
-    @property
-    def ball_key(self) -> tuple:
-        return ("seq-linf",)
+    ball_key = ("seq-linf",)
 
     # Words per sample: the prefix width, one uniform per prefix value and
     # one for the tail.
@@ -546,7 +537,7 @@ class AmalgamSpace(_Space):
 
     def _extreme_points(self) -> np.ndarray:
         """Each cell's first grid extreme points, placed in that cell."""
-        steps = GridSpace(self.p, self.level).extreme_ball_points()
+        steps = GridSpace(self.p, self.level).extremes[0]
         steps = steps[:_AMALGAM_EXTREME_ATOMS_PER_CELL]
         width = len(self.cells(self.zero()))
         out = np.zeros((width, len(steps), width, steps.shape[1]))
@@ -560,11 +551,6 @@ def _ball_block(space, seed: int, purpose: str, k0: int, k1: int) -> np.ndarray:
     return next(_ball_blocks(space, seed, purpose, [(k0, k1)]))
 
 
-def _ball_point(space, seed: int, purpose: str, k: int) -> np.ndarray:
-    """Coordinates of seeded_ball_point(space, seed, purpose, k)."""
-    return _ball_block(space, seed, purpose, k, k + 1)[0]
-
-
 def seeded_ball_point(space, seed: int, purpose: str, k: int):
     """The k-th seeded random point of space's unit ball for one purpose.
 
@@ -573,7 +559,7 @@ def seeded_ball_point(space, seed: int, purpose: str, k: int):
     plays, so a frame and its dual frame draw mirrored points, and no draw
     depends on how many other draws were made.
     """
-    return space.from_coordinates(_ball_point(space, seed, purpose, k))
+    return space.from_coordinates(_ball_block(space, seed, purpose, k, k + 1)[0])
 
 
 def seeded_ball_points(space, seed: int, purpose: str, count: int) -> list:
@@ -748,7 +734,7 @@ def ball_pair_sweep(space, samples: int, seed: int) -> Iterator[tuple]:
     never share a buffer.
     """
     dual = space.dual
-    extremes = itertools.product(space.extreme_ball_points(), dual.extreme_ball_points())
+    extremes = itertools.product(space.extremes[0], dual.extremes[0])
     bounds = _sample_blocks(samples, space.draw_width, dual.draw_width)
     x_blocks = _ball_blocks(space, seed, "ball", bounds)
     xstar_blocks = _ball_blocks(dual, seed, "ball", bounds)
@@ -1236,7 +1222,7 @@ def worst_tails(F: Frame, dual: bool, schedule, samples: int, seed: int) -> list
         horizons = [min(M, F.max_rank) for M in horizons]
     top = max((M for N, M in zip(schedule, horizons) if M > N), default=None)
     if top:
-        blocks = [ball.extreme_ball_points()[:_EXTREME_CANDIDATES]]
+        blocks = [ball.extremes[0][:_EXTREME_CANDIDATES]]
         blocks += _ball_blocks(ball, seed, purpose, _sample_blocks(samples, ball.draw_width, top))
         coeffs = np.concatenate([analysis(block, top) for block in blocks])
     values = []

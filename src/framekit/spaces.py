@@ -64,13 +64,23 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+class _Vector:
+    """Subtraction and negation, from each element type's __add__ and __rmul__."""
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __neg__(self):
+        return (-1.0) * self
+
+
 # ---------------------------------------------------------------------------
 # sequence types
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SeqVector:
+class SeqVector(_Vector):
     """Finitely supported real sequence, indexed from 1.
 
     ``entries`` holds ``(index, value)`` pairs with strictly increasing
@@ -137,15 +147,9 @@ class SeqVector:
             return NotImplemented
         return SeqVector.from_pairs(list(self.entries) + list(other.entries))
 
-    def __sub__(self, other: "SeqVector") -> "SeqVector":
-        return self + (-1.0) * other
-
     def __rmul__(self, c: float) -> "SeqVector":
         c = float(c)
         return SeqVector(tuple((i, c * v) for i, v in self.entries))
-
-    def __neg__(self) -> "SeqVector":
-        return (-1.0) * self
 
     def to_json_obj(self) -> list:
         return [[i, v] for i, v in self.entries]
@@ -160,7 +164,7 @@ class SeqVector:
 
 
 @dataclass(frozen=True, eq=False)
-class DualSeq:
+class DualSeq(_Vector):
     """Bounded real sequence with an explicit prefix and a constant tail.
 
     Represents mu = (mu_n) with mu_n = prefix[n-1] for n <= len(prefix) and
@@ -215,15 +219,9 @@ class DualSeq:
         )
         return DualSeq(pre, self.tail + other.tail)
 
-    def __sub__(self, other: "DualSeq") -> "DualSeq":
-        return self + (-1.0) * other
-
     def __rmul__(self, c: float) -> "DualSeq":
         c = float(c)
         return DualSeq(tuple(c * v for v in self.prefix), c * self.tail)
-
-    def __neg__(self) -> "DualSeq":
-        return (-1.0) * self
 
     def to_json_obj(self) -> dict:
         return {"prefix": list(self.prefix), "tail": self.tail}
@@ -283,7 +281,7 @@ def pairing_psi(mu: DualSeq, lam: SeqVector) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class GridFunction:
+class GridFunction(_Vector):
     """Piecewise constant function on the level-J dyadic grid of [0, 1).
 
     ``coefficients[k]`` is the finite value on [k 2^-J, (k+1) 2^-J).  Refining
@@ -344,32 +342,19 @@ class GridFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GridFunction):
             return NotImplemented
-        level = max(self.level, other.level)
-        return bool(
-            np.array_equal(
-                self.refine(level).coefficients, other.refine(level).coefficients
-            )
-        )
+        a, b, _ = _common_level(self, other)
+        return bool(np.array_equal(a, b))
 
     __hash__ = None  # mathematical equality across levels is not hashable
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         if not isinstance(other, GridFunction):
             return NotImplemented
-        level = max(self.level, other.level)
-        return GridFunction(
-            level,
-            self.refine(level).coefficients + other.refine(level).coefficients,
-        )
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        return self + (-1.0) * other
+        a, b, level = _common_level(self, other)
+        return GridFunction(level, a + b)
 
     def __rmul__(self, c: float) -> "GridFunction":
         return GridFunction(self.level, float(c) * self.coefficients)
-
-    def __neg__(self) -> "GridFunction":
-        return (-1.0) * self
 
     def to_json_obj(self) -> dict:
         return {"level": self.level, "coefficients": self.coefficients.tolist()}
@@ -430,7 +415,7 @@ def check_window_width(lo: int, hi: int) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class AmalgamFunction:
+class AmalgamFunction(_Vector):
     """Function on R stored as one grid function per unit cell [m, m+1).
 
     ``window = (m_lo, m_hi)`` (inclusive) bounds the support: the function is
@@ -490,16 +475,10 @@ class AmalgamFunction:
             (lo, hi), {m: self.cell(m) + other.cell(m) for m in range(lo, hi + 1)}
         )
 
-    def __sub__(self, other: "AmalgamFunction") -> "AmalgamFunction":
-        return self + (-1.0) * other
-
     def __rmul__(self, c: float) -> "AmalgamFunction":
         return AmalgamFunction(
             self.window, {m: float(c) * f for m, f in self.cells.items()}
         )
-
-    def __neg__(self) -> "AmalgamFunction":
-        return (-1.0) * self
 
     def to_json_obj(self) -> dict:
         return {

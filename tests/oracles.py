@@ -191,8 +191,8 @@ def extreme_sums(F, schedule) -> np.ndarray:
     truncation of the schedule: the whole outer product of the coefficient
     rows and the evaluation rows, every column kept, each sum by math.fsum."""
     N = schedule[-1]
-    coeffs = F.coeff_batch(F.space.extreme_ball_points(), N)
-    evals = F.eval_batch(F.space.dual.extreme_ball_points(), N)
+    coeffs = F.coeff_batch(F.space.extremes[0], N)
+    evals = F.eval_batch(F.space.dual.extremes[0], N)
     with np.errstate(invalid="ignore"):
         terms = np.abs(coeffs[:, None] * evals).reshape(-1, N).tolist()
     return np.array([[math.fsum(row[:n]) for n in schedule] for row in terms])

@@ -589,7 +589,7 @@ def test_amalgam_extreme_points_are_bounded_before_allocation():
     # the cap counts the rows and values the extreme points have
     for J, window in ((1, (0, 255)), (3, (-2, 2)), (6, (0, 1)), (12, (0, 1))):
         cells = window[1] - window[0] + 1
-        points = AmalgamSpace(3.0, 1.5, window, J).extreme_ball_points()
+        points = AmalgamSpace(3.0, 1.5, window, J).extremes[0]
         assert points.shape == (cells * min(8, 2**J), cells * 2**J)
 
 

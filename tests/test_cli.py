@@ -223,6 +223,33 @@ def test_unknown_or_repeated_config_keys_exit_one(tmp_path, capsys, text, line, 
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["suite", "besselian", "--frame", "haar:J=4:p=3", "--frame", "haar:p=2:J=4", "--samples", "20"],
+         "--frame"),
+        (["suite", "besselian", "--frame", "haar:p=2:J=4", "--samples", "20", "--samples=30"],
+         "--samples"),
+        (["suite", "james", "--frame", "l1-canonical", "--schedule", "4", "--out", "a", "--out", "b"],
+         "--out"),
+        (["constant", "--frame=l1-canonical", "--n", "4", "--out=c.json", "--out", "d.json"],
+         "--out"),
+        (["expand", "--frame", "l1-canonical", "--input", "elem.json", "--input=elem.json"],
+         "--input"),
+        (["tabulate", "--frame", "l1-canonical", "--curve", "residual", "--curve", "constant"],
+         "--curve"),
+    ],
+    ids=["suite-frame", "suite-samples", "suite-out", "constant-out", "expand-input", "tabulate-curve"],
+)
+def test_repeated_options_exit_one(tmp_path, capsys, argv, option):
+    # each exited 0 before, and the last value won: the first suite run
+    # wrote a report for haar:p=2:J=4 only
+    elem = seq_file(tmp_path, [(1, 1.0)])
+    assert main(argv) == 1
+    assert f"option {option} given more than once" in capsys.readouterr().err
+    assert [str(p) for p in tmp_path.iterdir()] == [elem]
+
+
 def test_nan_seed_in_the_environment_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FRAMEKIT_SEED", "nan")
     assert main(["constant", "--frame", "l1-canonical", "--n", "4", "--samples", "5"]) == 1

@@ -331,7 +331,7 @@ def test_seeded_ball_point_is_row_k_of_every_block():
             block = frames_module._ball_block(space, 9, "ball", k0, k1)
             assert block.shape[0] == k1 - k0
             for k in (k0, (k0 + k1) // 2, k1 - 1):
-                row = frames_module._ball_point(space, 9, "ball", k)
+                row = frames_module._ball_block(space, 9, "ball", k, k + 1)[0]
                 assert np.array_equal(row, block[k - k0])
                 assert seeded_ball_point(space, 9, "ball", k) == space.from_coordinates(row)
         # the sweep's random pairs are these rows, in order
@@ -734,7 +734,7 @@ def test_default_amalgam_sums_48_sample_and_24_extreme_columns(monkeypatch):
     label = "amalgam:p=2:q=2:J=4:window=-1,1"
     F, spec = _fresh(label), spec_for_label(label)
     assert spec.schedule[-1] == 274 and spec.samples == 2000
-    m = len(F.space.extreme_ball_points())
+    m = len(F.space.extremes[0])
     cold = frames_module.sweep_arrays(F, spec.schedule, spec.samples, spec.seed)
     extreme, samples = widths[:1], widths[1:]
     assert extreme == [(m, 24)]
@@ -778,7 +778,7 @@ def test_extreme_rows_keep_ball_pair_sweep_order(monkeypatch):
     # x-major over the extreme pairs, whatever the chunk: on l1 the 12 x
     # rows and 33 xstar rows make an x-minor order fail
     F, schedule = L1, (2, 5, 12)
-    xs, xstars = F.space.extreme_ball_points(), F.space.dual.extreme_ball_points()
+    xs, xstars = F.space.extremes[0], F.space.dual.extremes[0]
     pairs = list(itertools.islice(ball_pair_sweep(F.space, 0, 1), len(xs) * len(xstars)))
     want = [
         [lp_norm(x, 1.0) for x, _ in pairs],
@@ -938,7 +938,7 @@ def test_shared_and_split_analyses_sum_the_same_extreme_pairs(monkeypatch):
     monkeypatch.setattr(sums_module, "prefix_sums", spy)
     for label in ("haar:p=2:J=8", "amalgam:p=2:q=2:J=4:window=-1,1"):
         F = _fresh(label)
-        m = len(F.space.extreme_ball_points())
+        m = len(F.space.extremes[0])
         split = dataclasses.replace(F, eval_batch=lambda x, N, F=F: F.coeff_batch(x, N))
         schedule = spec_for_label(label).schedule
         rows.clear()
@@ -951,7 +951,7 @@ def test_shared_and_split_analyses_sum_the_same_extreme_pairs(monkeypatch):
     F = _fresh("haar:p=3:J=6")  # a_n = b_n, but two balls
     rows.clear()
     frames_module.sweep_arrays(F, (4, 64), 0, 1)
-    assert sum(rows) == len(F.space.extreme_ball_points()) == 32
+    assert sum(rows) == len(F.space.extremes[0]) == 32
 
 
 def _mixed_ranks(batch):
@@ -982,7 +982,7 @@ def test_extreme_pairs_sharing_several_live_columns_are_besselian_sums(monkeypat
         haar = frame_from_label(label)
         mixed = _mixed_ranks(haar.coeff_batch)
         F = dataclasses.replace(haar, label="mixed", coeff_batch=mixed, eval_batch=mixed)
-        m = len(F.space.extreme_ball_points())
+        m = len(F.space.extremes[0])
         assert m == schedule[-1]
         terms.clear()
         _nx, _nxs, got = frames_module.sweep_arrays(F, schedule, samples, 4)
@@ -1469,7 +1469,7 @@ def test_probe_stall_before_full_truncation_is_no_witness():
 def _typed_leg(F, ball, purpose: str, tail_fn, spec: ExperimentSpec) -> list:
     """Each scheduled truncation's max over the probe's candidates, typed
     elements one at a time, of clamped_tail(tail_fn, ...) at horizon 2N."""
-    extremes = ball.extreme_ball_points()[: frames_module._EXTREME_CANDIDATES]
+    extremes = ball.extremes[0][: frames_module._EXTREME_CANDIDATES]
     candidates = [ball.from_coordinates(c) for c in extremes] + [
         seeded_ball_point(ball, spec.seed, purpose, k) for k in range(spec.probe_samples)
     ]
@@ -1763,8 +1763,8 @@ def test_zero_pair_scan_synthesizes_each_rank_once():
 def test_extreme_points_and_norms_are_built_once(space):
     points, norms = space.extremes
     assert space.extremes is space.extremes
-    assert space.extreme_ball_points() is points
-    assert space.extreme_ball_points() is space.extreme_ball_points()
+    assert space.extremes[0] is points
+    assert space.extremes[0] is space.extremes[0]
     for array in (points, norms):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -1835,7 +1835,7 @@ def test_threads_racing_on_a_cold_descriptor_all_get_its_first_value():
         sys.setswitchinterval(interval)
     for k, s in enumerate(spaces):
         assert all(row[k][0] is s.extremes and row[k][1] is s.dual for row in seen)
-        assert s.extreme_ball_points() is s.extremes[0]
+        assert s.extremes[0] is s.extremes[0]
 
 
 # ---------------------------------------------------------------------------

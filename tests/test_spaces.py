@@ -375,6 +375,51 @@ def test_descriptor_norms_are_lattice_norms(data):
 
 
 # ---------------------------------------------------------------------------
+# element algebra
+# ---------------------------------------------------------------------------
+
+# Pairs of one type that differ in support: sequences with a cancelling
+# entry, dual sequences with prefixes of different lengths, grids on
+# different levels, amalgams with different windows and levels.
+ALGEBRA_PAIRS = {
+    "SeqVector": (
+        SeqVector.from_pairs([(1, 0.5), (3, -2.0)]),
+        SeqVector.from_pairs([(2, 1.25), (3, -2.0), (9, 0.1)]),
+    ),
+    "DualSeq": (DualSeq((1.0, -0.5), 0.25), DualSeq((0.1, 0.2, 0.3, 0.4), -1.0)),
+    "GridFunction": (GridFunction(1, [0.5, -1.5]), GridFunction(3, np.arange(8) / 3.0)),
+    "AmalgamFunction": (
+        AmalgamFunction((-2, 0), {-2: GridFunction(1, [1.0, 2.0]), 0: GridFunction(0, [0.3])}),
+        AmalgamFunction((0, 1), {1: GridFunction(2, [0.1, -0.2, 0.7, 1e-3])}),
+    ),
+}
+
+
+def _bits(x) -> str:
+    # float repr round-trips, so equal text is equal bits, -0.0 included
+    return json.dumps(x.to_json_obj())
+
+
+@pytest.mark.parametrize("x, y", ALGEBRA_PAIRS.values(), ids=ALGEBRA_PAIRS)
+def test_subtraction_and_negation_are_the_scaled_sum(x, y):
+    for a, b in ((x, y), (y, x), (x, x)):
+        assert _bits(a - b) == _bits(a + (-1.0) * b)
+    for a in (x, y):
+        assert _bits(-a) == _bits((-1.0) * a)
+    for other, _ in ALGEBRA_PAIRS.values():
+        if type(other) is not type(x):
+            with pytest.raises(TypeError):
+                x - other
+    with pytest.raises(TypeError):
+        x - 1.0
+    if isinstance(x, SeqVector):
+        assert hash(x - y) == hash(x + (-1.0) * y)
+    else:
+        with pytest.raises(TypeError):
+            hash(x - y)
+
+
+# ---------------------------------------------------------------------------
 # serialization round-trips
 # ---------------------------------------------------------------------------
 
